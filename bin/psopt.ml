@@ -49,17 +49,17 @@ let discipline_term =
         if np then Explore.Enum.Non_preemptive else Explore.Enum.Interleaving)
     $ Arg.(value & flag & info [ "np"; "non-preemptive" ] ~doc))
 
-(* Default domain-pool width: an explicit PSOPT_J wins (the CI matrix
+(* Default domain-pool width: a valid PSOPT_J wins (the CI matrix
    pins it), otherwise whatever this machine recommends. *)
 let default_j =
-  match Sys.getenv_opt "PSOPT_J" with
-  | Some _ -> Explore.Config.default.Explore.Config.domains
+  match Explore.Config.env_jobs with
+  | Some j -> j
   | None -> Explore.Pool.recommended ()
 
 let jobs_term =
   let doc =
     "Domain pool width for parallel exploration (default: the machine's \
-     recommended domain count, or \\$PSOPT_J when set).  Results are \
+     recommended domain count, or a positive \\$PSOPT_J).  Results are \
      identical for every width."
   in
   Arg.(value & opt int default_j & info [ "j"; "jobs" ] ~doc ~docv:"N")

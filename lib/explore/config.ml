@@ -26,26 +26,36 @@ type t = {
   fault : fault option;
   domains : int;
   oversubscribe : bool;
-  publish_period : int;
   reduction : reduction;
 }
 
+let parse_jobs s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when n >= 1 -> Some n
+  | _ -> None
+
 (* PSOPT_J lets the CI matrix (and users) run the entire test suite
    through the parallel engine without threading a flag into every
-   call site that uses [default]. *)
-let env_domains =
+   call site that uses [default].  Read once, here; a value that does
+   not parse is reported and otherwise ignored. *)
+let env_jobs =
   match Sys.getenv_opt "PSOPT_J" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-               | Some n when n >= 1 -> Some n
-               | _ -> None)
   | None -> None
+  | Some s -> (
+      match parse_jobs s with
+      | Some _ as j -> j
+      | None ->
+          Obs.Log.warn ~src:"config"
+            "ignoring PSOPT_J: not a positive integer"
+            ~fields:[ ("value", s) ];
+          None)
 
-let default_domains = match env_domains with Some n -> n | None -> 1
+let default_domains = match env_jobs with Some n -> n | None -> 1
 
 (* PSOPT_J is an explicit request to exercise the parallel engine, so
    it also lifts the cores clamp — otherwise a single-core CI runner
    would silently run the whole matrix sequentially. *)
-let default_oversubscribe = env_domains <> None
+let default_oversubscribe = env_jobs <> None
 
 let default =
   {
@@ -64,7 +74,6 @@ let default =
     fault = None;
     domains = default_domains;
     oversubscribe = default_oversubscribe;
-    publish_period = 16;
     reduction = no_reduction;
   }
 
@@ -102,7 +111,7 @@ let full_reduction = { por = true; symmetry = true; bound_promises = None }
           (Truncated above the bound), por changes which Open chatter
           prefixes appear, and a store keyed without the knobs could
           hand a bounded result to an unbounded query.
-   - out: memoize, cert_cache, domains, oversubscribe, publish_period (the
+   - out: memoize, cert_cache, domains, oversubscribe (the
           determinism contract of docs/PARALLEL.md: identical results
           at every width and with every cache setting)
    - out: max_steps, deadline_ms, max_nodes, max_live_words — the

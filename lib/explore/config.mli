@@ -123,17 +123,8 @@ type t = {
   oversubscribe : bool;
       (** run all [domains] workers even beyond the hardware core
           count.  Off by default; the test suite switches it on so the
-          multi-domain engine is genuinely exercised (stealing,
-          publication, merging) even on single-core CI runners. *)
-  publish_period : int;
-      (** parallel engine only: how many fresh domain-local cache
-          entries (cert verdicts, promise-candidate sets, memoized
-          suffix sets) a worker accumulates before publishing them as
-          one lock-free batch for the other domains to absorb.
-          Smaller values shrink the window in which two domains
-          duplicate the same certification; larger values cut
-          publication traffic.  A pure performance knob — excluded
-          from {!fingerprint} like [domains]. *)
+          multi-domain engine is genuinely exercised (stealing and
+          cache publication) even on single-core CI runners. *)
   reduction : reduction;
       (** state-space reduction (off by default); {e included} in
           {!fingerprint} — [bound_promises] changes completeness and
@@ -141,12 +132,22 @@ type t = {
           results must not cross reduction modes. *)
 }
 
+val parse_jobs : string -> int option
+(** The syntax of a [PSOPT_J] value: a positive decimal integer,
+    surrounding whitespace allowed. *)
+
+val env_jobs : int option
+(** [$PSOPT_J] parsed with {!parse_jobs}, read once at start-up.
+    [None] when unset, or when the value does not parse — which is
+    reported by one [Obs.Log] warning rather than silently taken as a
+    width. *)
+
 val default : t
-(** [domains] defaults to [$PSOPT_J] when that environment variable
-    holds a positive integer (the CI matrix runs the whole test suite
-    parallel this way), [1] otherwise.  Setting [PSOPT_J] also sets
-    [oversubscribe]: it is an explicit request to run the parallel
-    engine, even on a runner with fewer cores than that. *)
+(** [domains] defaults to {!env_jobs} when set (the CI matrix runs the
+    whole test suite parallel this way), [1] otherwise.  Setting
+    [PSOPT_J] also sets [oversubscribe]: it is an explicit request to
+    run the parallel engine, even on a runner with fewer cores than
+    that. *)
 
 val quick : t
 (** Promise-free, shallower: for smoke tests and benches. *)

@@ -1,5 +1,4 @@
 module TidMap = Ps.Machine.TidMap
-module L = Stats.Local
 
 type discipline = Interleaving | Non_preemptive
 
@@ -106,8 +105,6 @@ type succ = { emit : Lang.Ast.value option; next : Node.t }
    suffix sets) are domain-local; fresh entries flow between domains
    through the lock-free {!Pool.Chan} channels in batches, so the hot
    path never takes a lock and never touches a contended cache line.
-   The [*_merged] tables exist only for the end-of-search size stats
-   and are filled under [merge_lock] when workers finish.
 
    The sticky resource flags are atomics so one worker tripping the
    wall-clock or heap budget abandons every other worker's remaining
@@ -145,11 +142,7 @@ type search = {
   disc : discipline;
   cfg : Config.t;
   red : red;
-  stats : Stats.t;
-  memo_merged : (Traceset.t * int) NodeTbl.t;
-  cert_merged : bool CertTbl.t;
-  cand_merged : (Lang.Ast.var * Lang.Ast.value) list CertTbl.t;
-  merge_lock : Mutex.t;
+  stats : Stats.t;  (* the search's total, summed after the join *)
   cert_chan : (CertKey.t * bool) Pool.Chan.t;
   cand_chan : (CertKey.t * (Lang.Ast.var * Lang.Ast.value) list) Pool.Chan.t;
   memo_chan : (Node.t * (Traceset.t * int)) Pool.Chan.t;
@@ -161,15 +154,14 @@ type search = {
 }
 
 (* Per-domain state.  Everything the DFS hot path touches is
-   unsynchronized: the caches, the on-stack table, the stats batch
-   ([ls], flushed into the shared atomics by [finish_worker]) and the
+   unsynchronized: the caches, the on-stack table, this worker's own
+   counters ([ls], summed into [s.stats] after the join) and the
    publication buffers.  [tick] amortizes the clock/heap probes and
    channel absorption. *)
 type worker = {
   s : search;
-  id : int;
   parallel : bool;
-  ls : L.t;
+  ls : Stats.t;
   memo : (Traceset.t * int) NodeTbl.t;
   cert_cache : bool CertTbl.t;
   cand_cache : (Lang.Ast.var * Lang.Ast.value) list CertTbl.t;
@@ -379,10 +371,6 @@ let make_search ~threads code atomics disc cfg =
     cfg;
     red = compute_red code threads cfg;
     stats = Stats.create ();
-    memo_merged = NodeTbl.create 1024;
-    cert_merged = CertTbl.create 1024;
-    cand_merged = CertTbl.create 1024;
-    merge_lock = Mutex.create ();
     cert_chan = Pool.Chan.create ();
     cand_chan = Pool.Chan.create ();
     memo_chan = Pool.Chan.create ();
@@ -402,12 +390,11 @@ let make_search ~threads code atomics disc cfg =
       | None -> None);
   }
 
-let make_worker ~id ~parallel s =
+let make_worker ~parallel s =
   {
     s;
-    id;
     parallel;
-    ls = L.create ();
+    ls = Stats.create ();
     memo = NodeTbl.create 1024;
     cert_cache = CertTbl.create 1024;
     cand_cache = CertTbl.create 256;
@@ -498,10 +485,13 @@ let canon s (n : Node.t) : Node.t =
 
 (* ---- domain-local cache publication ----
    Fresh entries are buffered and pushed as one immutable batch every
-   [publish_period] entries; other workers absorb at their probe tick
-   and when idle.  Every published value is a pure function of its key
-   (the cache-soundness invariant), so at-least-once unordered
-   delivery is benign and absorbing keeps determinism: a hit is
+   [publish_period] entries (and when the worker converts its stack or
+   exits); other workers absorb at their probe tick and when idle.
+   Smaller periods shrink the window in which two domains duplicate
+   the same certification; larger ones cut publication traffic.
+   Every published value is a pure function of its key (the
+   cache-soundness invariant), so at-least-once unordered delivery is
+   benign and absorbing keeps determinism: a hit is
    recomputation-equivalent no matter which domain computed it. *)
 
 let publish_now w =
@@ -520,9 +510,11 @@ let publish_now w =
   end;
   w.pub_pending <- 0
 
+let publish_period = 16
+
 let queued w =
   w.pub_pending <- w.pub_pending + 1;
-  if w.pub_pending >= w.s.cfg.Config.publish_period then publish_now w
+  if w.pub_pending >= publish_period then publish_now w
 
 let absorb w =
   let s = w.s in
@@ -560,17 +552,17 @@ let budget_stop w : Errors.reason option =
     | _ -> ()
   end;
   if Atomic.get s.out_of_time then begin
-    ls.L.deadline_hits <- ls.L.deadline_hits + 1;
+    ls.Stats.deadline_hits <- ls.Stats.deadline_hits + 1;
     Some Errors.Deadline
   end
   else if Atomic.get s.out_of_mem then begin
-    ls.L.oom_hits <- ls.L.oom_hits + 1;
+    ls.Stats.oom_hits <- ls.Stats.oom_hits + 1;
     Some Errors.Oom
   end
   else
     match (s.cfg.Config.max_nodes, s.node_count) with
     | Some n, Some c when Atomic.get c >= n ->
-        ls.L.node_budget_hits <- ls.L.node_budget_hits + 1;
+        ls.Stats.node_budget_hits <- ls.Stats.node_budget_hits + 1;
         Some Errors.Node_budget
     | _ -> None
 
@@ -595,7 +587,7 @@ let fault_fires s site salt =
 
 let node_fault_fires w n =
   let fire = fault_fires w.s (Node.hash n) salt_cut in
-  if fire then w.ls.L.faults_injected <- w.ls.L.faults_injected + 1;
+  if fire then w.ls.Stats.faults_injected <- w.ls.Stats.faults_injected + 1;
   fire
 
 (* Certification is the engine's dominant cost, so its run time is
@@ -617,7 +609,7 @@ let run_cert s ts mem =
 let consistent w ts mem =
   let s = w.s in
   let ls = w.ls in
-  ls.L.cert_checks <- ls.L.cert_checks + 1;
+  ls.Stats.cert_checks <- ls.Stats.cert_checks + 1;
   (* An injected fault answers "inconsistent" without consulting the
      cache, so the cache stays pure; the decision is a pure function
      of the configuration, so it is the same on every path and every
@@ -625,8 +617,8 @@ let consistent w ts mem =
      is only computed when fault injection is armed. *)
   let key = CertKey.make ts mem in
   if s.fault <> None && fault_fires s (CertKey.hash key) salt_cert then begin
-    ls.L.cert_faults <- ls.L.cert_faults + 1;
-    ls.L.faults_injected <- ls.L.faults_injected + 1;
+    ls.Stats.cert_faults <- ls.Stats.cert_faults + 1;
+    ls.Stats.faults_injected <- ls.Stats.faults_injected + 1;
     false
   end
   else if
@@ -634,20 +626,20 @@ let consistent w ts mem =
        spend a hash of the whole configuration on them. *)
     Ps.Thread.concrete_promises ts = []
   then begin
-    ls.L.cert_trivial <- ls.L.cert_trivial + 1;
+    ls.Stats.cert_trivial <- ls.Stats.cert_trivial + 1;
     true
   end
   else if not s.cfg.Config.cert_cache then begin
-    ls.L.cert_runs <- ls.L.cert_runs + 1;
+    ls.Stats.cert_runs <- ls.Stats.cert_runs + 1;
     run_cert s ts mem
   end
   else
     match CertTbl.find_opt w.cert_cache key with
     | Some verdict ->
-        ls.L.cert_cache_hits <- ls.L.cert_cache_hits + 1;
+        ls.Stats.cert_cache_hits <- ls.Stats.cert_cache_hits + 1;
         verdict
     | None ->
-        ls.L.cert_runs <- ls.L.cert_runs + 1;
+        ls.Stats.cert_runs <- ls.Stats.cert_runs + 1;
         let verdict = run_cert s ts mem in
         CertTbl.replace w.cert_cache key verdict;
         if w.parallel then begin
@@ -665,7 +657,7 @@ let promise_candidates w ts mem =
       if s.fault <> None && fault_fires s (CertKey.hash key) salt_cand then begin
         (* Candidate discovery killed by an injected fault: no promise
            successors from here — behaviours shrink, never grow. *)
-        w.ls.L.faults_injected <- w.ls.L.faults_injected + 1;
+        w.ls.Stats.faults_injected <- w.ls.Stats.faults_injected + 1;
         []
       end
       else
@@ -687,7 +679,7 @@ let promise_candidates w ts mem =
             else
               match CertTbl.find_opt w.cand_cache key with
               | Some cands ->
-                  w.ls.L.cand_cache_hits <- w.ls.L.cand_cache_hits + 1;
+                  w.ls.Stats.cand_cache_hits <- w.ls.Stats.cand_cache_hits + 1;
                   cands
               | None ->
                   let cands = compute () in
@@ -750,9 +742,9 @@ let successors w (n : Node.t) : succ list =
       let strict = s.cfg.Config.strict_promises || bound <> None in
       if strict && sched_ok && not budget_left then
         if promise_candidates w ts mem <> [] then begin
-          w.ls.L.promise_budget_hits <- w.ls.L.promise_budget_hits + 1;
+          w.ls.Stats.promise_budget_hits <- w.ls.Stats.promise_budget_hits + 1;
           if bound <> None then
-            w.ls.L.promise_bound_hits <- w.ls.L.promise_bound_hits + 1
+            w.ls.Stats.promise_bound_hits <- w.ls.Stats.promise_bound_hits + 1
         end;
       []
     end
@@ -764,7 +756,7 @@ let successors w (n : Node.t) : succ list =
                 slot; pruning inconsistent promise placements is sound
                 because a τ machine step must end consistent. *)
              if consistent w step.Ps.Thread.ts step.Ps.Thread.mem then (
-               w.ls.L.promises <- w.ls.L.promises + 1;
+               w.ls.Stats.promises <- w.ls.Stats.promises + 1;
                let world =
                  Ps.Machine.set_cur_ts wd step.Ps.Thread.ts step.Ps.Thread.mem
                in
@@ -849,7 +841,7 @@ let successors w (n : Node.t) : succ list =
               else k)
             wd.Ps.Machine.tp 0
         in
-        w.ls.L.persistent_prunes <- w.ls.L.persistent_prunes + k
+        w.ls.Stats.persistent_prunes <- w.ls.Stats.persistent_prunes + k
       end;
       []
     end
@@ -932,7 +924,7 @@ let successors w (n : Node.t) : succ list =
                 out := sw :: !out
               end)
             all;
-          w.ls.L.sleep_prunes <- w.ls.L.sleep_prunes + !dropped;
+          w.ls.Stats.sleep_prunes <- w.ls.Stats.sleep_prunes + !dropped;
           List.rev !out
         end
   in
@@ -1009,16 +1001,12 @@ type sframe = {
   mutable fpeak : int;
 }
 
-type sched = {
-  deques : task Pool.Deque.t array;
-  hungry : int Atomic.t;
-  finished : bool Atomic.t;
-  result : (Traceset.t * int * int) option Atomic.t;
-  failure : (exn * Printexc.raw_backtrace) option Atomic.t;
-}
+(* Set once, when the root task's result is delivered: the scheduler's
+   stop condition. *)
+type delivered = (Traceset.t * int * int) option Atomic.t
 
 let count_node w =
-  w.ls.L.nodes <- w.ls.L.nodes + 1;
+  w.ls.Stats.nodes <- w.ls.Stats.nodes + 1;
   match w.s.node_count with Some c -> Atomic.incr c | None -> ()
 
 let memo_store w n entry =
@@ -1043,9 +1031,9 @@ type entered =
 let enter w (n : Node.t) depth : entered =
   let s = w.s in
   let ls = w.ls in
-  if depth > ls.L.peak_depth then ls.L.peak_depth <- depth;
+  if depth > ls.Stats.peak_depth then ls.Stats.peak_depth <- depth;
   if depth >= s.cfg.Config.max_steps then begin
-    ls.L.cuts <- ls.L.cuts + 1;
+    ls.Stats.cuts <- ls.Stats.cuts + 1;
     Done (cut_traces, -1, depth)
   end
   else if budget_stop w <> None then
@@ -1063,9 +1051,9 @@ let enter w (n : Node.t) depth : entered =
     let key = canon s n in
     match NodeTbl.find_opt w.memo key with
     | Some (traces, rel_peak) when depth + rel_peak < s.cfg.Config.max_steps ->
-        ls.L.memo_hits <- ls.L.memo_hits + 1;
+        ls.Stats.memo_hits <- ls.Stats.memo_hits + 1;
         if key != n then
-          ls.L.symmetry_folds <- ls.L.symmetry_folds + 1;
+          ls.Stats.symmetry_folds <- ls.Stats.symmetry_folds + 1;
         Done (traces, max_taint, depth + rel_peak)
     | _ -> (
         match NodeTbl.find_opt w.on_stack n with
@@ -1073,7 +1061,7 @@ let enter w (n : Node.t) depth : entered =
             (* Back-edge: divergence.  The honest behaviour is the
                prefix observed so far, i.e. the empty suffix with an
                [Open] ending. *)
-            ls.L.cycles <- ls.L.cycles + 1;
+            ls.Stats.cycles <- ls.Stats.cycles + 1;
             Done (open_traces, ix, depth)
         | None ->
             count_node w;
@@ -1084,7 +1072,7 @@ let enter w (n : Node.t) depth : entered =
               else Traceset.empty
             in
             let succs = Array.of_list (successors w n) in
-            ls.L.transitions <- ls.L.transitions + Array.length succs;
+            ls.Stats.transitions <- ls.Stats.transitions + Array.length succs;
             let base =
               if Traceset.is_empty base && Array.length succs = 0 then
                 (* Stuck without terminating: an execution that cannot
@@ -1098,11 +1086,9 @@ let enter w (n : Node.t) depth : entered =
 (* Deliver a subtree result to its target; fold and propagate when a
    frame completes.  Tail-recursive: converted chains can be as deep
    as the step budget. *)
-let rec deliver w sd (t : target) (r : Traceset.t * int * int) =
+let rec deliver w (result : delivered) (t : target) (r : Traceset.t * int * int) =
   match t with
-  | Root ->
-      Atomic.set sd.result (Some r);
-      Atomic.set sd.finished true
+  | Root -> Atomic.set result (Some r)
   | Slot (f, i) ->
       f.jslots.(i) <- Some r;
       if Atomic.fetch_and_add f.jpending (-1) = 1 then begin
@@ -1131,14 +1117,14 @@ let rec deliver w sd (t : target) (r : Traceset.t * int * int) =
           end
           else (!acc, !taint, !peak)
         in
-        deliver w sd f.jparent r
+        deliver w result f.jparent r
       end
 
 (* Run one task to completion — or until conversion hands its
    remainder to the deque.  The on-stack table is rebuilt from the
    task's frame chain: those frames are exactly the ancestor stack the
    sequential walk would carry here. *)
-let exec w sd (task : task) =
+let exec w (h : task Pool.worker) result (task : task) =
   NodeTbl.reset w.on_stack;
   let rec seed = function
     | Root -> ()
@@ -1223,7 +1209,7 @@ let exec w sd (task : task) =
     (* Share the freshly computed cache entries along with the work:
        the thief will need exactly them. *)
     publish_now w;
-    List.iter (Pool.Deque.push sd.deques.(w.id)) (List.rev !tasks)
+    List.iter (Pool.push h) (List.rev !tasks)
   in
   (* Convert only when there is something to share beyond this
      worker's own continuation; otherwise a chain of unary nodes would
@@ -1231,14 +1217,9 @@ let exec w sd (task : task) =
   let shareable () =
     Stack.fold (fun acc f -> acc + Array.length f.fsuccs - f.fnext) 0 stack
   in
-  let want_split () =
-    w.parallel
-    && Atomic.get sd.hungry > 0
-    && Pool.Deque.is_empty sd.deques.(w.id)
-    && shareable () >= 2
-  in
+  let want_split () = w.parallel && Pool.wanted h && shareable () >= 2 in
   match start task.tn task.tdepth None with
-  | Some r -> deliver w sd task.ttarget r
+  | Some r -> deliver w result task.ttarget r
   | None ->
       let rec loop () =
         if not (Stack.is_empty stack) then begin
@@ -1269,7 +1250,7 @@ let exec w sd (task : task) =
               else (f.facc, f.ftaint, f.fpeak)
             in
             ignore (Stack.pop stack);
-            if Stack.is_empty stack then deliver w sd task.ttarget r
+            if Stack.is_empty stack then deliver w result task.ttarget r
             else begin
               merge (Stack.top stack) r f.femit;
               loop ()
@@ -1279,128 +1260,30 @@ let exec w sd (task : task) =
       in
       loop ()
 
-(* ------------------------------------------------------------------ *)
-(* The per-worker scheduler loop: pop own deque (LIFO — depth first),
-   steal from the others (FIFO — biggest subtrees), back off when the
-   whole system is out of work but not yet finished. *)
-
-let idle_backoff n =
-  if n < 16 then Domain.cpu_relax ()
-  else Unix.sleepf (Float.min 0.0005 (2e-5 *. float_of_int (n - 15)))
-
-let run_one w sd t =
-  try Pool.timed (fun () -> exec w sd t)
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    ignore (Atomic.compare_and_set sd.failure None (Some (e, bt)))
-
-let sched_loop w sd =
-  let j = Array.length sd.deques in
-  let hungry = ref false in
-  let go_hungry () =
-    if not !hungry then begin
-      hungry := true;
-      Atomic.incr sd.hungry
-    end
-  in
-  let fed () =
-    if !hungry then begin
-      hungry := false;
-      Atomic.decr sd.hungry
-    end
-  in
-  let try_steal () =
-    let found = ref None in
-    let k = ref 1 in
-    while !found = None && !k < j do
-      (match Pool.Deque.steal sd.deques.((w.id + !k) mod j) with
-      | Some t -> found := Some t
-      | None -> ());
-      incr k
-    done;
-    !found
-  in
-  let rec loop idle =
-    if Atomic.get sd.finished || Atomic.get sd.failure <> None then ()
-    else
-      match Pool.Deque.pop sd.deques.(w.id) with
-      | Some t ->
-          run_one w sd t;
-          loop 0
-      | None -> (
-          go_hungry ();
-          match try_steal () with
-          | Some t ->
-              fed ();
-              run_one w sd t;
-              loop 0
-          | None ->
-              if Atomic.get sd.finished || Atomic.get sd.failure <> None then ()
-              else begin
-                if w.parallel then absorb w;
-                idle_backoff idle;
-                loop (idle + 1)
-              end)
-  in
-  loop 0;
-  fed ()
-
-(* Merge this worker's local tables into the end-of-search aggregates
-   and flush its stats batch.  Runs on every worker, success or not
-   ([Fun.protect] in [traces_of]). *)
-let finish_worker w =
-  Obs.Trace.span ~cat:"explore" "memo" (fun () ->
-      let s = w.s in
-      Mutex.lock s.merge_lock;
-      NodeTbl.iter (fun n e -> NodeTbl.replace s.memo_merged n e) w.memo;
-      CertTbl.iter (fun k v -> CertTbl.replace s.cert_merged k v) w.cert_cache;
-      CertTbl.iter (fun k v -> CertTbl.replace s.cand_merged k v) w.cand_cache;
-      Mutex.unlock s.merge_lock;
-      Stats.Local.flush w.ls s.stats)
-
-(* Run the search at width [j] (the calling domain is worker 0; [j=1]
-   spawns nothing and the whole scheduler degenerates to the plain
-   depth-first walk: no thief ever registers hunger, so [want_split]
-   is never even probed past its [parallel] flag). *)
+(* Run the search at width [j] on {!Pool.run} (the calling domain is
+   worker 0; at [j=1] no thief ever registers hunger, so the walk
+   never converts and is the plain depth-first search).  Each worker
+   flushes its pending cache batch when it exits; after the join,
+   worker 0 drains the channels, so its tables hold every entry any
+   worker computed and their sizes are the search's. *)
 let traces_of s root j =
-  let sd =
-    {
-      deques = Array.init j (fun _ -> Pool.Deque.create ());
-      hungry = Atomic.make 0;
-      finished = Atomic.make false;
-      result = Atomic.make None;
-      failure = Atomic.make None;
-    }
+  let result = Atomic.make None in
+  let ws =
+    Pool.run ~j
+      ~init:(fun h -> (make_worker ~parallel:(j > 1) s, h))
+      ~finish:(fun (w, _) -> publish_now w)
+      ~idle:(fun (w, _) -> if w.parallel then absorb w)
+      ~stop:(fun () -> Atomic.get result <> None)
+      (fun (w, h) t -> exec w h result t)
+      [ { tn = root; tdepth = 0; ttarget = Root } ]
+    |> Array.map fst
   in
-  Pool.Deque.push sd.deques.(0) { tn = root; tdepth = 0; ttarget = Root };
-  let worker id =
-    let w = make_worker ~id ~parallel:(j > 1) s in
-    Fun.protect ~finally:(fun () -> finish_worker w) (fun () -> sched_loop w sd)
-  in
-  let spawned =
-    List.init (j - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
-  in
-  (* Every spawned domain is joined no matter how worker 0 exits; a
-     failing join must not abandon the remaining joins, so errors are
-     collected and the first one re-raised after the sweep. *)
-  let spawn_err = ref None in
-  let join_all () =
-    List.iter
-      (fun d ->
-        try Domain.join d
-        with e ->
-          if !spawn_err = None then
-            spawn_err := Some (e, Printexc.get_raw_backtrace ()))
-      spawned
-  in
-  Fun.protect ~finally:join_all (fun () -> worker 0);
-  (match Atomic.get sd.failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
-  (match !spawn_err with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
-  match Atomic.get sd.result with
+  if j > 1 then absorb ws.(0);
+  Array.iter (fun w -> Stats.add ~into:s.stats w.ls) ws;
+  s.stats.Stats.memo_size <- NodeTbl.length ws.(0).memo;
+  s.stats.Stats.cert_cache_size <-
+    CertTbl.length ws.(0).cert_cache + CertTbl.length ws.(0).cand_cache;
+  match Atomic.get result with
   | Some (traces, _, _) -> traces
   | None -> assert false
 
@@ -1417,17 +1300,6 @@ let effective_domains cfg =
   in
   max 1 (min cfg.Config.domains cap)
 
-let finish_stats s =
-  Atomic.set s.stats.Stats.memo_size (NodeTbl.length s.memo_merged);
-  Atomic.set s.stats.Stats.cert_cache_size
-    (CertTbl.length s.cert_merged + CertTbl.length s.cand_merged);
-  Stats.finish s.stats
-
-let record_domains s used =
-  Atomic.set s.stats.Stats.domains_used used;
-  Atomic.set s.stats.Stats.domains_recommended
-    (Domain.recommended_domain_count ())
-
 let behaviors ?(config = Config.default) disc (p : Lang.Ast.program) =
   match Ps.Machine.init p with
   | Error e -> Error e
@@ -1438,11 +1310,11 @@ let behaviors ?(config = Config.default) disc (p : Lang.Ast.program) =
       in
       let root = Node.make ~world ~bit:true ~promised:TidMap.empty in
       let j = effective_domains config in
-      record_domains s j;
+      s.stats.Stats.domains_used <- j;
       let traces =
         Obs.Trace.span ~cat:"explore" "enumerate" (fun () -> traces_of s root j)
       in
-      finish_stats s;
+      Stats.finish s.stats;
       let completeness =
         match Stats.truncation_reasons s.stats with
         | [] -> Exhaustive
@@ -1476,8 +1348,7 @@ let iter_reachable ?(config = Config.default) disc (p : Lang.Ast.program) ~f =
       (* The reachability walk streams states to [f] in visit order,
          so it stays single-domain; [Race.check_all] parallelizes at
          the granularity of whole scans instead. *)
-      record_domains s 1;
-      let w = make_worker ~id:0 ~parallel:false s in
+      let w = make_worker ~parallel:false s in
       (* Best (lowest) depth each node was expanded at.  Marking a node
          visited at the depth it is *first* seen is wrong under a step
          budget: a node first reached near [max_steps] would never be
@@ -1489,7 +1360,7 @@ let iter_reachable ?(config = Config.default) disc (p : Lang.Ast.program) ~f =
       let best = NodeTbl.create 1024 in
       let rec visit (n : Node.t) depth =
         if depth >= s.cfg.Config.max_steps then
-          w.ls.L.cuts <- w.ls.L.cuts + 1
+          w.ls.Stats.cuts <- w.ls.Stats.cuts + 1
         else if budget_stop w <> None || node_fault_fires w n then
           (* Budget or fault: skip the subtree.  The stats counters
              record the reason, so callers recover completeness via
@@ -1500,7 +1371,7 @@ let iter_reachable ?(config = Config.default) disc (p : Lang.Ast.program) ~f =
           match prev with
           | Some d when d <= depth -> ()
           | _ ->
-              if depth > w.ls.L.peak_depth then w.ls.L.peak_depth <- depth;
+              if depth > w.ls.Stats.peak_depth then w.ls.Stats.peak_depth <- depth;
               NodeTbl.replace best n depth;
               let first = prev = None in
               if first then begin
@@ -1511,14 +1382,14 @@ let iter_reachable ?(config = Config.default) disc (p : Lang.Ast.program) ~f =
               end;
               let succs = successors w n in
               if first then
-                w.ls.L.transitions <- w.ls.L.transitions + List.length succs;
+                w.ls.Stats.transitions <- w.ls.Stats.transitions + List.length succs;
               List.iter (fun { next; _ } -> visit next (depth + 1)) succs
       in
       Obs.Trace.span ~cat:"explore" "enumerate" (fun () ->
           visit (Node.make ~world ~bit:true ~promised:TidMap.empty) 0);
-      Stats.Local.flush w.ls s.stats;
-      Atomic.set s.stats.Stats.memo_size (NodeTbl.length best);
-      Atomic.set s.stats.Stats.cert_cache_size
-        (CertTbl.length w.cert_cache + CertTbl.length w.cand_cache);
+      Stats.add ~into:s.stats w.ls;
+      s.stats.Stats.memo_size <- NodeTbl.length best;
+      s.stats.Stats.cert_cache_size <-
+        CertTbl.length w.cert_cache + CertTbl.length w.cand_cache;
       Stats.finish s.stats;
       Ok s.stats

@@ -3,13 +3,11 @@
    No external dependencies.  Each worker owns a Chase–Lev deque: the
    owner pushes and pops one end without locks, idle workers steal
    single tasks from the other end with a CAS.  The calling domain
-   participates as worker 0, so [~j:1] spawns nothing.
-
-   Results are gathered positionally and worker exceptions are
-   captured per task and re-raised in task order after the join, so a
-   failure is reported identically at every [j].  Spawned domains are
-   always joined — even when [init]/[finish] raises on the
-   coordinating domain — via a [Fun.protect] finalizer. *)
+   participates as worker 0, so [~j:1] spawns nothing.  One scheduler
+   loop ([run]) serves both the ordered [map] and the explorer's
+   dynamically split subtree tasks.  Spawned domains are always
+   joined — even when [init]/[finish] raises on the coordinating
+   domain — via a [Fun.protect] finalizer. *)
 
 let domain_cap = 8
 
@@ -138,17 +136,21 @@ module Chan = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* The scheduler.  Every worker runs the same loop: pop its own deque
+   (LIFO — depth first), else register as hungry and steal from the
+   others (FIFO — the oldest, biggest tasks), else back off until the
+   caller's stop condition holds.  Tasks may push further tasks onto
+   their own worker's deque; [wanted] tells a busy worker that somebody
+   is starving while it holds nothing stealable. *)
 
 (* Task runtimes feed the load-balance histogram at every [j]
-   (including the sequential fast path, so j=1 and j=4 runs are
-   comparable in `psopt metrics`). *)
+   (including [j=1], so j=1 and j=4 runs are comparable in
+   `psopt metrics`). *)
 let task_hist =
   Obs.Metrics.histogram ~help:"Pool task run time" "psopt_pool_task_duration_ns"
 
 let timed f =
   Obs.Trace.span ~cat:"pool" "pool.task" (fun () -> Obs.Metrics.time task_hist f)
-
-let run_task f w x = timed (fun () -> f w x)
 
 (* Exponential idle backoff.  On an undersubscribed machine a spinning
    thief steals time slices from the domain actually doing the work,
@@ -157,170 +159,126 @@ let backoff n =
   if n < 16 then Domain.cpu_relax ()
   else Unix.sleepf (Float.min 0.0005 (2e-5 *. float_of_int (n - 15)))
 
-let map_with ~j ~init ~finish f xs =
-  let n = List.length xs in
-  let j = max 1 (min j n) in
-  if j <= 1 then begin
-    let w = init () in
-    match List.map (run_task f w) xs with
-    | r ->
-        finish w;
-        r
-    | exception e ->
+type 'a worker = { own : 'a Deque.t; hungry : int Atomic.t }
+
+let push w x = Deque.push w.own x
+let wanted w = Atomic.get w.hungry > 0 && Deque.is_empty w.own
+
+let run ~j ~init ~finish ?(idle = ignore) ~stop exec tasks =
+  let j = max 1 j in
+  let deques = Array.init j (fun _ -> Deque.create ()) in
+  (* Deal round-robin; pushing high indices first makes each owner pop
+     its low indices first. *)
+  let tasks = Array.of_list tasks in
+  for i = Array.length tasks - 1 downto 0 do
+    Deque.push deques.(i mod j) tasks.(i)
+  done;
+  let hungry = Atomic.make 0 in
+  let failure = Atomic.make None in
+  let over () = stop () || Atomic.get failure <> None in
+  let worker me =
+    let self = { own = deques.(me); hungry } in
+    let st = init self in
+    let is_hungry = ref false in
+    let set_hungry b =
+      if b <> !is_hungry then begin
+        is_hungry := b;
+        if b then Atomic.incr hungry else Atomic.decr hungry
+      end
+    in
+    let exec_one t =
+      try timed (fun () -> exec st t)
+      with e ->
         let bt = Printexc.get_raw_backtrace () in
-        (try finish w with _ -> ());
-        Printexc.raise_with_backtrace e bt
-  end
-  else begin
-    let input = Array.of_list xs in
-    let results = Array.make n None in
-    let deques = Array.init j (fun _ -> Deque.create ()) in
-    (* Pre-deal tasks round-robin; pushing high indices first makes
-       each owner pop its low indices first (LIFO deque). *)
-    for i = n - 1 downto 0 do
-      Deque.push deques.(i mod j) i
-    done;
-    let remaining = Atomic.make n in
-    let worker me =
-      let w = init () in
-      (* Hand-rolled finally: [finish] must run exactly once on every
-         exit path, but its own exception must propagate as itself
-         (Fun.protect would wrap it in [Finally_raised], breaking the
-         deterministic-error contract), and a task-loop exception
-         takes precedence over a secondary [finish] failure. *)
-      let finished = ref false in
-      let finish_once () =
-        if not !finished then begin
-          finished := true;
-          finish w
-        end
+        ignore (Atomic.compare_and_set failure None (Some (e, bt)))
+    in
+    let steal () =
+      let rec go k =
+        if k >= j then None
+        else
+          match Deque.steal deques.((me + k) mod j) with
+          | Some _ as t -> t
+          | None -> go (k + 1)
       in
-      (fun body ->
-        (match body () with
-        | () -> ()
-        | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            (try finish_once () with _ -> ());
-            Printexc.raise_with_backtrace e bt);
-        finish_once ())
-        (fun () ->
-          let run i =
-            results.(i) <-
-              Some
-                (try Ok (run_task f w input.(i))
-                 with e -> Error (e, Printexc.get_raw_backtrace ()));
-            Atomic.decr remaining
-          in
-          let try_steal () =
-            let found = ref None in
-            let k = ref 1 in
-            while !found = None && !k < j do
-              (match Deque.steal deques.((me + !k) mod j) with
-              | Some i -> found := Some i
-              | None -> ());
-              incr k
-            done;
-            !found
-          in
-          let rec loop idle =
-            match Deque.pop deques.(me) with
-            | Some i ->
-                run i;
+      go 1
+    in
+    let rec loop n =
+      if not (over ()) then
+        match Deque.pop self.own with
+        | Some t ->
+            exec_one t;
+            loop 0
+        | None -> (
+            set_hungry true;
+            match steal () with
+            | Some t ->
+                set_hungry false;
+                exec_one t;
                 loop 0
             | None ->
-                if Atomic.get remaining = 0 then ()
-                else begin
-                  match try_steal () with
-                  | Some i ->
-                      run i;
-                      loop 0
-                  | None ->
-                      if Atomic.get remaining = 0 then ()
-                      else begin
-                        backoff idle;
-                        loop (idle + 1)
-                      end
-                end
-          in
-          loop 0)
+                if not (over ()) then begin
+                  idle st;
+                  backoff n;
+                  loop (n + 1)
+                end)
     in
-    let spawned = List.init (j - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
-    (* Join every spawned domain no matter how the coordinating worker
-       exits; a worker failure during join must not abandon the rest,
-       so joins never raise directly — the first failure is re-raised
-       after the sweep (coordinator failures take precedence via
-       Fun.protect). *)
-    let spawn_err = ref None in
-    let join_all () =
-      List.iter
-        (fun d ->
-          try Domain.join d
-          with e ->
+    (* [finish] runs exactly once; its own exception propagates as
+       itself, but a loop exception takes precedence over it. *)
+    match loop 0 with
+    | () ->
+        set_hungry false;
+        finish st;
+        st
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        set_hungry false;
+        (try finish st with _ -> ());
+        Printexc.raise_with_backtrace e bt
+  in
+  let spawned = List.init (j - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
+  (* Join every spawned domain no matter how worker 0 exits; a failing
+     join must not abandon the rest, so the first failure is re-raised
+     after the sweep (worker 0's own failure takes precedence). *)
+  let spawn_err = ref None in
+  let joined = Array.make (j - 1) None in
+  let join_all () =
+    List.iteri
+      (fun k d ->
+        match Domain.join d with
+        | st -> joined.(k) <- Some st
+        | exception e ->
             if !spawn_err = None then
               spawn_err := Some (e, Printexc.get_raw_backtrace ()))
-        spawned
-    in
-    Fun.protect ~finally:join_all (fun () -> worker 0);
-    (match !spawn_err with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.to_list results
-    |> List.map (function
-         | Some (Ok v) -> v
-         | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-         | None -> assert false)
-  end
+      spawned
+  in
+  let st0 = Fun.protect ~finally:join_all (fun () -> worker 0) in
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) (Atomic.get failure);
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !spawn_err;
+  Array.append [| st0 |] (Array.map Option.get joined)
 
+(* Results land positionally and each task's exception is captured in
+   its slot, so the lowest failing index is re-raised at every [j]. *)
 let map ~j f xs =
-  map_with ~j ~init:(fun () -> ()) ~finish:(fun () -> ()) (fun () x -> f x) xs
+  let input = Array.of_list xs in
+  let n = Array.length input in
+  let results = Array.make n None in
+  let remaining = Atomic.make n in
+  ignore
+    (run ~j:(min j n) ~init:ignore ~finish:ignore
+       ~stop:(fun () -> Atomic.get remaining = 0)
+       (fun () i ->
+         results.(i) <-
+           Some
+             (try Ok (f input.(i))
+              with e -> Error (e, Printexc.get_raw_backtrace ()));
+         Atomic.decr remaining)
+       (List.init n Fun.id));
+  Array.to_list results
+  |> List.map (function
+       | Some (Ok v) -> v
+       | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+       | None -> assert false)
 
-(* ------------------------------------------------------------------ *)
-(* Hash-sharded mutex-protected hash tables: one lock per shard so
-   concurrent cache lookups from different domains rarely collide.
-   Purely a cache structure — callers must only store values that are
-   pure functions of their key, so a lost race (two domains computing
-   the same entry) is benign. *)
-
-module Sharded (H : Hashtbl.HashedType) = struct
-  module T = Hashtbl.Make (H)
-
-  type 'a shard = { lock : Mutex.t; tbl : 'a T.t }
-  type 'a t = { shards : 'a shard array; mask : int }
-
-  let create ?(shards = 64) size =
-    (* round the shard count up to a power of two for mask indexing *)
-    let rec pow2 n = if n >= shards then n else pow2 (n * 2) in
-    let n = pow2 1 in
-    {
-      shards =
-        Array.init n (fun _ ->
-            { lock = Mutex.create (); tbl = T.create (max 1 (size / n)) });
-      mask = n - 1;
-    }
-
-  let shard t k = t.shards.(H.hash k land t.mask)
-
-  let find_opt t k =
-    let s = shard t k in
-    Mutex.lock s.lock;
-    let r = T.find_opt s.tbl k in
-    Mutex.unlock s.lock;
-    r
-
-  let replace t k v =
-    let s = shard t k in
-    Mutex.lock s.lock;
-    T.replace s.tbl k v;
-    Mutex.unlock s.lock
-
-  let length t =
-    (* Hashtbl reads are not atomic: lock each shard so a concurrent
-       [replace] (resize in flight) cannot be observed mid-update. *)
-    Array.fold_left
-      (fun acc s ->
-        Mutex.lock s.lock;
-        let n = T.length s.tbl in
-        Mutex.unlock s.lock;
-        acc + n)
-      0 t.shards
-end
+let split ~j ~tasks =
+  let outer = max 1 (min (min j domain_cap) tasks) in
+  (outer, max 1 (j / outer))

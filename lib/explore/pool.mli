@@ -4,12 +4,11 @@
     Workers are OCaml 5 [Domain]s, each owning a Chase–Lev deque: the
     owner pushes and pops one end without locks, idle workers steal
     the other end with a single CAS.  The calling domain always
-    participates as one of the [j] workers, so [~j:1] spawns nothing
-    and degenerates to [List.map].  Results are returned in input
-    order and worker exceptions are re-raised deterministically
-    (lowest task index first), so observable behaviour is independent
-    of [j].  Spawned domains are joined even when the coordinating
-    worker's [init]/[finish] raises. *)
+    participates as one of the [j] workers, so [~j:1] spawns nothing.
+    One scheduler, {!run}, serves both the ordered {!map} and the
+    explorer's dynamically split subtree tasks ({!Enum}).  Spawned
+    domains are joined even when the coordinating worker's
+    [init]/[finish] raises. *)
 
 val domain_cap : int
 (** Hard upper bound on pool width (8): oversubscribing a small core
@@ -22,47 +21,50 @@ val recommended : unit -> int
 val map : j:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~j f xs] applies [f] to every element on a pool of [j]
     domains (including the caller) and returns results in input
-    order. *)
+    order.  A task's exception is re-raised after every task ran,
+    lowest task index first, so failures are reported identically at
+    every [j]. *)
 
-val map_with :
+val split : j:int -> tasks:int -> int * int
+(** The one domain-budget policy for callers that fan out independent
+    explorations: [split ~j ~tasks] is [(outer, inner)] — run the
+    [tasks] on [outer = min j tasks] pool workers (clamped to
+    [[1, domain_cap]]), each task's own exploration with
+    [inner = max 1 (j / outer)] domains. *)
+
+(** {1 The scheduler} *)
+
+type 'a worker
+(** One worker's handle on a running {!run}: its own deque of ['a]
+    tasks. *)
+
+val push : 'a worker -> 'a -> unit
+(** Push a task onto this worker's own deque, where idle workers can
+    steal it.  Only from inside this worker's [init] or tasks. *)
+
+val wanted : 'a worker -> bool
+(** Some other worker is hungry and this worker's deque is empty: the
+    moment to split the current task and {!push} the pieces. *)
+
+val run :
   j:int ->
-  init:(unit -> 'w) ->
-  finish:('w -> unit) ->
-  ('w -> 'a -> 'b) ->
+  init:('a worker -> 's) ->
+  finish:('s -> unit) ->
+  ?idle:('s -> unit) ->
+  stop:(unit -> bool) ->
+  ('s -> 'a -> unit) ->
   'a list ->
-  'b list
-(** Like {!map} but each worker domain first builds private state with
-    [init] (e.g. a domain-local memo table), threads it through every
-    task it executes, and hands it to [finish] before joining (e.g. to
-    merge the local table into a global one).  [finish] runs on every
-    worker that ran [init], even when a task or another worker's
-    [init] raised. *)
-
-val timed : (unit -> 'a) -> 'a
-(** Run a thunk under the pool's task instrumentation: an
-    [Obs.Trace] "pool.task" span plus the
-    [psopt_pool_task_duration_ns] histogram.  Exposed so schedulers
-    that bypass {!map} (e.g. {!Enum}'s subtree tasks) feed the same
-    load-balance histogram. *)
-
-(** Chase–Lev work-stealing deque.  Single owner: only the creating
-    worker may call {!Deque.push}/{!Deque.pop}; any domain may
-    {!Deque.steal}.  The owner end is lock-free (plain loads/stores on
-    SC atomics), thieves contend on one CAS.  ABA-free because the
-    steal index only grows. *)
-module Deque : sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val push : 'a t -> 'a -> unit
-  val pop : 'a t -> 'a option
-  val steal : 'a t -> 'a option
-  (** [None] = empty, or lost a race with the owner or another thief;
-      callers just move on to the next victim. *)
-
-  val is_empty : 'a t -> bool
-  (** A racy snapshot — exact only for the owner. *)
-end
+  's array
+(** [run ~j ~init ~finish ?idle ~stop exec tasks] runs [j] workers
+    (the caller is worker 0, so [~j:1] spawns nothing) until [stop ()]
+    holds, and returns the workers' states, worker 0's first.  [tasks] are dealt round-robin; each worker builds its
+    state with [init], runs tasks with [exec] (each one under the
+    "pool.task" span and the [psopt_pool_task_duration_ns] histogram),
+    calls [idle] between steal attempts when it has nothing to do,
+    and hands its state to [finish] before it exits.  [finish] runs on
+    every worker whose [init] returned, whatever raised.  The first
+    exception escaping [exec] stops every worker and is re-raised
+    after all domains are joined. *)
 
 (** A lock-free publication channel: producers CAS immutable batches
     onto a shared cons-list, consumers keep a {!Chan.mark} (the last
@@ -91,24 +93,4 @@ module Chan : sig
   val drain : 'a t -> since:'a mark -> f:('a -> unit) -> 'a mark
   (** Apply [f] to every entry published since [since] (newest batch
       first) and return the new mark. *)
-end
-
-(** Hash-sharded hash tables: a power-of-two array of
-    mutex-protected [Hashtbl.Make(H)] shards indexed by key hash, so
-    concurrent lookups from different domains contend only when they
-    land on the same shard.  Intended for caches of pure values: a
-    racing double-insert of the same key is benign. *)
-module Sharded (H : Hashtbl.HashedType) : sig
-  type 'a t
-
-  val create : ?shards:int -> int -> 'a t
-  (** [create ?shards size] — [shards] (default 64) is rounded up to a
-      power of two; [size] is the aggregate initial capacity. *)
-
-  val find_opt : 'a t -> H.t -> 'a option
-  val replace : 'a t -> H.t -> 'a -> unit
-
-  val length : 'a t -> int
-  (** Total entry count; takes each shard lock in turn (consistent
-      per shard, not across shards). *)
 end

@@ -11,20 +11,19 @@ type report = {
 
 (* The two sides of a refinement check (and the two disciplines of an
    equivalence check) are independent explorations: with a domain
-   budget > 1 they run as two pool tasks, each with half the budget
-   for its own inner engine.  [Enum.behaviors] is deterministic in
-   [domains], so the verdict is identical either way. *)
+   budget > 1 they run as two pool tasks, splitting the budget by
+   {!Pool.split}.  [Enum.behaviors] is deterministic in [domains], so
+   the verdict is identical either way. *)
 let both_behaviors ~config disc pa pb =
   let stage d p cfg =
     Obs.Trace.span ~cat:"refine" "refine.stage" (fun () ->
         Enum.behaviors_exn ~config:cfg d p)
   in
-  if config.Config.domains > 1 then
-    let inner =
-      { config with Config.domains = max 1 (config.Config.domains / 2) }
-    in
+  let outer, inner = Pool.split ~j:config.Config.domains ~tasks:2 in
+  if outer > 1 then
+    let inner = { config with Config.domains = inner } in
     match
-      Pool.map ~j:2
+      Pool.map ~j:outer
         (fun (d, p) -> stage d p inner)
         [ (fst disc, pa); (snd disc, pb) ]
     with

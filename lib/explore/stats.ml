@@ -1,183 +1,93 @@
+(* One plain record per worker: the hot path bumps unsynchronized
+   fields, and the search's coordinator sums the workers' records once
+   after [Domain.join] (which publishes every worker's writes), so the
+   numbers are exact without a shared counter on the hot path. *)
 type t = {
-  nodes : int Atomic.t;
-  transitions : int Atomic.t;
-  memo_hits : int Atomic.t;
-  memo_size : int Atomic.t;
-  cert_checks : int Atomic.t;
-  cert_cache_hits : int Atomic.t;
-  cert_runs : int Atomic.t;
-  cert_trivial : int Atomic.t;
-  cert_faults : int Atomic.t;
-  cand_cache_hits : int Atomic.t;
-  cert_cache_size : int Atomic.t;
-  cycles : int Atomic.t;
-  cuts : int Atomic.t;
-  promises : int Atomic.t;
-  peak_depth : int Atomic.t;
-  deadline_hits : int Atomic.t;
-  node_budget_hits : int Atomic.t;
-  oom_hits : int Atomic.t;
-  promise_budget_hits : int Atomic.t;
-  faults_injected : int Atomic.t;
-  sleep_prunes : int Atomic.t;
-  persistent_prunes : int Atomic.t;
-  symmetry_folds : int Atomic.t;
-  promise_bound_hits : int Atomic.t;
-  domains_used : int Atomic.t;
-  domains_recommended : int Atomic.t;
-  started_ns : int Atomic.t;
-  elapsed_ns : int Atomic.t;
+  mutable nodes : int;
+  mutable transitions : int;
+  mutable memo_hits : int;
+  mutable memo_size : int;
+  mutable cert_checks : int;
+  mutable cert_cache_hits : int;
+  mutable cert_runs : int;
+  mutable cert_trivial : int;
+  mutable cert_faults : int;
+  mutable cand_cache_hits : int;
+  mutable cert_cache_size : int;
+  mutable cycles : int;
+  mutable cuts : int;
+  mutable promises : int;
+  mutable peak_depth : int;
+  mutable deadline_hits : int;
+  mutable node_budget_hits : int;
+  mutable oom_hits : int;
+  mutable promise_budget_hits : int;
+  mutable faults_injected : int;
+  mutable sleep_prunes : int;
+  mutable persistent_prunes : int;
+  mutable symmetry_folds : int;
+  mutable promise_bound_hits : int;
+  mutable domains_used : int;
+  started_ns : int;
+  mutable elapsed_ns : int;
 }
 
 let create () =
   {
-    nodes = Atomic.make 0;
-    transitions = Atomic.make 0;
-    memo_hits = Atomic.make 0;
-    memo_size = Atomic.make 0;
-    cert_checks = Atomic.make 0;
-    cert_cache_hits = Atomic.make 0;
-    cert_runs = Atomic.make 0;
-    cert_trivial = Atomic.make 0;
-    cert_faults = Atomic.make 0;
-    cand_cache_hits = Atomic.make 0;
-    cert_cache_size = Atomic.make 0;
-    cycles = Atomic.make 0;
-    cuts = Atomic.make 0;
-    promises = Atomic.make 0;
-    peak_depth = Atomic.make 0;
-    deadline_hits = Atomic.make 0;
-    node_budget_hits = Atomic.make 0;
-    oom_hits = Atomic.make 0;
-    promise_budget_hits = Atomic.make 0;
-    faults_injected = Atomic.make 0;
-    sleep_prunes = Atomic.make 0;
-    persistent_prunes = Atomic.make 0;
-    symmetry_folds = Atomic.make 0;
-    promise_bound_hits = Atomic.make 0;
-    domains_used = Atomic.make 1;
-    domains_recommended = Atomic.make 1;
-    started_ns = Atomic.make (Obs.Clock.now_ns ());
-    elapsed_ns = Atomic.make 0;
+    nodes = 0;
+    transitions = 0;
+    memo_hits = 0;
+    memo_size = 0;
+    cert_checks = 0;
+    cert_cache_hits = 0;
+    cert_runs = 0;
+    cert_trivial = 0;
+    cert_faults = 0;
+    cand_cache_hits = 0;
+    cert_cache_size = 0;
+    cycles = 0;
+    cuts = 0;
+    promises = 0;
+    peak_depth = 0;
+    deadline_hits = 0;
+    node_budget_hits = 0;
+    oom_hits = 0;
+    promise_budget_hits = 0;
+    faults_injected = 0;
+    sleep_prunes = 0;
+    persistent_prunes = 0;
+    symmetry_folds = 0;
+    promise_bound_hits = 0;
+    domains_used = 1;
+    started_ns = Obs.Clock.now_ns ();
+    elapsed_ns = 0;
   }
 
-let elapsed_ms s = Obs.Clock.ms_of_ns (Atomic.get s.elapsed_ns)
+let elapsed_ms s = Obs.Clock.ms_of_ns s.elapsed_ns
 
-let record_max c v =
-  let rec go () =
-    let cur = Atomic.get c in
-    if v > cur && not (Atomic.compare_and_set c cur v) then go ()
-  in
-  go ()
-
-(* ---- domain-local batch ----
-   The parallel engine bumps these plain mutable fields on its hot
-   path (one store each, no cache-line ping-pong between domains) and
-   [flush]es them into the shared atomics when a worker finishes or at
-   its periodic probe tick.  Readers of [t] mid-search therefore see a
-   slightly stale but always-consistent-per-flush view; the final
-   numbers are exact because every worker flushes before the join. *)
-
-module Local = struct
-  type shared = t
-
-  type t = {
-    mutable nodes : int;
-    mutable transitions : int;
-    mutable memo_hits : int;
-    mutable cert_checks : int;
-    mutable cert_cache_hits : int;
-    mutable cert_runs : int;
-    mutable cert_trivial : int;
-    mutable cert_faults : int;
-    mutable cand_cache_hits : int;
-    mutable cycles : int;
-    mutable cuts : int;
-    mutable promises : int;
-    mutable peak_depth : int;
-    mutable deadline_hits : int;
-    mutable node_budget_hits : int;
-    mutable oom_hits : int;
-    mutable promise_budget_hits : int;
-    mutable faults_injected : int;
-    mutable sleep_prunes : int;
-    mutable persistent_prunes : int;
-    mutable symmetry_folds : int;
-    mutable promise_bound_hits : int;
-  }
-
-  let create () =
-    {
-      nodes = 0;
-      transitions = 0;
-      memo_hits = 0;
-      cert_checks = 0;
-      cert_cache_hits = 0;
-      cert_runs = 0;
-      cert_trivial = 0;
-      cert_faults = 0;
-      cand_cache_hits = 0;
-      cycles = 0;
-      cuts = 0;
-      promises = 0;
-      peak_depth = 0;
-      deadline_hits = 0;
-      node_budget_hits = 0;
-      oom_hits = 0;
-      promise_budget_hits = 0;
-      faults_injected = 0;
-      sleep_prunes = 0;
-      persistent_prunes = 0;
-      symmetry_folds = 0;
-      promise_bound_hits = 0;
-    }
-
-  let flush (l : t) (s : shared) =
-    let add c v = if v > 0 then ignore (Atomic.fetch_and_add c v) in
-    add s.nodes l.nodes;
-    l.nodes <- 0;
-    add s.transitions l.transitions;
-    l.transitions <- 0;
-    add s.memo_hits l.memo_hits;
-    l.memo_hits <- 0;
-    add s.cert_checks l.cert_checks;
-    l.cert_checks <- 0;
-    add s.cert_cache_hits l.cert_cache_hits;
-    l.cert_cache_hits <- 0;
-    add s.cert_runs l.cert_runs;
-    l.cert_runs <- 0;
-    add s.cert_trivial l.cert_trivial;
-    l.cert_trivial <- 0;
-    add s.cert_faults l.cert_faults;
-    l.cert_faults <- 0;
-    add s.cand_cache_hits l.cand_cache_hits;
-    l.cand_cache_hits <- 0;
-    add s.cycles l.cycles;
-    l.cycles <- 0;
-    add s.cuts l.cuts;
-    l.cuts <- 0;
-    add s.promises l.promises;
-    l.promises <- 0;
-    add s.deadline_hits l.deadline_hits;
-    l.deadline_hits <- 0;
-    add s.node_budget_hits l.node_budget_hits;
-    l.node_budget_hits <- 0;
-    add s.oom_hits l.oom_hits;
-    l.oom_hits <- 0;
-    add s.promise_budget_hits l.promise_budget_hits;
-    l.promise_budget_hits <- 0;
-    add s.faults_injected l.faults_injected;
-    l.faults_injected <- 0;
-    add s.sleep_prunes l.sleep_prunes;
-    l.sleep_prunes <- 0;
-    add s.persistent_prunes l.persistent_prunes;
-    l.persistent_prunes <- 0;
-    add s.symmetry_folds l.symmetry_folds;
-    l.symmetry_folds <- 0;
-    add s.promise_bound_hits l.promise_bound_hits;
-    l.promise_bound_hits <- 0;
-    record_max s.peak_depth l.peak_depth
-end
+let add ~into:s w =
+  s.nodes <- s.nodes + w.nodes;
+  s.transitions <- s.transitions + w.transitions;
+  s.memo_hits <- s.memo_hits + w.memo_hits;
+  s.cert_checks <- s.cert_checks + w.cert_checks;
+  s.cert_cache_hits <- s.cert_cache_hits + w.cert_cache_hits;
+  s.cert_runs <- s.cert_runs + w.cert_runs;
+  s.cert_trivial <- s.cert_trivial + w.cert_trivial;
+  s.cert_faults <- s.cert_faults + w.cert_faults;
+  s.cand_cache_hits <- s.cand_cache_hits + w.cand_cache_hits;
+  s.cycles <- s.cycles + w.cycles;
+  s.cuts <- s.cuts + w.cuts;
+  s.promises <- s.promises + w.promises;
+  s.peak_depth <- max s.peak_depth w.peak_depth;
+  s.deadline_hits <- s.deadline_hits + w.deadline_hits;
+  s.node_budget_hits <- s.node_budget_hits + w.node_budget_hits;
+  s.oom_hits <- s.oom_hits + w.oom_hits;
+  s.promise_budget_hits <- s.promise_budget_hits + w.promise_budget_hits;
+  s.faults_injected <- s.faults_injected + w.faults_injected;
+  s.sleep_prunes <- s.sleep_prunes + w.sleep_prunes;
+  s.persistent_prunes <- s.persistent_prunes + w.persistent_prunes;
+  s.symmetry_folds <- s.symmetry_folds + w.symmetry_folds;
+  s.promise_bound_hits <- s.promise_bound_hits + w.promise_bound_hits
 
 (* ---- metrics-registry mirror ----
    Cumulative process-wide counters absorbing the per-search [t]
@@ -216,33 +126,30 @@ let m_truncated =
   Obs.Metrics.counter ~help:"Explorations finished incomplete"
     "psopt_explore_truncated_total"
 
-
 let truncation_reasons s =
   let add cond r acc = if cond then r :: acc else acc in
-  let ( ! ) = Atomic.get in
   []
-  |> add (!(s.faults_injected) > 0) Errors.Fault
-  |> add (!(s.oom_hits) > 0) Errors.Oom
-  |> add (!(s.node_budget_hits) > 0) Errors.Node_budget
-  |> add (!(s.deadline_hits) > 0) Errors.Deadline
-  |> add (!(s.promise_budget_hits) > 0) Errors.Promise_budget
-  |> add (!(s.cuts) > 0) Errors.Step_budget
+  |> add (s.faults_injected > 0) Errors.Fault
+  |> add (s.oom_hits > 0) Errors.Oom
+  |> add (s.node_budget_hits > 0) Errors.Node_budget
+  |> add (s.deadline_hits > 0) Errors.Deadline
+  |> add (s.promise_budget_hits > 0) Errors.Promise_budget
+  |> add (s.cuts > 0) Errors.Step_budget
 
 let publish s =
-  let ( ! ) = Atomic.get in
   let add m v = if v > 0 then Obs.Metrics.add m v in
-  add m_nodes !(s.nodes);
-  add m_transitions !(s.transitions);
-  add m_memo_hits !(s.memo_hits);
-  add m_cert_checks !(s.cert_checks);
-  add m_cert_cache_hits !(s.cert_cache_hits);
-  add m_cert_runs !(s.cert_runs);
-  add m_cert_trivial !(s.cert_trivial);
-  add m_cert_faults !(s.cert_faults);
+  add m_nodes s.nodes;
+  add m_transitions s.transitions;
+  add m_memo_hits s.memo_hits;
+  add m_cert_checks s.cert_checks;
+  add m_cert_cache_hits s.cert_cache_hits;
+  add m_cert_runs s.cert_runs;
+  add m_cert_trivial s.cert_trivial;
+  add m_cert_faults s.cert_faults;
   Obs.Metrics.incr m_searches
 
 let finish s =
-  Atomic.set s.elapsed_ns (Obs.Clock.now_ns () - Atomic.get s.started_ns);
+  s.elapsed_ns <- Obs.Clock.now_ns () - s.started_ns;
   publish s;
   if truncation_reasons s <> [] then Obs.Metrics.incr m_truncated
 
@@ -280,32 +187,31 @@ module Service = struct
 end
 
 let pp ppf s =
-  let ( ! ) = Atomic.get in
   Format.fprintf ppf
     "nodes=%d transitions=%d memo_hits=%d memo_size=%d cert_checks=%d \
      cert_cache_hits=%d cert_runs=%d cert_trivial=%d cand_cache_hits=%d \
      cert_cache_size=%d cycles=%d cuts=%d promises=%d peak_depth=%d \
-     domains=%d/%d elapsed_ms=%d"
-    !(s.nodes) !(s.transitions) !(s.memo_hits) !(s.memo_size)
-    !(s.cert_checks) !(s.cert_cache_hits) !(s.cert_runs) !(s.cert_trivial)
-    !(s.cand_cache_hits) !(s.cert_cache_size) !(s.cycles) !(s.cuts)
-    !(s.promises) !(s.peak_depth) !(s.domains_used) !(s.domains_recommended)
+     domains=%d elapsed_ms=%d"
+    s.nodes s.transitions s.memo_hits s.memo_size
+    s.cert_checks s.cert_cache_hits s.cert_runs s.cert_trivial
+    s.cand_cache_hits s.cert_cache_size s.cycles s.cuts
+    s.promises s.peak_depth s.domains_used
     (elapsed_ms s);
   if
-    !(s.deadline_hits) > 0 || !(s.node_budget_hits) > 0 || !(s.oom_hits) > 0
-    || !(s.promise_budget_hits) > 0 || !(s.faults_injected) > 0
+    s.deadline_hits > 0 || s.node_budget_hits > 0 || s.oom_hits > 0
+    || s.promise_budget_hits > 0 || s.faults_injected > 0
   then
     Format.fprintf ppf
       " deadline_hits=%d node_budget_hits=%d oom_hits=%d \
        promise_budget_hits=%d faults_injected=%d cert_faults=%d"
-      !(s.deadline_hits) !(s.node_budget_hits) !(s.oom_hits)
-      !(s.promise_budget_hits) !(s.faults_injected) !(s.cert_faults);
+      s.deadline_hits s.node_budget_hits s.oom_hits
+      s.promise_budget_hits s.faults_injected s.cert_faults;
   if
-    !(s.sleep_prunes) > 0 || !(s.persistent_prunes) > 0
-    || !(s.symmetry_folds) > 0 || !(s.promise_bound_hits) > 0
+    s.sleep_prunes > 0 || s.persistent_prunes > 0
+    || s.symmetry_folds > 0 || s.promise_bound_hits > 0
   then
     Format.fprintf ppf
       " sleep_prunes=%d persistent_prunes=%d symmetry_folds=%d \
        promise_bound_hits=%d"
-      !(s.sleep_prunes) !(s.persistent_prunes) !(s.symmetry_folds)
-      !(s.promise_bound_hits)
+      s.sleep_prunes s.persistent_prunes s.symmetry_folds
+      s.promise_bound_hits

@@ -4,9 +4,10 @@
     ablation, and the truncation-pressure counters the resilience
     layer reports.
 
-    Every counter is an [Atomic.t] so the domain-parallel engine keeps
-    accounting exact without a global lock: workers bump counters with
-    [Atomic.incr]/[Atomic.fetch_and_add]; readers use [Atomic.get].
+    One plain mutable record.  Each worker of the domain-parallel
+    engine owns one and bumps it without synchronization; the search's
+    coordinator sums the workers' records with {!add} once, after
+    joining them, so the totals are exact.
 
     Certification accounting is partitioned exactly: every consistency
     check requested bumps [cert_checks] and then exactly one of
@@ -15,86 +16,84 @@
     cert_faults] always holds (asserted in the test suite). *)
 
 type t = {
-  nodes : int Atomic.t;  (** distinct machine states visited *)
-  transitions : int Atomic.t;  (** micro-steps enumerated *)
-  memo_hits : int Atomic.t;
-  memo_size : int Atomic.t;
-      (** entries in the (merged) suffix-set memo table at the end of
-          the search (distinct memoized machine states) *)
-  cert_checks : int Atomic.t;  (** consistency checks requested *)
-  cert_cache_hits : int Atomic.t;
+  mutable nodes : int;  (** distinct machine states visited *)
+  mutable transitions : int;  (** micro-steps enumerated *)
+  mutable memo_hits : int;
+  mutable memo_size : int;
+      (** distinct memoized machine states at the end of the search:
+          the suffix-set memo table of worker 0, which at [j > 1] has
+          absorbed every other worker's entries after the join *)
+  mutable cert_checks : int;  (** consistency checks requested *)
+  mutable cert_cache_hits : int;
       (** consistency checks answered by the certification cache
           without re-running {!Ps.Cert.consistent} *)
-  cert_runs : int Atomic.t;
+  mutable cert_runs : int;
       (** consistency checks that actually ran {!Ps.Cert.consistent} *)
-  cert_trivial : int Atomic.t;
+  mutable cert_trivial : int;
       (** consistency checks on promise-free thread states, trivially
           true without consulting the cache *)
-  cert_faults : int Atomic.t;
+  mutable cert_faults : int;
       (** consistency checks answered [false] by the fault injector
           (these bypass the cache and also count in
           [faults_injected]) *)
-  cand_cache_hits : int Atomic.t;
+  mutable cand_cache_hits : int;
       (** promise-candidate sets answered by the candidate cache
           (previously conflated with [cert_cache_hits]) *)
-  cert_cache_size : int Atomic.t;
+  mutable cert_cache_size : int;
       (** distinct [(thread-state, memory)] configurations certified *)
-  cycles : int Atomic.t;  (** back-edges (divergence points) found *)
-  cuts : int Atomic.t;  (** paths truncated by the step budget *)
-  promises : int Atomic.t;  (** promise steps explored *)
-  peak_depth : int Atomic.t;  (** deepest micro-step stack reached *)
-  deadline_hits : int Atomic.t;
+  mutable cycles : int;  (** back-edges (divergence points) found *)
+  mutable cuts : int;  (** paths truncated by the step budget *)
+  mutable promises : int;  (** promise steps explored *)
+  mutable peak_depth : int;  (** deepest micro-step stack reached *)
+  mutable deadline_hits : int;
       (** subtrees abandoned because [Config.deadline_ms] passed *)
-  node_budget_hits : int Atomic.t;
+  mutable node_budget_hits : int;
       (** subtrees abandoned because [Config.max_nodes] was reached *)
-  oom_hits : int Atomic.t;
+  mutable oom_hits : int;
       (** subtrees abandoned because the live-word budget
           [Config.max_live_words] was exceeded *)
-  promise_budget_hits : int Atomic.t;
+  mutable promise_budget_hits : int;
       (** nonempty certifiable-promise candidate sets suppressed by
           [Config.max_promises] (counted only under
           [Config.strict_promises]) *)
-  faults_injected : int Atomic.t;
+  mutable faults_injected : int;
       (** injected faults that fired ([Config.fault] mode) *)
-  sleep_prunes : int Atomic.t;
+  mutable sleep_prunes : int;
       (** switch successors dropped by the symmetric-sibling rule of
           the partial-order reduction ([Config.reduction.por],
           docs/REDUCTION.md): switch targets whose thread record is
           literally equal to an already-kept sibling's *)
-  persistent_prunes : int Atomic.t;
+  mutable persistent_prunes : int;
       (** switch successors dropped by the ample-set rule: the current
           thread's only regular step is a deterministic in-block local
           τ, so every switch commutes past it *)
-  symmetry_folds : int Atomic.t;
+  mutable symmetry_folds : int;
       (** memo-table lookups answered only thanks to symmetry
           canonicalization ([Config.reduction.symmetry]) — the probe
           hit under the canonical key where the raw key would have
           missed *)
-  promise_bound_hits : int Atomic.t;
+  mutable promise_bound_hits : int;
       (** nonempty certifiable-promise candidate sets suppressed by
           [Config.reduction.bound_promises]; each also counts in
           [promise_budget_hits], which drives the [Promise_budget]
           truncation reason *)
-  domains_used : int Atomic.t;
+  mutable domains_used : int;
       (** effective pool width this search ran with ([Config.domains]
           after clamping) *)
-  domains_recommended : int Atomic.t;
-      (** [Domain.recommended_domain_count ()] on this machine —
-          recorded so bench JSON carries the hardware context *)
-  started_ns : int Atomic.t;
+  started_ns : int;
       (** {!Obs.Clock.now_ns} stamp taken at {!create} — the same
           clock the span tracer uses, so the stats line and a [--trace]
           of the same run measure the same interval *)
-  elapsed_ns : int Atomic.t;
+  mutable elapsed_ns : int;
       (** wall-clock duration of the search, set by {!finish} *)
 }
 
 (** Counters of the verification service ({!module:Service} in
     [lib/service]): requests served, content-addressed store hits and
-    misses, admission-queue rejections and internal errors.  Atomics
-    for the same reason as above — the daemon bumps them from one
-    handler thread per connection and reports them lock-free via the
-    [Stats] request (docs/SERVICE.md). *)
+    misses, admission-queue rejections and internal errors.  These
+    stay atomics: the daemon bumps them from one handler thread per
+    connection and reports them lock-free via the [Stats] request
+    (docs/SERVICE.md). *)
 module Service : sig
   type t = {
     served : int Atomic.t;  (** work requests answered with a result *)
@@ -117,54 +116,13 @@ module Service : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** A domain-local unsynchronized mirror of the hot counters.  The
-    parallel engine bumps these plain mutable fields per node/check
-    (one store, no shared-cache-line traffic) and {!Local.flush}es
-    them into the shared atomics at worker exit and at the periodic
-    probe tick, so the final shared numbers are exact while the hot
-    path never touches contended memory.  [peak_depth] flushes via
-    {!record_max}. *)
-module Local : sig
-  type shared := t
-
-  type t = {
-    mutable nodes : int;
-    mutable transitions : int;
-    mutable memo_hits : int;
-    mutable cert_checks : int;
-    mutable cert_cache_hits : int;
-    mutable cert_runs : int;
-    mutable cert_trivial : int;
-    mutable cert_faults : int;
-    mutable cand_cache_hits : int;
-    mutable cycles : int;
-    mutable cuts : int;
-    mutable promises : int;
-    mutable peak_depth : int;
-    mutable deadline_hits : int;
-    mutable node_budget_hits : int;
-    mutable oom_hits : int;
-    mutable promise_budget_hits : int;
-    mutable faults_injected : int;
-    mutable sleep_prunes : int;
-    mutable persistent_prunes : int;
-    mutable symmetry_folds : int;
-    mutable promise_bound_hits : int;
-  }
-
-  val create : unit -> t
-
-  val flush : t -> shared -> unit
-  (** Add every nonzero field into the shared record and zero it, so
-      flushing is idempotent-by-construction and may run any number of
-      times per worker. *)
-end
-
 val create : unit -> t
 
-val record_max : int Atomic.t -> int -> unit
-(** [record_max c v] atomically raises [c] to [v] if [v] is larger
-    (lock-free compare-and-set loop); used for [peak_depth]. *)
+val add : into:t -> t -> unit
+(** [add ~into w] adds worker record [w]'s counters into [into];
+    [peak_depth] takes the maximum.  [memo_size], [cert_cache_size],
+    [domains_used], [started_ns] and [elapsed_ns] describe the search,
+    not a worker, and are left alone. *)
 
 val truncation_reasons : t -> Errors.reason list
 (** The distinct reasons this search was incomplete — empty iff the

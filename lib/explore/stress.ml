@@ -147,14 +147,12 @@ let run_case ~config ~deadline_ms ~retries ~check p =
 let run ?(config = Config.default) ?(retries = 2)
     ?(quarantine_dir = "_stress_quarantine") ?(j = 1) ?on_quarantine ~cases
     ~seed ~deadline_ms ~check () =
-  let j = max 1 (min j Pool.domain_cap) in
-  (* Parallel dispatch is across whole cases; each case's own
-     explorations then run single-domain so a pool of [j] workers uses
-     [j] domains, not [j^2].  Per-case verdicts are a pure function of
-     the seed, so the summary is identical at every [j]. *)
-  let config =
-    if j > 1 then { config with Config.domains = 1 } else config
-  in
+  (* Parallel dispatch is across whole cases, the budget split by
+     [Pool.split], so a pool of [j] workers uses [j] domains, not
+     [j^2].  Per-case verdicts are a pure function of the seed, so the
+     summary is identical at every [j]. *)
+  let j, inner = Pool.split ~j ~tasks:cases in
+  let config = { config with Config.domains = inner } in
   let run_one id =
     let case_seed = seed + id in
     let p = generate ~seed:case_seed in

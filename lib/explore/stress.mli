@@ -82,8 +82,10 @@ val run :
     uses it to drop a replayable [.trace] next to the [.sexp]
     (docs/REPLAY.md); exceptions it raises are swallowed.
 
-    [j] (default 1) dispatches whole cases across a {!Pool} of that
-    many domains; each case's own explorations then run single-domain.
+    [j] (default 1) is the domain budget, split by {!Pool.split}:
+    whole cases are dispatched across [min j cases] domains, and each
+    case's own explorations get the remainder ([config.domains] is
+    overridden).
     Per-case verdicts are a pure function of the seed, so the summary
     is identical at every [j].
 

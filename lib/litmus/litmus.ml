@@ -894,18 +894,12 @@ let check ?(config = Explore.Config.default) t =
   { verdict; observed }
 
 let check_all ?(config = Explore.Config.default) ?j () =
-  let j =
-    match j with
-    | Some j -> max 1 (min j Explore.Pool.domain_cap)
-    | None -> max 1 (min config.Explore.Config.domains Explore.Pool.domain_cap)
-  in
-  (* One corpus program per pool task; each check's own exploration
-     then runs single-domain (case-level parallelism composes better
-     than nested pools on litmus-size state spaces). *)
-  let config =
-    if j > 1 then { config with Explore.Config.domains = 1 } else config
-  in
-  Explore.Pool.map ~j (fun t -> (t, check ~config t)) all
+  let j = Option.value j ~default:config.Explore.Config.domains in
+  (* One corpus program per pool task (case-level parallelism composes
+     better than nested pools on litmus-size state spaces). *)
+  let outer, inner = Explore.Pool.split ~j ~tasks:(List.length all) in
+  let config = { config with Explore.Config.domains = inner } in
+  Explore.Pool.map ~j:outer (fun t -> (t, check ~config t)) all
 
 let pp_verdict ppf = function
   | Pass -> Format.pp_print_string ppf "ok"

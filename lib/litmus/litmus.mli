@@ -171,8 +171,9 @@ val check : ?config:Explore.Config.t -> t -> result
 
 val check_all :
   ?config:Explore.Config.t -> ?j:int -> unit -> (t * result) list
-(** Check the whole corpus, one program per {!Explore.Pool} task
-    ([j] defaults to [config.domains]); results are in corpus order
-    and identical at every [j]. *)
+(** Check the whole corpus, one program per {!Explore.Pool} task.
+    [j] (default [config.domains]) is the domain budget, split by
+    {!Explore.Pool.split}; results are in corpus order and identical
+    at every [j]. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

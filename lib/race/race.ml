@@ -115,7 +115,7 @@ type report = {
    themselves stream states and stay single-domain, so with a domain
    budget > 1 the parallelism is one pool task per scan. *)
 let check_all ?(config = Explore.Config.default) p =
-  let j = min config.Explore.Config.domains 3 in
+  let j, _ = Explore.Pool.split ~j:config.Explore.Config.domains ~tasks:3 in
   let run = function
     | `Ww -> `Ww (ww_rf ~config p)
     | `Np -> `Np (ww_nprf ~config p)

@@ -71,8 +71,9 @@ type report = {
 
 val check_all : ?config:Explore.Config.t -> Lang.Ast.program -> report
 (** Run all three scans — [ww_rf], [ww_nprf], [rw_races] — as
-    independent pool tasks when [config.domains > 1] (the walks
-    themselves are single-domain; this parallelizes across scans). *)
+    independent pool tasks when [config.domains > 1], at the width
+    {!Explore.Pool.split} gives (the walks themselves are
+    single-domain; this parallelizes across scans). *)
 
 val pp_race : Format.formatter -> race -> unit
 val pp_verdict : Format.formatter -> verdict -> unit

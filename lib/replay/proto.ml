@@ -1,5 +1,3 @@
-module Sexp = Lang.Sexp
-module P = Service.Proto
 module TidMap = Ps.Machine.TidMap
 
 type request =
@@ -215,93 +213,3 @@ let handle t = function
         "promise step"
   | Schedule -> ok t (schedule_text t)
   | Quit -> Bye
-
-(* ------------------------------------------------------------------ *)
-(* Serialization. *)
-
-let sexp_of_request = function
-  | Info -> Sexp.List [ Sexp.Atom "info" ]
-  | Where -> Sexp.List [ Sexp.Atom "where" ]
-  | Step -> Sexp.List [ Sexp.Atom "step" ]
-  | Back -> Sexp.List [ Sexp.Atom "back" ]
-  | Jump n -> Sexp.List [ Sexp.Atom "jump"; P.sexp_of_int n ]
-  | Mem -> Sexp.List [ Sexp.Atom "mem" ]
-  | Views -> Sexp.List [ Sexp.Atom "views" ]
-  | Why x -> Sexp.List [ Sexp.Atom "why"; P.atom_of_string x ]
-  | Next_at x -> Sexp.List [ Sexp.Atom "next-at"; P.atom_of_string x ]
-  | Next_promise -> Sexp.List [ Sexp.Atom "next-promise" ]
-  | Schedule -> Sexp.List [ Sexp.Atom "schedule" ]
-  | Quit -> Sexp.List [ Sexp.Atom "quit" ]
-
-let ( let* ) = Result.bind
-
-let request_of_sexp = function
-  | Sexp.List [ Sexp.Atom "info" ] -> Stdlib.Ok Info
-  | Sexp.List [ Sexp.Atom "where" ] -> Stdlib.Ok Where
-  | Sexp.List [ Sexp.Atom "step" ] -> Stdlib.Ok Step
-  | Sexp.List [ Sexp.Atom "back" ] -> Stdlib.Ok Back
-  | Sexp.List [ Sexp.Atom "jump"; n ] ->
-      let* n = P.int_of_sexp n in
-      Stdlib.Ok (Jump n)
-  | Sexp.List [ Sexp.Atom "mem" ] -> Stdlib.Ok Mem
-  | Sexp.List [ Sexp.Atom "views" ] -> Stdlib.Ok Views
-  | Sexp.List [ Sexp.Atom "why"; x ] ->
-      let* x = P.string_of_atom x in
-      Stdlib.Ok (Why x)
-  | Sexp.List [ Sexp.Atom "next-at"; x ] ->
-      let* x = P.string_of_atom x in
-      Stdlib.Ok (Next_at x)
-  | Sexp.List [ Sexp.Atom "next-promise" ] -> Stdlib.Ok Next_promise
-  | Sexp.List [ Sexp.Atom "schedule" ] -> Stdlib.Ok Schedule
-  | Sexp.List [ Sexp.Atom "quit" ] -> Stdlib.Ok Quit
-  | _ -> Stdlib.Error "undecodable replay request"
-
-let sexp_of_reply = function
-  | Ok { pos; len; text } ->
-      Sexp.List
-        [
-          Sexp.Atom "ok";
-          P.sexp_of_int pos;
-          P.sexp_of_int len;
-          P.atom_of_string text;
-        ]
-  | Err m -> Sexp.List [ Sexp.Atom "err"; P.atom_of_string m ]
-  | Bye -> Sexp.List [ Sexp.Atom "bye" ]
-
-let reply_of_sexp = function
-  | Sexp.List [ Sexp.Atom "ok"; pos; len; text ] ->
-      let* pos = P.int_of_sexp pos in
-      let* len = P.int_of_sexp len in
-      let* text = P.string_of_atom text in
-      Stdlib.Ok (Ok { pos; len; text })
-  | Sexp.List [ Sexp.Atom "err"; m ] ->
-      let* m = P.string_of_atom m in
-      Stdlib.Ok (Err m)
-  | Sexp.List [ Sexp.Atom "bye" ] -> Stdlib.Ok Bye
-  | _ -> Stdlib.Error "undecodable replay reply"
-
-(* ------------------------------------------------------------------ *)
-(* Framed transport (Service.Proto framing). *)
-
-let send_request ?timeout_s fd req =
-  P.write_frame ?timeout_s fd (Sexp.to_string (sexp_of_request req))
-
-let recv_of of_sexp ?idle_timeout_s ?io_timeout_s fd =
-  match P.read_frame ?idle_timeout_s ?io_timeout_s fd with
-  | Stdlib.Error e -> Stdlib.Error e
-  | Stdlib.Ok payload -> (
-      match Sexp.parse payload with
-      | Stdlib.Error m -> Stdlib.Error (P.Corrupt m)
-      | Stdlib.Ok sx -> (
-          match of_sexp sx with
-          | Stdlib.Error m -> Stdlib.Error (P.Corrupt m)
-          | Stdlib.Ok v -> Stdlib.Ok v))
-
-let recv_request ?idle_timeout_s ?io_timeout_s fd =
-  recv_of request_of_sexp ?idle_timeout_s ?io_timeout_s fd
-
-let send_reply ?timeout_s fd reply =
-  P.write_frame ?timeout_s fd (Sexp.to_string (sexp_of_reply reply))
-
-let recv_reply ?idle_timeout_s ?io_timeout_s fd =
-  recv_of reply_of_sexp ?idle_timeout_s ?io_timeout_s fd

@@ -1,7 +1,5 @@
 (** The stepping protocol: typed requests and replies for driving a
-    {!Session}, with s-expression codecs and {!Service.Proto} framing
-    so a stepper can sit behind a socket exactly like the verification
-    daemon — plus the line-oriented command syntax [psopt replay]
+    {!Session}, and the line-oriented command syntax [psopt replay]
     reads interactively.
 
     Commands: [s] step · [b] back · [j N] jump · [i] info · [st]
@@ -38,31 +36,3 @@ val help : string
 
 val handle : Session.t -> request -> reply
 (** Execute a request against a session (mutating its position). *)
-
-(** {1 Serialization} — round-trips exactly, like {!Service.Proto}. *)
-
-val sexp_of_request : request -> Lang.Sexp.t
-val request_of_sexp : Lang.Sexp.t -> (request, string) result
-val sexp_of_reply : reply -> Lang.Sexp.t
-val reply_of_sexp : Lang.Sexp.t -> (reply, string) result
-
-(** {1 Framed transport} over any file descriptor, reusing the
-    service's length+digest framing and its timeout discipline. *)
-
-val send_request :
-  ?timeout_s:float -> Unix.file_descr -> request -> (unit, Service.Proto.error) result
-
-val recv_request :
-  ?idle_timeout_s:float ->
-  ?io_timeout_s:float ->
-  Unix.file_descr ->
-  (request, Service.Proto.error) result
-
-val send_reply :
-  ?timeout_s:float -> Unix.file_descr -> reply -> (unit, Service.Proto.error) result
-
-val recv_reply :
-  ?idle_timeout_s:float ->
-  ?io_timeout_s:float ->
-  Unix.file_descr ->
-  (reply, Service.Proto.error) result

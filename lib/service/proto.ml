@@ -224,11 +224,10 @@ let config_of_sexp s =
           fault;
           domains;
           reduction;
-          (* pure performance knobs (like [domains] they cannot change
+          (* a pure performance knob (like [domains] it cannot change
              results), deliberately not on the wire: the server's
-             defaults apply *)
+             default applies *)
           oversubscribe = default.oversubscribe;
-          publish_period = default.publish_period;
         }
   | s -> Error ("bad config " ^ to_string s)
 

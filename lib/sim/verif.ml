@@ -44,17 +44,15 @@ let check ?sim_config ?explore_config r (src : Lang.Ast.program) =
   let ecfg =
     match explore_config with Some c -> c | None -> Explore.Config.default
   in
-  let par = ecfg.Explore.Config.domains > 1 in
+  let outer, inner = Explore.Pool.split ~j:ecfg.Explore.Config.domains ~tasks:4 in
   (* With a domain budget > 1 the four pipeline stages are evaluated
-     eagerly as pool tasks (each stage keeping half the budget for its
-     own inner parallelism); sequentially they stay lazy so the
-     original early exit is preserved.  Either way the verdict is
-     decided by inspecting the stages in pipeline order, and each
-     stage's result is deterministic, so the verdict is identical. *)
+     eagerly as pool tasks (the budget split by [Pool.split]);
+     sequentially they stay lazy so the original early exit is
+     preserved.  Either way the verdict is decided by inspecting the
+     stages in pipeline order, and each stage's result is
+     deterministic, so the verdict is identical. *)
   let scfg =
-    if par then
-      Some
-        { ecfg with Explore.Config.domains = max 1 (ecfg.Explore.Config.domains / 2) }
+    if outer > 1 then Some { ecfg with Explore.Config.domains = inner }
     else explore_config
   in
   let src_rf = lazy (Race.ww_rf ?config:scfg src) in
@@ -65,9 +63,9 @@ let check ?sim_config ?explore_config r (src : Lang.Ast.program) =
   in
   let refn = lazy (Explore.Refine.check ?config:scfg ~target:tgt ~source:src ()) in
   let tgt_rf = lazy (Race.ww_rf ?config:scfg tgt) in
-  if par then
+  if outer > 1 then
     ignore
-      (Explore.Pool.map ~j:(min 4 ecfg.Explore.Config.domains)
+      (Explore.Pool.map ~j:outer
          (fun f -> f ())
          [
            (fun () -> ignore (Lazy.force src_rf));

@@ -127,18 +127,17 @@ let test_budget_soundness () =
    warm cache was also booked as a cache hit.) *)
 let test_cert_accounting () =
   let check name (st : Explore.Stats.t) =
-    let ( ! ) = Atomic.get in
     Alcotest.(check int)
       (name ^ ": cert_checks = hits + runs + trivial + faults")
-      !(st.Explore.Stats.cert_checks)
-      (!(st.Explore.Stats.cert_cache_hits)
-      + !(st.Explore.Stats.cert_runs)
-      + !(st.Explore.Stats.cert_trivial)
-      + !(st.Explore.Stats.cert_faults));
+      st.Explore.Stats.cert_checks
+      (st.Explore.Stats.cert_cache_hits
+      + st.Explore.Stats.cert_runs
+      + st.Explore.Stats.cert_trivial
+      + st.Explore.Stats.cert_faults);
     Alcotest.(check bool)
       (name ^ ": cert faults never exceed injected faults")
       true
-      (!(st.Explore.Stats.cert_faults) <= !(st.Explore.Stats.faults_injected))
+      (st.Explore.Stats.cert_faults <= st.Explore.Stats.faults_injected)
   in
   List.iter
     (fun (name, fault) ->
@@ -167,22 +166,17 @@ let test_cert_accounting () =
         Some { Explore.Config.fault_seed = 7; fault_rate = 0.05 } );
     ]
 
-(* 5. The stats report the pool width actually used and the machine's
-   recommendation (satellite: psopt explore surfaces both). *)
+(* 5. The stats report the pool width actually used. *)
 let test_domain_reporting () =
   let used j =
     let o = run ~j Explore.Enum.Interleaving Litmus.sb.Litmus.prog in
-    Atomic.get o.Explore.Enum.stats.Explore.Stats.domains_used
+    o.Explore.Enum.stats.Explore.Stats.domains_used
   in
   Alcotest.(check int) "j=1 reports 1 domain" 1 (used 1);
   Alcotest.(check int) "j=4 reports 4 domains" 4 (used 4);
   Alcotest.(check int)
     "j beyond the cap is clamped" Explore.Pool.domain_cap
-    (used (Explore.Pool.domain_cap + 3));
-  let o = run ~j:2 Explore.Enum.Interleaving Litmus.sb.Litmus.prog in
-  Alcotest.(check bool)
-    "recommended >= 1" true
-    (Atomic.get o.Explore.Enum.stats.Explore.Stats.domains_recommended >= 1)
+    (used (Explore.Pool.domain_cap + 3))
 
 (* 5b. Skew-heavy workloads: one huge subtree (a long straight-line
    thread whose padding makes its state chain deep) next to several
@@ -309,55 +303,127 @@ let test_pool_edges () =
   Alcotest.(check (list int)) "concurrent run 1" (List.map succ xs) r1;
   Alcotest.(check (list int)) "concurrent run 2" (List.map succ xs) r2
 
-(* 8. Worker lifecycle (the domain-leak regression): every worker that
-   ran [init] must run [finish] and be joined, no matter what raises.
-   Before the fix, a coordinator-side exception propagated before the
-   join loop, abandoning the spawned domains (a leak that eventually
-   exhausts the runtime's domain slots).  Observable contract: after
-   the call returns (exceptionally), all [init]ed workers have
-   [finish]ed, the error is the deterministic one, and the pool is
-   immediately reusable. *)
+(* 8. Worker lifecycle on the scheduler (the domain-leak regression):
+   every worker that ran [init] must run [finish] and be joined, no
+   matter what raises.  Before the fix, a coordinator-side exception
+   propagated before the join loop, abandoning the spawned domains (a
+   leak that eventually exhausts the runtime's domain slots).
+   Observable contract: after the call returns (exceptionally), all
+   [init]ed workers have [finish]ed, the error is the deterministic
+   one, and the pool is immediately reusable. *)
 let test_worker_lifecycle () =
   let tasks = List.init 16 Fun.id in
+  let run_counted ~finish exec =
+    let started = Atomic.make 0 and finished = Atomic.make 0 in
+    let remaining = Atomic.make (List.length tasks) in
+    let r =
+      match
+        Explore.Pool.run ~j:4
+          ~init:(fun _ -> Atomic.incr started)
+          ~finish:(fun () ->
+            Atomic.incr finished;
+            finish ())
+          ~stop:(fun () -> Atomic.get remaining = 0)
+          (fun () x ->
+            exec x;
+            Atomic.decr remaining)
+          tasks
+      with
+      | _ -> None
+      | exception Failure msg -> Some msg
+    in
+    (r, Atomic.get started, Atomic.get finished)
+  in
   (* finish raises on every worker, including the coordinator *)
-  let started = Atomic.make 0 and finished = Atomic.make 0 in
-  (match
-     Explore.Pool.map_with ~j:4
-       ~init:(fun () -> Atomic.incr started)
-       ~finish:(fun () ->
-         Atomic.incr finished;
-         failwith "finish-boom")
-       (fun () x -> x)
-       tasks
-   with
-  | exception Failure msg ->
-      Alcotest.(check string) "finish failure propagates" "finish-boom" msg
-  | _ -> Alcotest.fail "expected the finish exception to propagate");
+  let r, started, finished =
+    run_counted ~finish:(fun () -> failwith "finish-boom") ignore
+  in
+  Alcotest.(check (option string))
+    "finish failure propagates" (Some "finish-boom") r;
   Alcotest.(check int)
-    "every init'd worker ran finish (finish raising)"
-    (Atomic.get started) (Atomic.get finished);
-  (* a raising task: lowest index wins, and finish still runs everywhere *)
-  let started = Atomic.make 0 and finished = Atomic.make 0 in
-  (match
-     Explore.Pool.map_with ~j:4
-       ~init:(fun () -> Atomic.incr started)
-       ~finish:(fun () -> Atomic.incr finished)
-       (fun () x ->
-         if x >= 5 then failwith (Printf.sprintf "task-%d" x) else x)
-       tasks
-   with
-  | exception Failure msg ->
-      Alcotest.(check string) "lowest task index wins" "task-5" msg
-  | _ -> Alcotest.fail "expected the task exception to propagate");
+    "every init'd worker ran finish (finish raising)" started finished;
+  (* a raising task stops the pool and propagates; finish still runs
+     everywhere *)
+  let r, started, finished =
+    run_counted ~finish:ignore (fun x ->
+        if x = 5 then failwith (Printf.sprintf "task-%d" x))
+  in
+  Alcotest.(check (option string)) "the task's exception propagates"
+    (Some "task-5") r;
   Alcotest.(check int)
-    "every init'd worker ran finish (task raising)"
-    (Atomic.get started) (Atomic.get finished);
+    "every init'd worker ran finish (task raising)" started finished;
+  (* error order through [map] on the same scheduler: every task from
+     index 5 on raises, and the lowest index wins at any width *)
+  List.iter
+    (fun j ->
+      match
+        Explore.Pool.map ~j
+          (fun x -> if x >= 5 then failwith (Printf.sprintf "task-%d" x) else x)
+          tasks
+      with
+      | exception Failure msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "lowest task index wins at j=%d" j)
+            "task-5" msg
+      | _ -> Alcotest.fail "expected the task exception to propagate")
+    [ 1; 4 ];
   (* the pool still works after both exceptional exits (nothing is
      left wedged: deques drained, domains joined) *)
   Alcotest.(check (list int))
     "pool reusable after exceptional runs"
     (List.map succ tasks)
     (Explore.Pool.map ~j:4 succ tasks)
+
+(* 9. Dynamic pushes: a task may split itself onto its worker's deque,
+   and the pieces run exactly once whoever steals them. *)
+let test_dynamic_push () =
+  let n = 1 lsl 10 in
+  let seen = Array.init n (fun _ -> Atomic.make 0) in
+  let remaining = Atomic.make n in
+  let states =
+    Explore.Pool.run ~j:4
+      ~init:(fun h -> h)
+      ~finish:ignore
+      ~stop:(fun () -> Atomic.get remaining = 0)
+      (fun h (lo, hi) ->
+        if hi - lo = 1 then begin
+          Atomic.incr seen.(lo);
+          Atomic.decr remaining
+        end
+        else begin
+          let mid = (lo + hi) / 2 in
+          Explore.Pool.push h (lo, mid);
+          Explore.Pool.push h (mid, hi)
+        end)
+      [ (0, n) ]
+  in
+  Alcotest.(check int) "one state per worker" 4 (Array.length states);
+  Alcotest.(check bool)
+    "every leaf ran exactly once" true
+    (Array.for_all (fun c -> Atomic.get c = 1) seen)
+
+(* 10. The domain-budget policy and the PSOPT_J syntax. *)
+let test_split_and_jobs () =
+  let split j tasks = Explore.Pool.split ~j ~tasks in
+  Alcotest.(check (pair int int)) "refine at j=4" (2, 2) (split 4 2);
+  Alcotest.(check (pair int int)) "verify at j=4" (4, 1) (split 4 4);
+  Alcotest.(check (pair int int)) "races at j=2" (2, 1) (split 2 3);
+  Alcotest.(check (pair int int)) "corpus at j=4" (4, 1) (split 4 30);
+  Alcotest.(check (pair int int)) "j=1" (1, 1) (split 1 30);
+  Alcotest.(check (pair int int)) "no tasks" (1, 4) (split 4 0);
+  Alcotest.(check (pair int int))
+    "outer width is capped" (Explore.Pool.domain_cap, 1)
+    (split (Explore.Pool.domain_cap + 3) 100);
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "PSOPT_J=%S" s)
+        want
+        (Explore.Config.parse_jobs s))
+    [
+      ("4", Some 4); (" 2 ", Some 2); ("1", Some 1); ("0", None);
+      ("-3", None); ("abc", None); ("", None); ("2x", None);
+    ]
 
 let () =
   Alcotest.run "parallel"
@@ -390,5 +456,9 @@ let () =
             `Quick test_pool_edges;
           Alcotest.test_case "worker lifecycle: finish + join on every exit"
             `Quick test_worker_lifecycle;
+          Alcotest.test_case "dynamic pushes run exactly once" `Quick
+            test_dynamic_push;
+          Alcotest.test_case "domain-budget split and PSOPT_J syntax" `Quick
+            test_split_and_jobs;
         ] );
     ]

@@ -336,35 +336,6 @@ let test_step_back_records () =
 (* --------------------------------------------------------------- *)
 (* Protocol *)
 
-let test_proto_sexp_roundtrip () =
-  let reqs =
-    [
-      Proto.Info; Proto.Where; Proto.Step; Proto.Back; Proto.Jump 42;
-      Proto.Mem; Proto.Views; Proto.Why "a loc with spaces";
-      Proto.Next_at "x"; Proto.Next_promise; Proto.Schedule; Proto.Quit;
-    ]
-  in
-  List.iter
-    (fun req ->
-      match Proto.request_of_sexp (Proto.sexp_of_request req) with
-      | Ok req' ->
-          Alcotest.(check bool) "request round-trips" true (req = req')
-      | Error m -> Alcotest.fail m)
-    reqs;
-  let replies =
-    [
-      Proto.Ok { pos = 3; len = 11; text = "multi\nline text" };
-      Proto.Err "no such step";
-      Proto.Bye;
-    ]
-  in
-  List.iter
-    (fun rep ->
-      match Proto.reply_of_sexp (Proto.sexp_of_reply rep) with
-      | Ok rep' -> Alcotest.(check bool) "reply round-trips" true (rep = rep')
-      | Error m -> Alcotest.fail m)
-    replies
-
 let test_parse_command () =
   let ok line req =
     match Proto.parse_command line with
@@ -650,8 +621,6 @@ let () =
         ] );
       ( "proto",
         [
-          Alcotest.test_case "request/reply sexp round-trips" `Quick
-            test_proto_sexp_roundtrip;
           Alcotest.test_case "command syntax" `Quick test_parse_command;
           Alcotest.test_case "handler navigates a session" `Quick
             test_proto_handle;

@@ -34,7 +34,6 @@ let gen_config =
           fault;
           domains;
           oversubscribe = Config.default.Config.oversubscribe;
-          publish_period = Config.default.Config.publish_period;
           reduction = { Config.por; symmetry; bound_promises };
         })
       (quad

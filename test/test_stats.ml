@@ -1,0 +1,146 @@
+(* Golden single-domain statistics.  At j=1 the search is a
+   deterministic depth-first walk, so every counter is exact and pinned
+   here: any drift in the accounting (a lost increment, a
+   double-counted cache hit, a table size taken from the wrong place)
+   shows up.  The values were recorded with the engine whose counters
+   were shared atomics and whose table sizes came from end-of-search
+   merged tables, and must not move when that bookkeeping changes. *)
+
+let cert_heavy ~pad ~noise =
+  let h1 = pad / 2 in
+  let h2 = pad - h1 in
+  let open Lang.Build in
+  let padding n = List.init n (fun _ -> assign "a" (r "a" + i 1)) in
+  let noise_instrs =
+    List.init noise (fun _ -> load "s" "z" ~mode:Lang.Modes.Rlx)
+  in
+  program ~atomics:[ "x"; "y"; "z" ]
+    [
+      proc "t1"
+        [
+          blk "L0"
+            ([ assign "a" (i 0) ]
+            @ padding h1
+            @ [ load "r1" "y" ~mode:Lang.Modes.Rlx ]
+            @ padding h2
+            @ [ store "x" ~mode:Lang.Modes.WRlx (i 1); print (r "r1") ])
+            ret;
+        ];
+      proc "t2"
+        [
+          blk "L0"
+            (noise_instrs
+            @ [
+                load "r2" "x" ~mode:Lang.Modes.Rlx;
+                store "y" ~mode:Lang.Modes.WRlx (i 1);
+                print (r "r2");
+              ])
+            ret;
+        ];
+    ]
+    ~threads:[ "t1"; "t2" ]
+
+(* IRIW with two identical readers: symmetry folds the reader orbit and
+   the ample rule eats the padding. *)
+let iriw_sym =
+  let open Lang.Build in
+  let pad k tag =
+    List.init k (fun j -> assign (Printf.sprintf "%s%d" tag j) (i j))
+  in
+  program ~atomics:[ "x"; "y" ]
+    [
+      proc "wx"
+        [ blk "L0" (pad 4 "pw" @ [ store "x" ~mode:Lang.Modes.WRlx (i 1) ]) ret ];
+      proc "wy"
+        [ blk "L0" (pad 4 "pw" @ [ store "y" ~mode:Lang.Modes.WRlx (i 1) ]) ret ];
+      proc "rd"
+        [
+          blk "L0"
+            (pad 6 "pr"
+            @ [
+                load "r1" "x" ~mode:Lang.Modes.Rlx;
+                load "r2" "y" ~mode:Lang.Modes.Rlx;
+                print ((r "r1" * i 10) + r "r2");
+              ])
+            ret;
+        ];
+    ]
+    ~threads:[ "wx"; "wy"; "rd"; "rd" ]
+
+(* Pinned to one domain even under PSOPT_J. *)
+let j1 =
+  {
+    Explore.Config.default with
+    Explore.Config.domains = 1;
+    oversubscribe = false;
+  }
+
+let names =
+  [
+    "nodes"; "transitions"; "memo_hits"; "memo_size"; "cert_checks";
+    "cert_cache_hits"; "cert_runs"; "cert_trivial"; "cert_faults";
+    "cand_cache_hits"; "cert_cache_size"; "cycles"; "cuts"; "promises";
+    "peak_depth"; "sleep_prunes"; "persistent_prunes"; "symmetry_folds";
+  ]
+
+let counters (s : Explore.Stats.t) =
+  Explore.Stats.
+    [
+      s.nodes; s.transitions; s.memo_hits; s.memo_size; s.cert_checks;
+      s.cert_cache_hits; s.cert_runs; s.cert_trivial; s.cert_faults;
+      s.cand_cache_hits; s.cert_cache_size; s.cycles; s.cuts; s.promises;
+      s.peak_depth; s.sleep_prunes; s.persistent_prunes; s.symmetry_folds;
+    ]
+
+let check name want (s : Explore.Stats.t) =
+  List.iter2
+    (fun (field, want) got ->
+      Alcotest.(check int) (name ^ " " ^ field) want got)
+    (List.combine names want) (counters s)
+
+let behaviors name ?(config = j1) prog want () =
+  let o = Explore.Enum.behaviors_exn ~config Explore.Enum.Interleaving prog in
+  Alcotest.(check int) (name ^ " domains") 1 o.Explore.Enum.stats.domains_used;
+  check name want o.Explore.Enum.stats
+
+let golden =
+  [
+    ( "sb", Litmus.sb.Litmus.prog, j1,
+      [ 781; 1242; 326; 645; 801; 223; 24; 554; 0; 201; 44; 136; 0; 20; 13; 0; 0; 0 ] );
+    ( "lb", Litmus.lb.Litmus.prog, j1,
+      [ 860; 1420; 401; 700; 931; 390; 36; 505; 0; 183; 60; 160; 0; 71; 13; 0; 0; 0 ] );
+    ( "iriw", Litmus.iriw.Litmus.prog, j1,
+      [ 11397; 37017; 13373; 4471; 11397; 0; 0; 11397; 0; 9663; 64; 12248; 0; 0; 20; 0; 0; 0 ] );
+    ( "spinlock", Litmus.spinlock.Litmus.prog, j1,
+      [ 520; 898; 208; 349; 570; 132; 28; 410; 0; 194; 78; 171; 0; 50; 21; 0; 0; 0 ] );
+    ( "cert_heavy 20/8", cert_heavy ~pad:20 ~noise:8, j1,
+      [ 6294; 13629; 5539; 4497; 8123; 4894; 90; 3139; 0; 2187; 180; 1797; 0; 1829; 42; 0; 0; 0 ] );
+    ( "iriw_sym full reduction", iriw_sym,
+      Explore.Config.with_reduction Explore.Config.full_reduction j1,
+      [ 49305; 147062; 58900; 26461; 46114; 13973; 32; 32109; 0; 26194; 104; 38858; 0; 2527; 42; 1925; 12278; 30486 ] );
+  ]
+
+(* The reachability walk behind the race checks: [memo_size] is the
+   number of distinct states visited. *)
+let test_reachable () =
+  match
+    Explore.Enum.iter_reachable ~config:j1 Explore.Enum.Interleaving
+      Litmus.spinlock.Litmus.prog
+      ~f:(fun ~committed:_ _ -> ())
+  with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+      check "reachable spinlock"
+        [ 450; 734; 0; 450; 1222; 290; 28; 904; 0; 224; 78; 0; 0; 66; 21; 0; 0; 0 ]
+        s
+
+let () =
+  Alcotest.run "stats"
+    [
+      ( "golden j=1",
+        List.map
+          (fun (name, prog, config, want) ->
+            Alcotest.test_case name `Quick (behaviors name ~config prog want))
+          golden
+        @ [ Alcotest.test_case "reachable spinlock" `Quick test_reachable ] );
+    ]
