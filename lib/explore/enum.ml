@@ -15,6 +15,11 @@ let pp_completeness ppf = function
   | Exhaustive -> Format.pp_print_string ppf "exhaustive"
   | Truncated rs -> Format.fprintf ppf "truncated (%a)" Errors.pp_reasons rs
 
+let completeness_of stats =
+  match Stats.truncation_reasons stats with
+  | [] -> Exhaustive
+  | reasons -> Truncated reasons
+
 let pp_discipline ppf = function
   | Interleaving -> Format.pp_print_string ppf "interleaving"
   | Non_preemptive -> Format.pp_print_string ppf "non-preemptive"
@@ -151,6 +156,8 @@ type search = {
   out_of_time : bool Atomic.t;
   out_of_mem : bool Atomic.t;
   node_count : int Atomic.t option;  (* Some iff max_nodes is set *)
+  observe : (Ps.Machine.world -> unit) option;
+      (* called at every committed state [successors] expands *)
 }
 
 (* Per-domain state.  Everything the DFS hot path touches is
@@ -363,7 +370,7 @@ let compute_red code threads (cfg : Config.t) =
       private_vars;
     }
 
-let make_search ~threads code atomics disc cfg =
+let make_search ?observe ~threads code atomics disc cfg =
   {
     code;
     atomics;
@@ -388,6 +395,7 @@ let make_search ~threads code atomics disc cfg =
       (match cfg.Config.max_nodes with
       | Some _ -> Some (Atomic.make 0)
       | None -> None);
+    observe;
   }
 
 let make_worker ~parallel s =
@@ -928,6 +936,11 @@ let successors w (n : Node.t) : succ list =
           List.rev !out
         end
   in
+  (* On Interleaving without reduction the switch gate has already
+     forced [committed], so observing costs no certification. *)
+  (match s.observe with
+  | Some f when Lazy.force committed -> f wd
+  | _ -> ());
   regular @ promises @ reservations @ switches
 
 (* ------------------------------------------------------------------ *)
@@ -1300,26 +1313,26 @@ let effective_domains cfg =
   in
   max 1 (min cfg.Config.domains cap)
 
-let behaviors ?(config = Config.default) disc (p : Lang.Ast.program) =
+let behaviors ?(config = Config.default) ?observe disc (p : Lang.Ast.program) =
+  if observe <> None && config.Config.reduction <> Config.no_reduction then
+    invalid_arg "Enum.behaviors: ~observe needs Config.no_reduction";
   match Ps.Machine.init p with
   | Error e -> Error e
   | Ok world ->
       let s =
-        make_search ~threads:p.Lang.Ast.threads p.Lang.Ast.code
+        make_search ?observe ~threads:p.Lang.Ast.threads p.Lang.Ast.code
           p.Lang.Ast.atomics disc config
       in
       let root = Node.make ~world ~bit:true ~promised:TidMap.empty in
-      let j = effective_domains config in
+      (* An observer sees states in DFS order, which only the
+         single-domain walk has. *)
+      let j = if observe = None then effective_domains config else 1 in
       s.stats.Stats.domains_used <- j;
       let traces =
         Obs.Trace.span ~cat:"explore" "enumerate" (fun () -> traces_of s root j)
       in
       Stats.finish s.stats;
-      let completeness =
-        match Stats.truncation_reasons s.stats with
-        | [] -> Exhaustive
-        | reasons -> Truncated reasons
-      in
+      let completeness = completeness_of s.stats in
       Ok
         {
           traces;

@@ -61,8 +61,30 @@ type outcome = {
 
 val pp_completeness : Format.formatter -> completeness -> unit
 
+val completeness_of : Stats.t -> completeness
+(** A search's completeness, from its truncation counters
+    ({!Stats.truncation_reasons}): how a caller of {!iter_reachable}
+    judges its walk. *)
+
 val behaviors :
-  ?config:Config.t -> discipline -> Lang.Ast.program -> (outcome, string) result
+  ?config:Config.t ->
+  ?observe:(Ps.Machine.world -> unit) ->
+  discipline ->
+  Lang.Ast.program ->
+  (outcome, string) result
+(** [observe], when given, is called with every committed state the
+    walk expands, in depth-first order: at least once per reachable
+    committed state when the outcome is [Exhaustive] (a state expanded
+    again, because its suffix set could not be memoized, is observed
+    again).  This lets one walk both compute the behaviour set and
+    evaluate a per-state predicate such as {!Race}'s.  An observed
+    walk runs on one domain whatever [config.domains] says, so the
+    order is deterministic; on {!Interleaving} its {!Stats} equal the
+    unobserved walk's.  Requires [config.reduction =
+    Config.no_reduction] (reduction prunes states a per-state
+    predicate must see).
+    @raise Invalid_argument when [observe] is given with reduction
+    on. *)
 
 val behaviors_exn :
   ?config:Config.t -> discipline -> Lang.Ast.program -> outcome

@@ -31,29 +31,26 @@ let both_behaviors ~config disc pa pb =
     | _ -> assert false
   else (stage (fst disc) pa config, stage (snd disc) pb config)
 
-let check ?(config = Config.default) ?(discipline = Enum.Interleaving)
-    ~target ~source () =
-  let t, s = both_behaviors ~config (discipline, discipline) target source in
-  let verdict =
-    let reasons o =
-      match o.Enum.completeness with
-      | Enum.Exhaustive -> []
-      | Enum.Truncated rs -> rs
-    in
-    match
-      List.sort_uniq compare (reasons t @ reasons s)
-    with
-    | _ :: _ as rs ->
-        Inconclusive
-          (Format.asprintf
-             "exploration truncated (%a); raise the exhausted budgets"
-             Errors.pp_reasons rs)
-    | [] ->
+let of_outcomes ~(target : Enum.outcome) ~(source : Enum.outcome) =
+  let reasons o =
+    match o.Enum.completeness with
+    | Enum.Exhaustive -> []
+    | Enum.Truncated rs -> rs
+  in
+  match List.sort_uniq compare (reasons target @ reasons source) with
+  | _ :: _ as rs ->
+      Inconclusive
+        (Format.asprintf
+           "exploration truncated (%a); raise the exhausted budgets"
+           Errors.pp_reasons rs)
+  | [] ->
       (* The paper's behaviour sets are prefix-closed; compare the
          closures so that a divergence prefix of one side is matched
          by any extension on the other. *)
       let bad =
-        Traceset.diff (Traceset.closure t.traces) (Traceset.closure s.traces)
+        Traceset.diff
+          (Traceset.closure target.traces)
+          (Traceset.closure source.traces)
       in
       if Traceset.is_empty bad then Refines
       else
@@ -65,8 +62,11 @@ let check ?(config = Config.default) ?(discipline = Enum.Interleaving)
             (Traceset.elements bad)
         in
         Violates (done_ @ open_)
-  in
-  { verdict; target = t; source = s }
+
+let check ?(config = Config.default) ?(discipline = Enum.Interleaving)
+    ~target ~source () =
+  let t, s = both_behaviors ~config (discipline, discipline) target source in
+  { verdict = of_outcomes ~target:t ~source:s; target = t; source = s }
 
 let refines ?config ?discipline ~target ~source () =
   (check ?config ?discipline ~target ~source ()).verdict = Refines

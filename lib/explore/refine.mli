@@ -34,6 +34,12 @@ val check :
   unit ->
   report
 
+val of_outcomes : target:Enum.outcome -> source:Enum.outcome -> verdict
+(** The comparison half of {!check}, on two explorations already
+    made (same configuration and discipline): [Inconclusive] when
+    either is truncated, else [Refines] or [Violates] by prefix-closed
+    inclusion.  Pure. *)
+
 val refines :
   ?config:Config.t ->
   ?discipline:Enum.discipline ->

@@ -55,6 +55,19 @@ let race_at kind (w : Ps.Machine.world) =
 
 type verdict = Free | Racy of race | Inconclusive of string
 
+(* A race found anywhere is a race at a genuinely reachable state, so
+   [Racy] needs no completeness caveat — but claiming freedom over a
+   truncated walk would be unsound. *)
+let verdict_of first completeness =
+  match (first, completeness) with
+  | Some r, _ -> Racy r
+  | None, Explore.Enum.Exhaustive -> Free
+  | None, Explore.Enum.Truncated reasons ->
+      Inconclusive
+        (Format.asprintf
+           "no race found, but the reachability walk was truncated (%a)"
+           Explore.Errors.pp_reasons reasons)
+
 exception Found of race
 
 let scan kind disc ?config p =
@@ -65,42 +78,46 @@ let scan kind disc ?config p =
           | Some r -> raise (Found r)
           | None -> ())
   with
-  | Ok stats -> (
-      (* A race found anywhere is a race at a genuinely reachable
-         state, so [Racy] needs no completeness caveat — but claiming
-         freedom over a truncated walk would be unsound. *)
-      match Explore.Stats.truncation_reasons stats with
-      | [] -> Ok Free
-      | reasons ->
-          Ok
-            (Inconclusive
-               (Format.asprintf
-                  "no race found, but the reachability walk was truncated \
-                   (%a)"
-                  Explore.Errors.pp_reasons reasons)))
+  | Ok stats -> Ok (verdict_of None (Explore.Enum.completeness_of stats))
   | Error e -> Error e
   | exception Found r -> Ok (Racy r)
 
 let ww_rf ?config p = scan WW Explore.Enum.Interleaving ?config p
 let ww_nprf ?config p = scan WW Explore.Enum.Non_preemptive ?config p
 
-let rw_races ?config p =
-  let acc = ref [] in
+let behaviors_ww_rf ?config p =
+  let first = ref None in
+  let observe w = if Option.is_none !first then first := race_at WW w in
+  match Explore.Enum.behaviors ?config ~observe Explore.Enum.Interleaving p with
+  | Ok o -> Ok (o, verdict_of !first o.Explore.Enum.completeness)
+  | Error e -> Error e
+
+(* One interleaving walk evaluating both predicates at every committed
+   state: the first ww race in visit order (the witness [ww_rf]'s
+   early exit reports) and the distinct rw race points, by thread and
+   location. *)
+let ww_rw_scan ?config p =
+  let ww = ref None and rw = ref [] in
   match
     Explore.Enum.iter_reachable ?config Explore.Enum.Interleaving p
       ~f:(fun ~committed w ->
-        if committed then
+        if committed then begin
+          if Option.is_none !ww then ww := race_at WW w;
           match race_at RW w with
           | Some r
             when not
                    (List.exists
                       (fun r' -> r'.tid = r.tid && String.equal r'.var r.var)
-                      !acc) ->
-              acc := r :: !acc
-          | _ -> ())
+                      !rw) ->
+              rw := r :: !rw
+          | _ -> ()
+        end)
   with
-  | Ok _ -> Ok (List.rev !acc)
+  | Ok stats -> Ok (!ww, List.rev !rw, Explore.Enum.completeness_of stats)
   | Error e -> Error e
+
+let rw_races ?config p =
+  Result.map (fun (_, rw, _) -> rw) (ww_rw_scan ?config p)
 
 let is_ww_rf ?config p =
   match ww_rf ?config p with Ok Free -> true | _ -> false
@@ -108,21 +125,23 @@ let is_ww_rf ?config p =
 type report = {
   ww : (verdict, string) result;
   ww_np : (verdict, string) result;
-  rw : (race list, string) result;
+  rw : (race list * Explore.Enum.completeness, string) result;
 }
 
-(* The three scans are independent reachability walks; the walks
-   themselves stream states and stay single-domain, so with a domain
-   budget > 1 the parallelism is one pool task per scan. *)
+(* Two walks: interleaving ww and rw share one, non-preemptive ww is
+   the other.  The walks stream states and stay single-domain, so with
+   a domain budget > 1 the parallelism is one pool task per walk. *)
 let check_all ?(config = Explore.Config.default) p =
-  let j, _ = Explore.Pool.split ~j:config.Explore.Config.domains ~tasks:3 in
+  let j, _ = Explore.Pool.split ~j:config.Explore.Config.domains ~tasks:2 in
   let run = function
-    | `Ww -> `Ww (ww_rf ~config p)
+    | `Il -> `Il (ww_rw_scan ~config p)
     | `Np -> `Np (ww_nprf ~config p)
-    | `Rw -> `Rw (rw_races ~config p)
   in
-  match Explore.Pool.map ~j run [ `Ww; `Np; `Rw ] with
-  | [ `Ww ww; `Np ww_np; `Rw rw ] -> { ww; ww_np; rw }
+  match Explore.Pool.map ~j run [ `Il; `Np ] with
+  | [ `Il il; `Np ww_np ] ->
+      let ww = Result.map (fun (ww, _, c) -> verdict_of ww c) il in
+      let rw = Result.map (fun (_, rw, c) -> (rw, c)) il in
+      { ww; ww_np; rw }
   | _ -> assert false
 
 let pp_verdict ppf = function

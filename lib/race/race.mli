@@ -12,10 +12,11 @@
     by machine steps, and a [(τ-step)] must end in a {e consistent}
     configuration — so races are checked "only when promises are
     certified".  We therefore evaluate the predicate exactly at the
-    committed states enumerated by {!Explore.Enum.iter_reachable}
-    (every thread is checked at every committed state; the [(sw-step)]
-    rule makes each of them the current thread of a reachable state
-    with the same memory).
+    committed states enumerated by {!Explore.Enum.iter_reachable}, or
+    expanded by an observed {!Explore.Enum.behaviors} walk
+    ({!behaviors_ww_rf}) (every thread is checked at every committed
+    state; the [(sw-step)] rule makes each of them the current thread
+    of a reachable state with the same memory).
 
     [ww-NPRF] is the same predicate over the non-preemptive machine
     (Lemma 5.1 asserts it equivalent to [ww-RF]; experiment E10 checks
@@ -55,25 +56,45 @@ val ww_nprf :
   ?config:Explore.Config.t -> Lang.Ast.program -> (verdict, string) result
 (** [ww-NPRF]: the non-preemptive counterpart. *)
 
+val behaviors_ww_rf :
+  ?config:Explore.Config.t ->
+  Lang.Ast.program ->
+  (Explore.Enum.outcome * verdict, string) result
+(** The interleaving behaviour set and [ww-RF] from one walk:
+    {!Explore.Enum.behaviors} observing the race predicate at every
+    committed state it expands.  The first race in depth-first order
+    is kept and the walk runs on, so the behaviour set is complete.
+    When the outcome is [Exhaustive] the walk expanded every
+    reachable state, and the verdict (witness included) is the one
+    {!ww_rf} gives; when it is truncated and no race was seen, the
+    verdict is [Inconclusive].  Runs on one domain; requires
+    [config.reduction = Explore.Config.no_reduction]. *)
+
 val rw_races :
   ?config:Explore.Config.t -> Lang.Ast.program -> (race list, string) result
 (** All distinct read-write race points found (by thread and
-    location). *)
+    location).  Over a truncated walk the list may be incomplete;
+    {!check_all} reports that. *)
 
 val is_ww_rf : ?config:Explore.Config.t -> Lang.Ast.program -> bool
 
 type report = {
   ww : (verdict, string) result;
   ww_np : (verdict, string) result;
-  rw : (race list, string) result;
+  rw : (race list * Explore.Enum.completeness, string) result;
+      (** the rw race points and the completeness of the walk that
+          found them: over a [Truncated] walk an empty list is not a
+          claim of rw freedom *)
 }
-(** The three scans bundled: interleaving ww, non-preemptive ww, rw. *)
+(** The three verdicts bundled: interleaving ww, non-preemptive ww, rw. *)
 
 val check_all : ?config:Explore.Config.t -> Lang.Ast.program -> report
-(** Run all three scans — [ww_rf], [ww_nprf], [rw_races] — as
-    independent pool tasks when [config.domains > 1], at the width
-    {!Explore.Pool.split} gives (the walks themselves are
-    single-domain; this parallelizes across scans). *)
+(** The three verdicts from two walks: one interleaving walk evaluates
+    both the ww and the rw predicate (its ww verdict and witness are
+    {!ww_rf}'s, its rw list {!rw_races}'), and {!ww_nprf} is the
+    other.  The two run as pool tasks when [config.domains > 1], at
+    the width {!Explore.Pool.split} gives (the walks themselves are
+    single-domain). *)
 
 val pp_race : Format.formatter -> race -> unit
 val pp_verdict : Format.formatter -> verdict -> unit

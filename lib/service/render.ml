@@ -56,9 +56,17 @@ let races (rep : Race.report) =
       report "ww-RF:  " rep.Race.ww;
       report "ww-NPRF:" rep.Race.ww_np;
       (match rep.Race.rw with
-      | Ok [] -> Format.fprintf ppf "rw:      none@."
-      | Ok rs ->
-          List.iter (fun r -> Format.fprintf ppf "rw:      %a@." Race.pp_race r) rs
+      | Ok ([], Explore.Enum.Exhaustive) -> Format.fprintf ppf "rw:      none@."
+      | Ok ([], Explore.Enum.Truncated rs) ->
+          Format.fprintf ppf "rw:      none found (walk truncated: %a)@."
+            Explore.Errors.pp_reasons rs
+      | Ok (races, c) -> (
+          List.iter (fun r -> Format.fprintf ppf "rw:      %a@." Race.pp_race r) races;
+          match c with
+          | Explore.Enum.Exhaustive -> ()
+          | Explore.Enum.Truncated rs ->
+              Format.fprintf ppf "rw:      list incomplete (walk truncated: %a)@."
+                Explore.Errors.pp_reasons rs)
       | Error e ->
           Format.fprintf ppf "rw:      error: %s@." e;
           bump exit_error);

@@ -18,7 +18,7 @@ val litmus : Litmus.t -> Litmus.result -> string * int
     line, then one indented line per observed outcome. *)
 
 val races : Race.report -> string * int
-(** Exactly the three-scan report `psopt races` prints. *)
+(** Exactly the race report `psopt races` prints. *)
 
 val explore : Explore.Enum.discipline -> Explore.Enum.outcome -> string * int
 (** Discipline, completeness and the behaviour set ({e without} the

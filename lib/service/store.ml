@@ -57,7 +57,7 @@ type t = {
   corrupt : int Atomic.t;
 }
 
-let record_version = 1
+let record_version = 2
 
 (* ------------------------------------------------------------------ *)
 

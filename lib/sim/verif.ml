@@ -44,35 +44,74 @@ let check ?sim_config ?explore_config r (src : Lang.Ast.program) =
   let ecfg =
     match explore_config with Some c -> c | None -> Explore.Config.default
   in
-  let outer, inner = Explore.Pool.split ~j:ecfg.Explore.Config.domains ~tasks:4 in
-  (* With a domain budget > 1 the four pipeline stages are evaluated
-     eagerly as pool tasks (the budget split by [Pool.split]);
-     sequentially they stay lazy so the original early exit is
-     preserved.  Either way the verdict is decided by inspecting the
-     stages in pipeline order, and each stage's result is
-     deterministic, so the verdict is identical. *)
+  let unchanged = Lang.Ast.equal_program tgt src in
+  let outer, inner =
+    Explore.Pool.split ~j:ecfg.Explore.Config.domains
+      ~tasks:(if unchanged then 2 else 4)
+  in
+  (* With a domain budget > 1 the stages are evaluated eagerly as pool
+     tasks (the budget split by [Pool.split]); sequentially they stay
+     lazy so the original early exit is preserved.  Either way the
+     verdict is decided by inspecting the stages in pipeline order,
+     and each stage's result is deterministic, so the verdict is
+     identical. *)
   let scfg =
     if outer > 1 then Some { ecfg with Explore.Config.domains = inner }
     else explore_config
   in
+  (* The stages share walks (docs/SEMANTICS.md, "One walk per
+     program").  The source's ww-RF stays its own reachability scan,
+     run first: under a step cut the memoized walk re-expands cut
+     subtrees and costs far more than the scan. *)
   let src_rf = lazy (Race.ww_rf ?config:scfg src) in
   let sims =
     lazy
       (Simcheck.check_program ?config:sim_config ~inv:r.invariant ~target:tgt
          ~source:src ())
   in
-  let refn = lazy (Explore.Refine.check ?config:scfg ~target:tgt ~source:src ()) in
-  let tgt_rf = lazy (Race.ww_rf ?config:scfg tgt) in
+  let walks, refn, tgt_rf =
+    if unchanged then
+      (* Refinement holds by reflexivity, and the target's ww-RF is the
+         source's: the source's scan is the only walk. *)
+      ([], Lazy.from_val Explore.Refine.Refines, src_rf)
+    else if ecfg.Explore.Config.reduction = Explore.Config.no_reduction then
+      (* The target's behaviour walk also decides its ww-RF. *)
+      let tgt_walk =
+        lazy
+          (match Race.behaviors_ww_rf ?config:scfg tgt with
+          | Ok r -> r
+          | Error e -> raise (Explore.Errors.Error (Explore.Errors.Ill_formed e)))
+      in
+      let src_walk =
+        lazy (Explore.Enum.behaviors_exn ?config:scfg Explore.Enum.Interleaving src)
+      in
+      ( [ (fun () -> ignore (Lazy.force tgt_walk));
+          (fun () -> ignore (Lazy.force src_walk)) ],
+        lazy
+          (Explore.Refine.of_outcomes
+             ~target:(fst (Lazy.force tgt_walk))
+             ~source:(Lazy.force src_walk)),
+        lazy (Ok (snd (Lazy.force tgt_walk))) )
+    else
+      (* Reduction prunes states a race scan must see: four walks. *)
+      let refn =
+        lazy
+          (Explore.Refine.check ?config:scfg ~target:tgt ~source:src ())
+            .Explore.Refine.verdict
+      in
+      let tgt_rf = lazy (Race.ww_rf ?config:scfg tgt) in
+      ( [ (fun () -> ignore (Lazy.force refn));
+          (fun () -> ignore (Lazy.force tgt_rf)) ],
+        refn,
+        tgt_rf )
+  in
   if outer > 1 then
     ignore
       (Explore.Pool.map ~j:outer
          (fun f -> f ())
-         [
-           (fun () -> ignore (Lazy.force src_rf));
-           (fun () -> ignore (Lazy.force sims));
-           (fun () -> ignore (Lazy.force refn));
-           (fun () -> ignore (Lazy.force tgt_rf));
-         ]);
+         ((fun () -> ignore (Lazy.force src_rf))
+         :: (fun () -> ignore (Lazy.force sims))
+         :: walks));
   (* 1. The theorem's premise: the source is ww-race-free. *)
   match Lazy.force src_rf with
   | Error e -> Inconclusive e
@@ -91,8 +130,9 @@ let check ?sim_config ?explore_config r (src : Lang.Ast.program) =
           Inconclusive (Format.asprintf "simulation(%s): %s" f why)
       | Some (_, Simcheck.Holds) -> assert false
       | None -> (
-          (* 3. Whole-program refinement of the bounded behaviour sets. *)
-          match (Lazy.force refn).Explore.Refine.verdict with
+          (* 3. Whole-program refinement of the bounded behaviour sets.
+             A refinement failure outranks a target race. *)
+          match Lazy.force refn with
           | Explore.Refine.Violates bad ->
               Fail
                 ( Refinement,

@@ -19,7 +19,15 @@
     + ww-RF of the target (Lemma 6.2's preservation conclusion).
 
     A [Fail _] in any stage names the stage — which is exactly how the
-    paper's counterexamples (Figs. 1 and 15) surface. *)
+    paper's counterexamples (Figs. 1 and 15) surface.
+
+    The stages share explorations (docs/SEMANTICS.md, "One walk per
+    program"): when the pass leaves the program unchanged, refinement
+    holds by reflexivity and the target's ww-RF is the source's, so
+    the source's race scan is the only walk; otherwise, without
+    reduction, the target's behaviour walk also decides its ww-RF, for
+    three walks in all.  With reduction on, the four stages walk
+    separately.  The verdict is the same either way. *)
 
 type stage =
   | Source_ww_rf

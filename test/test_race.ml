@@ -127,6 +127,113 @@ let test_race_at_state () =
           Alcotest.(check int) "own promises excluded" 1 r.Race.tid
       | None -> Alcotest.fail "t2 should race")
 
+(* ------------------------------------------------------------------ *)
+(* One walk, several verdicts *)
+
+let show = function
+  | Ok v -> Format.asprintf "%a" Race.pp_verdict v
+  | Error e -> "error: " ^ e
+
+let show_races = List.map (Format.asprintf "%a" Race.pp_race)
+
+let programs () =
+  List.map (fun t -> (t.Litmus.name, t.Litmus.prog)) Litmus.all
+  @ List.init 108 (fun seed ->
+        (Printf.sprintf "seed %d" seed, Explore.Stress.generate ~seed))
+
+(* An rw-only scan, the reference for the shared walk's rw list: every
+   distinct (thread, location) rw race point, in visit order. *)
+let rw_alone p =
+  let acc = ref [] in
+  match
+    Explore.Enum.iter_reachable Explore.Enum.Interleaving p
+      ~f:(fun ~committed w ->
+        if committed then
+          match Race.race_at Race.RW w with
+          | Some r
+            when not
+                   (List.exists
+                      (fun r' -> r'.Race.tid = r.Race.tid && r'.Race.var = r.Race.var)
+                      !acc) ->
+              acc := r :: !acc
+          | _ -> ())
+  with
+  | Ok _ -> Ok (List.rev !acc)
+  | Error e -> Error e
+
+(* [check_all] walks the interleaving machine once for ww and rw; each
+   verdict, witness included, must be the one its own scan gives. *)
+let test_check_all_one_walk () =
+  List.iter
+    (fun (name, p) ->
+      let rep = Race.check_all p in
+      Alcotest.(check string) (name ^ " ww") (show (Race.ww_rf p)) (show rep.Race.ww);
+      Alcotest.(check string)
+        (name ^ " ww_np") (show (Race.ww_nprf p)) (show rep.Race.ww_np);
+      match (rw_alone p, rep.Race.rw) with
+      | Ok alone, Ok (fused, c) ->
+          Alcotest.(check (list string))
+            (name ^ " rw") (show_races alone) (show_races fused);
+          Alcotest.(check bool) (name ^ " exhaustive") true
+            (c = Explore.Enum.Exhaustive)
+      | _ -> Alcotest.failf "%s: rw scan failed" name)
+    (programs ())
+
+(* The behaviour walk observing the ww predicate gives the scan's
+   verdict and witness, and the unobserved walk's behaviour set. *)
+let test_behaviors_ww_rf () =
+  List.iter
+    (fun (name, p) ->
+      match Race.behaviors_ww_rf p with
+      | Error e -> Alcotest.fail e
+      | Ok (o, v) ->
+          Alcotest.(check string) (name ^ " ww") (show (Race.ww_rf p)) (show (Ok v));
+          let plain = Explore.Enum.behaviors_exn Explore.Enum.Interleaving p in
+          Alcotest.(check bool)
+            (name ^ " traces") true
+            (Explore.Traceset.equal o.Explore.Enum.traces
+               plain.Explore.Enum.traces))
+    (programs ())
+
+let example name =
+  Lang.Wf.check_exn
+    (Lang.Parse.program_of_file
+       (List.fold_left Filename.concat ".." [ "examples"; "programs"; name ^ ".rtl" ]))
+
+(* A truncated walk found no rw race: that is not "none".  The CLI
+   and the daemon render the same bytes, and the exit code is still
+   the ww verdicts' (inconclusive). *)
+let test_rw_truncated () =
+  let config = { Explore.Config.default with Explore.Config.max_steps = 6 } in
+  let p = example "fig1" in
+  let out, code = Service.Render.races (Race.check_all ~config p) in
+  Alcotest.(check (list string))
+    "rendered"
+    [
+      "ww-RF:   inconclusive: no race found, but the reachability walk was \
+       truncated (step-budget)";
+      "ww-NPRF: inconclusive: no race found, but the reachability walk was \
+       truncated (step-budget)";
+      "rw:      none found (walk truncated: step-budget)";
+      "";
+    ]
+    (String.split_on_char '\n' out);
+  Alcotest.(check int) "exit code" 2 code;
+  (match Service.Server.run_work (Service.Proto.Races p) config with
+  | Ok (out', code') ->
+      Alcotest.(check string) "daemon bytes" out out';
+      Alcotest.(check int) "daemon exit code" code code'
+  | Error e -> Alcotest.fail e);
+  (* races found over a truncated walk are real, but may not be all *)
+  let out, _ =
+    Service.Render.races (Race.check_all ~config (example "deadstore"))
+  in
+  match List.rev (String.split_on_char '\n' out) with
+  | "" :: last :: _ ->
+      Alcotest.(check string) "incomplete list flagged"
+        "rw:      list incomplete (walk truncated: step-budget)" last
+  | _ -> Alcotest.fail out
+
 let () =
   Alcotest.run "race"
     [
@@ -147,4 +254,13 @@ let () =
           Alcotest.test_case "message passing" `Quick test_rw_race_mp;
         ] );
       ("predicate", [ Alcotest.test_case "race_at" `Quick test_race_at_state ]);
+      ( "one walk",
+        [
+          Alcotest.test_case "check_all = separate scans" `Slow
+            test_check_all_one_walk;
+          Alcotest.test_case "observed behaviour walk = ww_rf" `Slow
+            test_behaviors_ww_rf;
+          Alcotest.test_case "truncated rw walk is not 'none'" `Quick
+            test_rw_truncated;
+        ] );
     ]

@@ -394,7 +394,7 @@ let test_store_corruption () =
           Out_channel.output_string oc "(((((((not a record \x01\x02"));
   damage "wrong version" (fun p ->
       let s = In_channel.with_open_bin p In_channel.input_all in
-      let needle = "(version 1)" in
+      let needle = "(version " in
       let i =
         let rec find i =
           if i + String.length needle > String.length s then
@@ -404,13 +404,11 @@ let test_store_corruption () =
         in
         find 0
       in
+      let j = String.index_from s i ')' + 1 in
       Out_channel.with_open_bin p (fun oc ->
           Out_channel.output_string oc (String.sub s 0 i);
           Out_channel.output_string oc "(version 99)";
-          Out_channel.output_string oc
-            (String.sub s
-               (i + String.length needle)
-               (String.length s - i - String.length needle))));
+          Out_channel.output_string oc (String.sub s j (String.length s - j))));
   damage "empty file" (fun p ->
       Out_channel.with_open_bin p (fun oc -> ignore oc));
   damage ~counts:false "record deleted" Sys.remove;

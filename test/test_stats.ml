@@ -120,6 +120,28 @@ let golden =
       [ 49305; 147062; 58900; 26461; 46114; 13973; 32; 32109; 0; 26194; 104; 38858; 0; 2527; 42; 1925; 12278; 30486 ] );
   ]
 
+(* The same rows walked with the ww-race predicate observed at every
+   committed state, as [Verif.check] walks a changed target: the
+   observer reuses the walk's own consistency checks, so every counter
+   is the unobserved walk's.  An observed walk runs on one domain
+   whatever width is asked for, so the j=1 figures hold at 4 too.
+   Observing needs reduction off. *)
+let observed name ~config prog want () =
+  if config.Explore.Config.reduction <> Explore.Config.no_reduction then
+    Alcotest.check_raises (name ^ " observed under reduction")
+      (Invalid_argument "Enum.behaviors: ~observe needs Config.no_reduction")
+      (fun () -> ignore (Race.behaviors_ww_rf ~config prog))
+  else
+    let config =
+      { config with Explore.Config.domains = 4; oversubscribe = true }
+    in
+    match Race.behaviors_ww_rf ~config prog with
+    | Error e -> Alcotest.fail e
+    | Ok (o, _) ->
+        Alcotest.(check int) (name ^ " domains") 1
+          o.Explore.Enum.stats.domains_used;
+        check (name ^ " observed") want o.Explore.Enum.stats
+
 (* The reachability walk behind the race checks: [memo_size] is the
    number of distinct states visited. *)
 let test_reachable () =
@@ -143,4 +165,9 @@ let () =
             Alcotest.test_case name `Quick (behaviors name ~config prog want))
           golden
         @ [ Alcotest.test_case "reachable spinlock" `Quick test_reachable ] );
+      ( "observed walk",
+        List.map
+          (fun (name, prog, config, want) ->
+            Alcotest.test_case name `Quick (observed name ~config prog want))
+          golden );
     ]
