@@ -1,85 +1,177 @@
-(* The benchmark and experiment harness.
+(* The experiment harness: one list of tables.
 
-   Two phases:
+   Each table re-runs one part of DESIGN.md's experiment index or one
+   engine ablation, and returns its named checks, the lines it prints
+   and its fields of the [--json] summary.
 
-   1. Reproduction rows: every experiment of DESIGN.md's index
-      (E1–E17, mapping to the paper's figures and named examples)
-      re-runs its checker and prints the claim and verdict — the
-      qualitative "tables and figures" of this paper (a verification
-      paper: its evaluation artifacts are example programs,
-      counterexamples and theorems, not performance numbers).
-
-   2. Bechamel timings: one Test.make per experiment measuring the
-      underlying computation, plus the DESIGN.md ablations (capped vs
-      uncapped certification, memoized vs plain exploration, promise
-      candidate modes, interleaving vs non-preemptive state spaces)
-      and optimizer-throughput rows on synthesized CFGs. *)
-
-open Bechamel
-open Toolkit
+   - The reproduction rows (E1–E17, X1–X13) are the paper's "tables
+     and figures": a verification paper's evaluation artifacts are
+     example programs, counterexamples and theorems.
+   - The ablation tables check that each engine mechanism (cert cache,
+     reduction, tracing, parallelism, result store, replay, load
+     generation) leaves verdicts unchanged, and time it as a median
+     over [reps] reps.
+   - The series and timing-only tables have no checks; [--check] skips
+     them.  The wall time of the paper's workloads is bench/e2e's job. *)
 
 let lit n = (Litmus.find n).Litmus.prog
 
 (* ------------------------------------------------------------------ *)
-(* CLI: [-j N] sets the domain pool width the reproduction rows run
-   under (default: $PSOPT_J, else 1 — rows must verdict identically at
-   every width); [--json FILE] dumps the machine-readable summary;
-   [--check] keeps only the deterministic pass/fail phases. *)
+(* CLI: [-j N] sets the domain pool width the tables run under
+   (default: $PSOPT_J, else 1 — rows must verdict identically at every
+   width); [--json FILE] writes the summary; [--check] runs only the
+   tables that have checks. *)
 
-let bench_j = ref Explore.Config.default.Explore.Config.domains
-let json_file : string option ref = ref None
-let check_only = ref false
+let usage = "usage: main.exe [--check] [-j N] [--json FILE]"
 
-let parse_argv () =
-  let argv = Sys.argv in
-  let i = ref 1 in
-  while !i < Array.length argv do
-    (match argv.(!i) with
-    | "--check" -> check_only := true
-    | ("-j" | "--jobs") when !i + 1 < Array.length argv ->
-        incr i;
-        bench_j := max 1 (int_of_string argv.(!i))
-    | "--json" when !i + 1 < Array.length argv ->
-        incr i;
-        json_file := Some argv.(!i)
-    | a ->
-        Printf.eprintf
-          "bench: unknown argument %s (expected --check, -j N, --json FILE)\n"
-          a;
-        exit 2);
-    incr i
-  done
+let bench_j, json_file, check_only =
+  let j = ref Explore.Config.default.Explore.Config.domains in
+  let json = ref None and check = ref false in
+  let bad msg =
+    Printf.eprintf "bench: %s\n%s\n" msg usage;
+    exit 2
+  in
+  let rec go = function
+    | [] -> ()
+    | "--check" :: rest ->
+        check := true;
+        go rest
+    | ("-j" | "--jobs") :: n :: rest -> (
+        match Explore.Config.parse_jobs n with
+        | Some n ->
+            j := n;
+            go rest
+        | None -> bad (Printf.sprintf "-j wants a positive integer, got %S" n))
+    | "--json" :: file :: rest ->
+        json := Some file;
+        go rest
+    | arg :: _ -> bad (Printf.sprintf "bad argument %S" arg)
+  in
+  go (List.tl (Array.to_list Sys.argv));
+  (!j, !json, !check)
 
 (* [Config.default] is evaluated at module init, so an explicit [-j]
    cannot go through $PSOPT_J: every helper threads this config. *)
 let bench_config () =
-  { Explore.Config.default with Explore.Config.domains = !bench_j }
+  { Explore.Config.default with Explore.Config.domains = bench_j }
 
 (* Node-count comparisons must run single-domain: splitting the
    frontier re-expands subtrees shared across tasks, so parallel
    [nodes] counters over-approximate the sequential state count. *)
-let seq_config () =
-  { Explore.Config.default with Explore.Config.domains = 1 }
+let seq_config () = { Explore.Config.default with Explore.Config.domains = 1 }
 
 (* ------------------------------------------------------------------ *)
-(* Phase 1: reproduction rows *)
+(* The registry *)
 
-let passed = ref 0
-let failed = ref 0
+type result = {
+  checks : (string * bool) list;
+      (** named pass/fail verdicts; the summary prefixes the table id *)
+  lines : string list;  (** printed under the title *)
+  json : (string * Obs.Json.t) list;  (** top-level summary fields *)
+}
 
-(* Collected for [--json]. *)
-let json_rows : (string * string * bool) list ref = ref []
+type table = {
+  id : string;
+  title : string;
+  in_check : bool;  (** run under [--check] *)
+  run : unit -> result;
+}
 
-(* workload, t1, t2, t4, deterministic, gate floor applied to this
-   row, whether the row cleared it *)
-let json_scaling :
-    (string * float * float * float * bool * float * bool) list ref =
-  ref []
+let status ok = if ok then "ok" else "FAIL"
 
-let row id claim ok =
-  incr (if ok then passed else failed);
-  json_rows := (id, claim, ok) :: !json_rows;
-  Format.printf "%-4s %-62s %s@." id claim (if ok then "ok" else "FAIL")
+(* ------------------------------------------------------------------ *)
+(* Timing: every timing is the median of [reps] reps, with its IQR.  A
+   body shorter than [min_rep_s] is looped until one rep lasts that
+   long, so µs-scale bodies are not clock noise.  [median_time] takes
+   the settings a table compares and alternates their order between
+   reps, so drift (heap growth, frequency scaling) favours neither. *)
+
+(* Three, not more: a rep of the cert-cache table alone is six
+   explorations of up to 3 s, and [--check] runs every timed table. *)
+let reps = 3
+
+let min_rep_s = 0.02
+
+type timing = { median : float; iqr : float }  (** seconds per call *)
+
+let time_n n f =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Unix.gettimeofday () -. t0
+
+let quantile sorted q =
+  let last = Array.length sorted - 1 in
+  let pos = q *. float_of_int last in
+  let i = int_of_float pos in
+  if i >= last then sorted.(last)
+  else sorted.(i) +. ((pos -. float_of_int i) *. (sorted.(i + 1) -. sorted.(i)))
+
+(* The first run of each setting fixes its loop count; it is a
+   warm-up, kept as a sample when one call already lasts [min_rep_s].
+   The calibration round runs the settings in order, so the reps start
+   in reverse. *)
+let median_time fs =
+  let k = Array.length fs in
+  let loops = Array.make k 1 and samples = Array.make k [] in
+  Array.iteri
+    (fun i f ->
+      let rec calibrate n =
+        let t = time_n n f in
+        if t < min_rep_s then calibrate (2 * n)
+        else begin
+          loops.(i) <- n;
+          if n = 1 then samples.(i) <- [ t ]
+        end
+      in
+      calibrate 1)
+    fs;
+  for r = 0 to reps - 1 do
+    for j = 0 to k - 1 do
+      let i = if r mod 2 = 1 then j else k - 1 - j in
+      if List.length samples.(i) < reps then
+        samples.(i) <-
+          (time_n loops.(i) fs.(i) /. float_of_int loops.(i))
+          :: samples.(i)
+    done
+  done;
+  Array.map
+    (fun l ->
+      let a = Array.of_list l in
+      Array.sort compare a;
+      { median = quantile a 0.5; iqr = quantile a 0.75 -. quantile a 0.25 })
+    samples
+
+let pp_dur s =
+  if s >= 1.0 then Printf.sprintf "%.3fs" s
+  else if s >= 1e-3 then Printf.sprintf "%.2fms" (s *. 1e3)
+  else Printf.sprintf "%.1fus" (s *. 1e6)
+
+let pp_timing t = Printf.sprintf "%s ±%s" (pp_dur t.median) (pp_dur t.iqr)
+
+let timing_json prefix t =
+  [ (prefix ^ "_s", Obs.Json.Float t.median); (prefix ^ "_iqr_s", Obs.Json.Float t.iqr) ]
+
+(* A fresh directory under the temp dir, removed with everything in it
+   once [f] returns. *)
+let with_temp_dir prefix f =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> remove (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () -> try remove dir with Sys_error _ -> ())
+    (fun () -> f dir)
+
+(* ------------------------------------------------------------------ *)
+(* Reproduction rows *)
 
 let sorted l = List.sort compare l
 
@@ -122,165 +214,205 @@ let nodes disc prog =
   let o = Explore.Enum.behaviors_exn ~config:(seq_config ()) disc prog in
   o.Explore.Enum.stats.Explore.Stats.nodes
 
-let reproduce () =
-  Format.printf "== experiment reproduction (DESIGN.md index) ==@.";
-  row "E1" "SB: r1=r2=0 observable under relaxed accesses (Sec. 2.1)"
-    (observable (lit "sb") [ 0; 0 ]);
-  row "E2" "LB: r1=r2=1 observable via a certified promise (Sec. 2.1)"
-    (observable (lit "lb") [ 1; 1 ]);
-  row "E2b" "LB: r1=r2=1 NOT observable when promising is disabled"
-    (not
-       (List.mem [ 1; 1 ]
-          (outcomes ~config:Explore.Config.quick (lit "lb"))));
-  row "E3" "LB-dep: out-of-thin-air 1/1 forbidden by certification"
-    (not (observable (lit "lb_oota") [ 1; 1 ]));
-  row "E4" "CAS exclusivity: two CAS from one write cannot both succeed"
-    (not (observable (lit "cas_exclusive") [ 1; 1 ]));
-  row "E5" "Fig. 1: hoisting across an acquire read violates refinement"
-    (violates (lit "fig1_foo_opt") (lit "fig1_foo"));
-  row "E5b" "Fig. 1: with a relaxed flag the hoisting refines"
-    (refines (lit "fig1_foo_opt_rlx") (lit "fig1_foo_rlx"));
-  row "E5c" "Fig. 1: LICM itself refuses the acquire loop, hoists the relaxed"
-    (Lang.Ast.equal_program
-       (Opt.Pass.apply Opt.Licm.pass (lit "fig1_foo"))
-       (lit "fig1_foo")
-    && not
-         (Lang.Ast.equal_program
-            (Opt.Pass.apply Opt.Licm.pass (lit "fig1_foo_rlx"))
-            (lit "fig1_foo_rlx")));
-  row "E6" "(Reorder): target and source equivalent, racy context included"
-    (refines (lit "reorder_tgt") (lit "reorder_src")
-    && refines (lit "reorder_src") (lit "reorder_tgt"));
-  row "E7" "Fig. 4: no ww-race (races checked only when promises certify)"
-    (ww_free (lit "fig4"));
-  row "E7b" "plain ww-race is detected (ww_racy)" (not (ww_free (lit "ww_racy")));
-  row "E8" "Fig. 5: LInv introduces an rw race yet refines"
-    (refines (lit "fig5_tgt") (lit "fig5_src")
-    &&
-    match Race.rw_races (lit "fig5_tgt") with
-    | Ok (_ :: _) -> ( match Race.rw_races (lit "fig5_src") with Ok [] -> true | _ -> false)
-    | _ -> false);
-  row "E9" "Thm 4.1: interleaving = non-preemptive behaviours (whole corpus)"
-    (List.for_all
-       (fun (t : Litmus.t) ->
-         Explore.Refine.equivalent_disciplines ~config:(bench_config ())
-           t.Litmus.prog)
-       Litmus.all);
-  row "E10" "Lm 5.1: ww-RF = ww-NPRF (whole corpus)"
-    (List.for_all
-       (fun (t : Litmus.t) ->
-         let a = ww_free t.Litmus.prog in
-         let b =
-           match Race.ww_nprf ~config:(bench_config ()) t.Litmus.prog with
-           | Ok Race.Free -> true
-           | _ -> false
-         in
-         a = b)
-       Litmus.all);
-  row "E11" "Fig. 14(d): reorder simulated with Iid + delayed write set"
-    (sim_holds Sim.Invariant.iid (lit "reorder_tgt") (lit "reorder_src"));
-  row "E12" "Fig. 15: DCE across a release write violates refinement"
-    (violates (lit "fig15_bad_tgt") (lit "fig15_src"));
-  row "E12b" "Fig. 15: the DCE implementation keeps the write (release kill)"
-    (Lang.Ast.equal_program
-       (Opt.Pass.apply Opt.Dce.pass (lit "fig15_src"))
-       (lit "fig15_src"));
-  row "E13" "Fig. 16: DCE simulated with Idce (unused-interval invariant)"
-    (sim_holds Sim.Invariant.idce
-       (Opt.Pass.apply Opt.Dce.pass (lit "fig16_src"))
-       (lit "fig16_src"));
-  row "E13b" "Fig. 16: Iid is too strong for DCE (lockstep needs Idce)"
-    (sim_fails_on "t1" Sim.Invariant.iid
-       (Opt.Pass.apply Opt.Dce.pass (lit "fig16_src"))
-       (lit "fig16_src"));
-  row "E13c" "Fig. 15: bad DCE rejected by the simulation (AT diagram)"
-    (sim_fails_on "t1" Sim.Invariant.idce (lit "fig15_bad_tgt")
-       (lit "fig15_src"));
-  row "E14" "ConstProp refines and is simulated with Iid (corpus programs)"
-    (let p = lit "sb" in
-     let t = Opt.Pass.apply Opt.Constprop.pass p in
-     refines t p && sim_holds Sim.Invariant.iid t p);
-  row "E15" "CSE refines and is simulated with Iid (fig5 pipeline)"
-    (let p = lit "fig5_tgt" in
-     let t = Opt.Pass.apply Opt.Cse.pass p in
-     refines t p && sim_holds Sim.Invariant.iid t p);
-  row "E16" "non-preemptive machine explores no more states (corpus)"
-    (List.for_all
-       (fun (t : Litmus.t) ->
-         nodes Explore.Enum.Non_preemptive t.Litmus.prog
-         <= nodes Explore.Enum.Interleaving t.Litmus.prog)
-       Litmus.all);
-  row "E17" "np semantics keeps promise-visible writes (lb still 1/1)"
-    (let cfg = bench_config () in
-     let o = Explore.Enum.behaviors_exn ~config:cfg Explore.Enum.Non_preemptive (lit "lb") in
-     List.mem [ 1; 1 ]
-       (Explore.Traceset.done_outs o.Explore.Enum.traces |> List.map sorted));
-  (* Extras beyond the paper's figures: classic shapes + the witness
-     reconstruction of Sec. 2.1's annotated executions. *)
-  row "X1" "spinlock: mutual exclusion (reads 0 then 1; 0/0 forbidden)"
-    (observable (lit "spinlock") [ 0; 1 ]
-    && not (observable (lit "spinlock") [ 0; 0 ]));
-  row "X2" "spinlock counter is ww-race-free under lock synchronization"
-    (ww_free (lit "spinlock"));
-  row "X3" "IRIW rel/acq: the split outcome 10/10 is observable in PS"
-    (observable (lit "iriw") [ 10; 10 ]);
-  row "X4" "WRC: release/acquire chains are cumulative (0 forbidden)"
-    (not (observable (lit "wrc") [ 0 ]));
-  row "X5" "fence MP: rel fence + rlx write synchronizes (0 forbidden)"
-    (not (observable (lit "mp_fences") [ 0 ]));
-  row "X6" "witness: LB's annotated execution contains a promise step"
-    (match
-       Explore.Witness.find ~config:(bench_config ()) ~outs:[ 1; 1 ] (lit "lb")
-     with
-    | Some w ->
-        List.exists
-          (fun (s : Explore.Witness.step) ->
-            s.Explore.Witness.event = Ps.Event.Prm)
-          w
-    | None -> false);
-  row "X7" "witness: oota outcome refuted bounded-exhaustively"
-    (Explore.Witness.forbidden ~config:(bench_config ()) ~outs:[ 1; 1 ]
-       (lit "lb_oota"));
-  row "X11" "read-own-write coherence: the writer cannot read back 0"
-    (not (observable (lit "corw") [ 0 ]));
-  row "X12" "control-dependent LB: guarded write cannot be promised (oota)"
-    (not (observable (lit "lb_ctrl_dep") [ 1; 1 ]));
-  row "X13" "inverted guard: the promise certifies, 0/1 observable, 1/1 not"
-    (observable (lit "lb_ctrl_indep") [ 0; 1 ]
-    && not (observable (lit "lb_ctrl_indep") [ 1; 1 ]));
-  row "X9" "release sequence: rlx write after rel write synchronizes"
-    (not (observable (lit "release_seq") [ 0 ]));
-  row "X10" "release sequence extends through a relaxed RMW"
-    (not (observable (lit "release_seq_rmw") [ 0 ]));
-  row "X8" "Verif pipeline (Fig. 6) verifies dce/cse/licm on their examples"
-    (List.for_all
-       (fun (pass, prog) ->
-         Sim.Verif.check
-           ~explore_config:(bench_config ())
-           (Option.get (Sim.Verif.find pass))
-           (lit prog)
-         = Sim.Verif.Verified)
-       [ ("dce", "fig16_src"); ("cse", "fig5_tgt"); ("licm", "fig1_foo_rlx") ]);
-  Format.printf "@."
+let rows =
+  [
+    ( "E1", "SB: r1=r2=0 observable under relaxed accesses (Sec. 2.1)",
+      fun () -> observable (lit "sb") [ 0; 0 ] );
+    ( "E2", "LB: r1=r2=1 observable via a certified promise (Sec. 2.1)",
+      fun () -> observable (lit "lb") [ 1; 1 ] );
+    ( "E2b", "LB: r1=r2=1 NOT observable when promising is disabled",
+      fun () ->
+        not (List.mem [ 1; 1 ] (outcomes ~config:Explore.Config.quick (lit "lb")))
+    );
+    ( "E3", "LB-dep: out-of-thin-air 1/1 forbidden by certification",
+      fun () -> not (observable (lit "lb_oota") [ 1; 1 ]) );
+    ( "E4", "CAS exclusivity: two CAS from one write cannot both succeed",
+      fun () -> not (observable (lit "cas_exclusive") [ 1; 1 ]) );
+    ( "E5", "Fig. 1: hoisting across an acquire read violates refinement",
+      fun () -> violates (lit "fig1_foo_opt") (lit "fig1_foo") );
+    ( "E5b", "Fig. 1: with a relaxed flag the hoisting refines",
+      fun () -> refines (lit "fig1_foo_opt_rlx") (lit "fig1_foo_rlx") );
+    ( "E5c", "Fig. 1: LICM itself refuses the acquire loop, hoists the relaxed",
+      fun () ->
+        Lang.Ast.equal_program
+          (Opt.Pass.apply Opt.Licm.pass (lit "fig1_foo"))
+          (lit "fig1_foo")
+        && not
+             (Lang.Ast.equal_program
+                (Opt.Pass.apply Opt.Licm.pass (lit "fig1_foo_rlx"))
+                (lit "fig1_foo_rlx")) );
+    ( "E6", "(Reorder): target and source equivalent, racy context included",
+      fun () ->
+        refines (lit "reorder_tgt") (lit "reorder_src")
+        && refines (lit "reorder_src") (lit "reorder_tgt") );
+    ( "E7", "Fig. 4: no ww-race (races checked only when promises certify)",
+      fun () -> ww_free (lit "fig4") );
+    ( "E7b", "plain ww-race is detected (ww_racy)",
+      fun () -> not (ww_free (lit "ww_racy")) );
+    ( "E8", "Fig. 5: LInv introduces an rw race yet refines",
+      fun () ->
+        refines (lit "fig5_tgt") (lit "fig5_src")
+        &&
+        match Race.rw_races (lit "fig5_tgt") with
+        | Ok (_ :: _) -> (
+            match Race.rw_races (lit "fig5_src") with Ok [] -> true | _ -> false)
+        | _ -> false );
+    ( "E9", "Thm 4.1: interleaving = non-preemptive behaviours (whole corpus)",
+      fun () ->
+        List.for_all
+          (fun (t : Litmus.t) ->
+            Explore.Refine.equivalent_disciplines ~config:(bench_config ())
+              t.Litmus.prog)
+          Litmus.all );
+    ( "E10", "Lm 5.1: ww-RF = ww-NPRF (whole corpus)",
+      fun () ->
+        List.for_all
+          (fun (t : Litmus.t) ->
+            let np =
+              match Race.ww_nprf ~config:(bench_config ()) t.Litmus.prog with
+              | Ok Race.Free -> true
+              | _ -> false
+            in
+            ww_free t.Litmus.prog = np)
+          Litmus.all );
+    ( "E11", "Fig. 14(d): reorder simulated with Iid + delayed write set",
+      fun () ->
+        sim_holds Sim.Invariant.iid (lit "reorder_tgt") (lit "reorder_src") );
+    ( "E12", "Fig. 15: DCE across a release write violates refinement",
+      fun () -> violates (lit "fig15_bad_tgt") (lit "fig15_src") );
+    ( "E12b", "Fig. 15: the DCE implementation keeps the write (release kill)",
+      fun () ->
+        Lang.Ast.equal_program
+          (Opt.Pass.apply Opt.Dce.pass (lit "fig15_src"))
+          (lit "fig15_src") );
+    ( "E13", "Fig. 16: DCE simulated with Idce (unused-interval invariant)",
+      fun () ->
+        sim_holds Sim.Invariant.idce
+          (Opt.Pass.apply Opt.Dce.pass (lit "fig16_src"))
+          (lit "fig16_src") );
+    ( "E13b", "Fig. 16: Iid is too strong for DCE (lockstep needs Idce)",
+      fun () ->
+        sim_fails_on "t1" Sim.Invariant.iid
+          (Opt.Pass.apply Opt.Dce.pass (lit "fig16_src"))
+          (lit "fig16_src") );
+    ( "E13c", "Fig. 15: bad DCE rejected by the simulation (AT diagram)",
+      fun () ->
+        sim_fails_on "t1" Sim.Invariant.idce (lit "fig15_bad_tgt")
+          (lit "fig15_src") );
+    ( "E14", "ConstProp refines and is simulated with Iid (corpus programs)",
+      fun () ->
+        let p = lit "sb" in
+        let t = Opt.Pass.apply Opt.Constprop.pass p in
+        refines t p && sim_holds Sim.Invariant.iid t p );
+    ( "E15", "CSE refines and is simulated with Iid (fig5 pipeline)",
+      fun () ->
+        let p = lit "fig5_tgt" in
+        let t = Opt.Pass.apply Opt.Cse.pass p in
+        refines t p && sim_holds Sim.Invariant.iid t p );
+    ( "E16", "non-preemptive machine explores no more states (corpus)",
+      fun () ->
+        List.for_all
+          (fun (t : Litmus.t) ->
+            nodes Explore.Enum.Non_preemptive t.Litmus.prog
+            <= nodes Explore.Enum.Interleaving t.Litmus.prog)
+          Litmus.all );
+    ( "E17", "np semantics keeps promise-visible writes (lb still 1/1)",
+      fun () ->
+        let o =
+          Explore.Enum.behaviors_exn ~config:(bench_config ())
+            Explore.Enum.Non_preemptive (lit "lb")
+        in
+        List.mem [ 1; 1 ]
+          (Explore.Traceset.done_outs o.Explore.Enum.traces |> List.map sorted) );
+    (* Extras beyond the paper's figures: classic shapes + the witness
+       reconstruction of Sec. 2.1's annotated executions. *)
+    ( "X1", "spinlock: mutual exclusion (reads 0 then 1; 0/0 forbidden)",
+      fun () ->
+        observable (lit "spinlock") [ 0; 1 ]
+        && not (observable (lit "spinlock") [ 0; 0 ]) );
+    ( "X2", "spinlock counter is ww-race-free under lock synchronization",
+      fun () -> ww_free (lit "spinlock") );
+    ( "X3", "IRIW rel/acq: the split outcome 10/10 is observable in PS",
+      fun () -> observable (lit "iriw") [ 10; 10 ] );
+    ( "X4", "WRC: release/acquire chains are cumulative (0 forbidden)",
+      fun () -> not (observable (lit "wrc") [ 0 ]) );
+    ( "X5", "fence MP: rel fence + rlx write synchronizes (0 forbidden)",
+      fun () -> not (observable (lit "mp_fences") [ 0 ]) );
+    ( "X6", "witness: LB's annotated execution contains a promise step",
+      fun () ->
+        match
+          Explore.Witness.find ~config:(bench_config ()) ~outs:[ 1; 1 ] (lit "lb")
+        with
+        | Some w ->
+            List.exists
+              (fun (s : Explore.Witness.step) ->
+                s.Explore.Witness.event = Ps.Event.Prm)
+              w
+        | None -> false );
+    ( "X7", "witness: oota outcome refuted bounded-exhaustively",
+      fun () ->
+        Explore.Witness.forbidden ~config:(bench_config ()) ~outs:[ 1; 1 ]
+          (lit "lb_oota") );
+    ( "X11", "read-own-write coherence: the writer cannot read back 0",
+      fun () -> not (observable (lit "corw") [ 0 ]) );
+    ( "X12", "control-dependent LB: guarded write cannot be promised (oota)",
+      fun () -> not (observable (lit "lb_ctrl_dep") [ 1; 1 ]) );
+    ( "X13", "inverted guard: the promise certifies, 0/1 observable, 1/1 not",
+      fun () ->
+        observable (lit "lb_ctrl_indep") [ 0; 1 ]
+        && not (observable (lit "lb_ctrl_indep") [ 1; 1 ]) );
+    ( "X9", "release sequence: rlx write after rel write synchronizes",
+      fun () -> not (observable (lit "release_seq") [ 0 ]) );
+    ( "X10", "release sequence extends through a relaxed RMW",
+      fun () -> not (observable (lit "release_seq_rmw") [ 0 ]) );
+    ( "X8", "Verif pipeline (Fig. 6) verifies dce/cse/licm on their examples",
+      fun () ->
+        List.for_all
+          (fun (pass, prog) ->
+            Sim.Verif.check ~explore_config:(bench_config ())
+              (Option.get (Sim.Verif.find pass))
+              (lit prog)
+            = Sim.Verif.Verified)
+          [ ("dce", "fig16_src"); ("cse", "fig5_tgt"); ("licm", "fig1_foo_rlx") ] );
+  ]
 
-let state_space_table () =
-  Format.printf "== E16 series: states explored, interleaving vs non-preemptive ==@.";
-  Format.printf "%-18s %12s %12s %9s@." "litmus" "interleaving"
-    "non-preempt" "ratio";
-  List.iter
-    (fun (t : Litmus.t) ->
-      let il = nodes Explore.Enum.Interleaving t.Litmus.prog in
-      let np = nodes Explore.Enum.Non_preemptive t.Litmus.prog in
-      Format.printf "%-18s %12d %12d %8.2fx@." t.Litmus.name il np
-        (float_of_int il /. float_of_int (max 1 np)))
-    Litmus.all;
-  Format.printf "@."
+let reproduction () =
+  let results = List.map (fun (id, claim, check) -> (id, claim, check ())) rows in
+  {
+    checks = List.map (fun (id, _, ok) -> (id, ok)) results;
+    lines =
+      List.map
+        (fun (id, claim, ok) -> Printf.sprintf "%-4s %-62s %s" id claim (status ok))
+        results;
+    json =
+      [
+        ( "rows",
+          List
+            (List.map
+               (fun (id, claim, ok) ->
+                 Obs.Json.Obj [ ("id", String id); ("claim", String claim); ("ok", Bool ok) ])
+               results) );
+      ];
+  }
+
+let state_space () =
+  let row (t : Litmus.t) =
+    let il = nodes Explore.Enum.Interleaving t.Litmus.prog in
+    let np = nodes Explore.Enum.Non_preemptive t.Litmus.prog in
+    Printf.sprintf "%-18s %12d %12d %8.2fx" t.Litmus.name il np
+      (float_of_int il /. float_of_int (max 1 np))
+  in
+  {
+    checks = [];
+    lines =
+      Printf.sprintf "%-18s %12s %12s %9s" "litmus" "interleaving" "non-preempt" "ratio"
+      :: List.map row Litmus.all;
+    json = [];
+  }
 
 (* Fig. 1 loop-bound sweep: the claim is bound-independent; the series
    shows the violation persists as the loop grows. *)
 let fig1_sweep () =
-  Format.printf "== E5 series: Fig. 1 violation across loop bounds ==@.";
-  Format.printf "%-6s %-10s %-10s@." "bound" "acq" "rlx";
   let make ~bound ~flag_mode ~hoisted =
     let open Lang.Build in
     let prelude =
@@ -313,21 +445,27 @@ let fig1_sweep () =
       ]
       ~threads:[ "foo"; "g" ]
   in
-  List.iter
-    (fun bound ->
-      let verdict flag =
-        if
-          violates
-            (make ~bound ~flag_mode:flag ~hoisted:true)
-            (make ~bound ~flag_mode:flag ~hoisted:false)
-        then "violates"
-        else "refines"
-      in
-      Format.printf "%-6d %-10s %-10s@." bound
-        (verdict Lang.Modes.Acq) (verdict Lang.Modes.Rlx))
-    [ 1; 2; 3 ];
-  Format.printf "(expected: acq violates at every bound, rlx always refines)@.@."
+  let verdict bound flag =
+    if
+      violates
+        (make ~bound ~flag_mode:flag ~hoisted:true)
+        (make ~bound ~flag_mode:flag ~hoisted:false)
+    then "violates"
+    else "refines"
+  in
+  let row bound =
+    Printf.sprintf "%-6d %-10s %-10s" bound (verdict bound Lang.Modes.Acq)
+      (verdict bound Lang.Modes.Rlx)
+  in
+  {
+    checks = [];
+    lines =
+      (Printf.sprintf "%-6s %-10s %-10s" "bound" "acq" "rlx" :: List.map row [ 1; 2; 3 ])
+      @ [ "(expected: acq violates at every bound, rlx always refines)" ];
+    json = [];
+  }
 
+(* ------------------------------------------------------------------ *)
 (* Cert-cache ablation: node throughput of the full exploration with
    the certification cache on (default) vs off.
 
@@ -343,10 +481,9 @@ let fig1_sweep () =
    programs certification is a few percent of runtime and the cache is
    neutral; these rows show the regime it exists for.
 
-   The behaviour sets must be identical with the cache on and off —
-   the cache only skips re-deriving results that are pure functions of
-   the (thread-state, memory) configuration; CI runs this equivalence
-   check via [--check]. *)
+   The checked invariant: the behaviour sets are identical with the
+   cache on and off — the cache only skips re-deriving results that
+   are pure functions of the (thread-state, memory) configuration. *)
 let cert_heavy ~pad ~noise =
   let h1 = pad / 2 in
   let h2 = pad - h1 in
@@ -378,58 +515,61 @@ let cert_heavy ~pad ~noise =
     ]
     ~threads:[ "t1"; "t2" ]
 
-let cert_cache_table ~timings =
-  Format.printf
-    "== ablation: certification cache on certification-bound workloads ==@.";
-  if timings then
-    Format.printf "%-22s %9s %12s %12s %9s@." "workload" "nodes"
-      "cached n/s" "uncached n/s" "speedup";
-  let time f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, Sys.time () -. t0)
+(* [explore_into r ?config disc prog] is a timing body that keeps its
+   last outcome in [r], for the equivalence checks. *)
+let explore_into r ?(config = bench_config ()) disc prog () =
+  r := Some (Explore.Enum.behaviors_exn ~config disc prog)
+
+(* The row tables' common shape: each row is a named check, a printed
+   line and a JSON object, and the objects go under [key]. *)
+let of_rows ~key header rows =
+  {
+    checks = List.map (fun (c, _, _) -> c) rows;
+    lines = header :: List.map (fun (_, l, _) -> l) rows;
+    json = [ (key, Obs.Json.List (List.map (fun (_, _, j) -> j) rows)) ];
+  }
+
+let cert_cache () =
+  let speedups = ref [] in
+  let row (pad, noise) =
+    let name = Printf.sprintf "cert_heavy %d/%d" pad noise in
+    let prog = cert_heavy ~pad ~noise in
+    let cached = ref None and uncached = ref None in
+    let body r cache =
+      explore_into r
+        ~config:{ (bench_config ()) with Explore.Config.cert_cache = cache }
+        Explore.Enum.Interleaving prog
+    in
+    let ts = median_time [| body cached true; body uncached false |] in
+    let t_on = ts.(0) and t_off = ts.(1) in
+    let cached = Option.get !cached in
+    let equal =
+      Explore.Traceset.equal cached.Explore.Enum.traces
+        (Option.get !uncached).Explore.Enum.traces
+    in
+    let n = cached.Explore.Enum.stats.Explore.Stats.nodes in
+    let speedup = t_off.median /. t_on.median in
+    speedups := speedup :: !speedups;
+    ( (name, equal),
+      Printf.sprintf "%-18s %7d %17s %17s %7.2fx  %s" name n (pp_timing t_on)
+        (pp_timing t_off) speedup
+        (if equal then "tracesets identical  ok" else "traceset MISMATCH  FAIL"),
+      Obs.Json.Obj
+        ([ ("workload", Obs.Json.String name); ("nodes", Int n) ]
+        @ timing_json "cached" t_on @ timing_json "uncached" t_off
+        @ [ ("speedup", Float speedup); ("equivalent", Bool equal) ]) )
   in
-  let geo = ref 1.0 and count = ref 0 in
-  List.iter
-    (fun (pad, noise) ->
-      let name = Printf.sprintf "cert_heavy %d/%d" pad noise in
-      let prog = cert_heavy ~pad ~noise in
-      let run cache =
-        let config = { (bench_config ()) with Explore.Config.cert_cache = cache } in
-        time (fun () ->
-            Explore.Enum.behaviors_exn ~config Explore.Enum.Interleaving prog)
-      in
-      let cached, t_on = run true in
-      let uncached, t_off = run false in
-      if
-        not
-          (Explore.Traceset.equal cached.Explore.Enum.traces
-             uncached.Explore.Enum.traces)
-      then (
-        Format.printf "%-22s traceset MISMATCH between ablations@." name;
-        incr failed)
-      else begin
-        incr passed;
-        if timings then begin
-          let n =
-            float_of_int
-              cached.Explore.Enum.stats.Explore.Stats.nodes
-          in
-          let speedup = t_off /. t_on in
-          geo := !geo *. speedup;
-          incr count;
-          Format.printf "%-22s %9.0f %12.0f %12.0f %8.2fx@." name n
-            (n /. t_on) (n /. t_off) speedup
-        end
-        else
-          Format.printf "%-22s tracesets identical across ablation  ok@." name
-      end)
-    [ (60, 16); (80, 20); (100, 24) ];
-  if timings then begin
-    let g = !geo ** (1.0 /. float_of_int (max 1 !count)) in
-    Format.printf "geometric-mean speedup: %.2fx@." g
-  end;
-  Format.printf "@."
+  let r =
+    of_rows ~key:"cert_cache"
+      (Printf.sprintf "%-18s %7s %17s %17s %8s" "workload" "nodes" "t(cached)"
+         "t(uncached)" "speedup")
+      (List.map row [ (60, 16); (80, 20); (100, 24) ])
+  in
+  let geo =
+    List.fold_left ( *. ) 1.0 !speedups
+    ** (1.0 /. float_of_int (List.length !speedups))
+  in
+  { r with lines = r.lines @ [ Printf.sprintf "geometric-mean speedup: %.2fx" geo ] }
 
 (* ------------------------------------------------------------------ *)
 (* State-space reduction ablation (docs/REDUCTION.md): node counts of
@@ -442,7 +582,7 @@ let cert_cache_table ~timings =
    padding), and sym_writers is a pure orbit workload (N identical
    writers, promise-free so the baseline stays tractable).
 
-   Three invariants count toward [--check]:
+   Checks:
    - behaviour equality: reduced and unreduced explorations must agree
      on [Traceset.equal_behaviour] and completeness, over these rows
      AND the whole litmus corpus;
@@ -499,233 +639,191 @@ let sym_writers n =
     ]
     ~threads:("reader" :: List.init n (fun _ -> "w"))
 
-let json_reduction :
-    (string * int * int * float * int * int * int * bool * bool * float * bool)
-    list
-    ref =
-  ref []
-
-let json_reduction_gate : (bool * bool) option ref = ref None
-
-let reduction_table ~timings () =
-  Format.printf
-    "== ablation: state-space reduction (por + symmetry) on vs off ==@.";
-  if timings then
-    Format.printf "%-22s %10s %10s %8s %7s %7s %7s@." "workload" "unreduced"
-      "reduced" "factor" "sleep" "pers" "symfold";
-  let rows =
-    [
-      ("cert_heavy 60/16", cert_heavy ~pad:60 ~noise:16, seq_config (), 5.0);
-      ("cert_heavy 100/24", cert_heavy ~pad:100 ~noise:24, seq_config (), 10.0);
-      ("iriw_sym 2r", iriw_sym, seq_config (), 10.0);
-      ( "sym_writers 3",
-        sym_writers 3,
-        { (seq_config ()) with Explore.Config.max_promises = 0 },
-        3.0 );
-    ]
+(* Unreduced and fully reduced explorations of [prog]: whether they
+   agree on behaviours and completeness, and both outcomes. *)
+let reduced_pair config prog =
+  let base = Explore.Enum.behaviors_exn ~config Explore.Enum.Interleaving prog in
+  let red =
+    Explore.Enum.behaviors_exn
+      ~config:{ config with Explore.Config.reduction = Explore.Config.full_reduction }
+      Explore.Enum.Interleaving prog
   in
+  ( Explore.Traceset.equal_behaviour base.Explore.Enum.traces red.Explore.Enum.traces
+    && base.Explore.Enum.completeness = red.Explore.Enum.completeness,
+    base,
+    red )
+
+let reduction () =
   let gate_ok = ref true in
-  List.iter
-    (fun (name, prog, config, floor) ->
-      let base =
-        Explore.Enum.behaviors_exn ~config Explore.Enum.Interleaving prog
-      in
-      let red =
-        Explore.Enum.behaviors_exn
-          ~config:
-            { config with Explore.Config.reduction = Explore.Config.full_reduction }
-          Explore.Enum.Interleaving prog
-      in
-      let rs = red.Explore.Enum.stats in
-      let nb = base.Explore.Enum.stats.Explore.Stats.nodes in
-      let nr = rs.Explore.Stats.nodes in
-      let sleep = rs.Explore.Stats.sleep_prunes in
-      let pers = rs.Explore.Stats.persistent_prunes in
-      let folds = rs.Explore.Stats.symmetry_folds in
-      let equal =
-        Explore.Traceset.equal_behaviour base.Explore.Enum.traces
-          red.Explore.Enum.traces
-        && base.Explore.Enum.completeness = red.Explore.Enum.completeness
-      in
-      let counters_ok = nb - nr >= sleep + folds in
-      let factor = float_of_int nb /. float_of_int (max 1 nr) in
-      let row_ok = factor >= floor in
-      if equal && counters_ok then incr passed
-      else begin
-        incr failed;
-        Format.printf "%-22s reduction MISMATCH (equal %b, counters %b)@."
-          name equal counters_ok
-      end;
-      if not row_ok then begin
-        gate_ok := false;
-        Format.printf "%-22s reduction gate FAIL: %.2fx < %.2fx@." name factor
-          floor
-      end;
-      json_reduction :=
-        (name, nb, nr, factor, sleep, pers, folds, equal, counters_ok, floor,
-         row_ok)
-        :: !json_reduction;
-      if timings then
-        Format.printf "%-22s %10d %10d %7.2fx %7d %7d %7d (floor %.1f %s)@."
-          name nb nr factor sleep pers folds floor
-          (if row_ok then "ok" else "FAIL")
-      else
-        Format.printf
-          "%-22s %.2fx fewer nodes, behaviours identical  %s@." name factor
-          (if equal && counters_ok && row_ok then "ok" else "FAIL"))
-    rows;
+  let row (name, prog, config, floor) =
+    let equal, base, red = reduced_pair config prog in
+    let rs = red.Explore.Enum.stats in
+    let nb = base.Explore.Enum.stats.Explore.Stats.nodes in
+    let nr = rs.Explore.Stats.nodes in
+    let sleep = rs.Explore.Stats.sleep_prunes in
+    let pers = rs.Explore.Stats.persistent_prunes in
+    let folds = rs.Explore.Stats.symmetry_folds in
+    let counters_ok = nb - nr >= sleep + folds in
+    let factor = float_of_int nb /. float_of_int (max 1 nr) in
+    let row_ok = factor >= floor in
+    gate_ok := !gate_ok && row_ok;
+    ( (name, equal && counters_ok),
+      Printf.sprintf "%-18s %10d %8d %7.2fx %6d %6d %7d  floor %4.1f %s%s" name
+        nb nr factor sleep pers folds floor (status row_ok)
+        (if equal && counters_ok then ""
+         else Printf.sprintf "  MISMATCH (equal %b, counters %b)" equal counters_ok),
+      Obs.Json.Obj
+        [ ("workload", String name); ("nodes_unreduced", Int nb);
+          ("nodes_reduced", Int nr); ("factor", Float factor);
+          ("sleep_prunes", Int sleep); ("persistent_prunes", Int pers);
+          ("symmetry_folds", Int folds); ("equivalent", Bool equal);
+          ("counters_ok", Bool counters_ok); ("gate_floor", Float floor);
+          ("gate_ok", Bool row_ok) ] )
+  in
+  let r =
+    of_rows ~key:"reduction"
+      (Printf.sprintf "%-18s %10s %8s %8s %6s %6s %7s" "workload" "unreduced"
+         "reduced" "factor" "sleep" "pers" "symfold")
+      (List.map row
+         [
+           ("cert_heavy 60/16", cert_heavy ~pad:60 ~noise:16, seq_config (), 5.0);
+           ("cert_heavy 100/24", cert_heavy ~pad:100 ~noise:24, seq_config (), 10.0);
+           ("iriw_sym 2r", iriw_sym, seq_config (), 10.0);
+           ( "sym_writers 3",
+             sym_writers 3,
+             { (seq_config ()) with Explore.Config.max_promises = 0 },
+             3.0 );
+         ])
+  in
   (* the whole litmus corpus must be behaviour-invariant under full
      reduction (completeness included) *)
   let corpus_ok =
     List.for_all
       (fun (t : Litmus.t) ->
-        let config = bench_config () in
-        let base =
-          Explore.Enum.behaviors_exn ~config Explore.Enum.Interleaving
-            t.Litmus.prog
-        in
-        let red =
-          Explore.Enum.behaviors_exn
-            ~config:
-              {
-                config with
-                Explore.Config.reduction = Explore.Config.full_reduction;
-              }
-            Explore.Enum.Interleaving t.Litmus.prog
-        in
-        Explore.Traceset.equal_behaviour base.Explore.Enum.traces
-          red.Explore.Enum.traces
-        && base.Explore.Enum.completeness = red.Explore.Enum.completeness)
+        let equal, _, _ = reduced_pair (bench_config ()) t.Litmus.prog in
+        equal)
       Litmus.all
   in
-  if corpus_ok then begin
-    incr passed;
-    Format.printf "litmus corpus: reduced ≡ unreduced behaviours  ok@."
-  end
-  else begin
-    incr failed;
-    Format.printf "litmus corpus: reduced behaviours MISMATCH@."
-  end;
-  if !gate_ok then begin
-    incr passed;
-    Format.printf "reduction gate: node-count floors met on every row  ok@."
-  end
-  else begin
-    incr failed;
-    Format.printf "reduction gate: FAIL@."
-  end;
-  json_reduction_gate := Some (!gate_ok, corpus_ok);
-  Format.printf "@."
+  let gate_ok = !gate_ok in
+  {
+    checks = r.checks @ [ ("litmus corpus", corpus_ok); ("gate", gate_ok) ];
+    lines =
+      r.lines
+      @ [
+          "litmus corpus: reduced ≡ unreduced behaviours  " ^ status corpus_ok;
+          "reduction gate: node-count floors met on every row  " ^ status gate_ok;
+        ];
+    json =
+      r.json
+      @ [
+          ( "reduction_gate",
+            Obj [ ("ok", Bool gate_ok); ("corpus_equivalent", Bool corpus_ok) ] );
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Trace ablation: node throughput of the same certification-bound
    exploration with span tracing off (the default) vs on.  The checked
    invariant is twofold: tracesets must be identical (tracing is pure
    observation), and the traced run must actually record spans.  The
-   throughput ratio is the headline number for docs/OBSERVABILITY.md's
-   "~zero cost disabled" claim — [--check] verifies only the
-   equivalences, CI being too noisy for a timing assert. *)
+   throughput ratio backs docs/OBSERVABILITY.md's "~zero cost
+   disabled" claim; it is printed, not gated. *)
 
-let json_trace_ablation :
-    (string * float * float * float * int * bool) option ref =
-  ref None
-
-let trace_ablation_table ~timings () =
-  Format.printf "== ablation: span tracing off vs on ==@.";
+let trace_ablation () =
   let name = "cert_heavy 60/16" in
   let prog = cert_heavy ~pad:60 ~noise:16 in
-  let config = bench_config () in
-  let run () =
-    let t0 = Unix.gettimeofday () in
-    let o = Explore.Enum.behaviors_exn ~config Explore.Enum.Interleaving prog in
-    (o, Unix.gettimeofday () -. t0)
+  let untraced = ref None and traced = ref None in
+  let off = explore_into untraced Explore.Enum.Interleaving prog in
+  let on () =
+    Obs.Trace.start ();
+    Fun.protect ~finally:Obs.Trace.stop
+      (explore_into traced Explore.Enum.Interleaving prog)
   in
-  (* warm-up: fault the code paths and the cert cache's allocator out
-     of the measurement (both runs below start from the same state —
-     the per-run caches live inside [behaviors_exn]). *)
-  ignore (run ());
-  let untraced, t_off = run () in
-  Obs.Trace.start ();
-  let traced, t_on = run () in
-  Obs.Trace.stop ();
+  let ts = median_time [| off; on |] in
+  let t_off = ts.(0) and t_on = ts.(1) in
+  (* [start] clears, so these are the last traced run's spans *)
   let n_spans = List.length (Obs.Trace.events ()) in
+  let untraced = Option.get !untraced in
   let equal =
     Explore.Traceset.equal untraced.Explore.Enum.traces
-      traced.Explore.Enum.traces
+      (Option.get !traced).Explore.Enum.traces
   in
-  if equal && n_spans > 0 then begin
-    incr passed;
-    if not timings then
-      Format.printf
-        "%-22s tracesets identical, %d spans recorded  ok@." name n_spans
-  end
-  else begin
-    incr failed;
-    Format.printf "%-22s trace ablation MISMATCH (equal %b, spans %d)@." name
-      equal n_spans
-  end;
-  let nodes =
-    float_of_int untraced.Explore.Enum.stats.Explore.Stats.nodes
-  in
-  let off_rate = nodes /. Float.max 1e-9 t_off in
-  let on_rate = nodes /. Float.max 1e-9 t_on in
-  let overhead = (t_on -. t_off) /. Float.max 1e-9 t_off *. 100. in
-  json_trace_ablation :=
-    Some (name, off_rate, on_rate, overhead, n_spans, equal);
-  if timings then begin
-    Format.printf "%-22s %9s %14s %14s %9s %7s@." "workload" "nodes"
-      "untraced n/s" "traced n/s" "overhead" "spans";
-    Format.printf "%-22s %9.0f %14.0f %14.0f %8.1f%% %7d@." name nodes
-      off_rate on_rate overhead n_spans
-  end;
-  Format.printf "@."
+  let ok = equal && n_spans > 0 in
+  let nodes = float_of_int untraced.Explore.Enum.stats.Explore.Stats.nodes in
+  let overhead = (t_on.median -. t_off.median) /. t_off.median *. 100. in
+  {
+    checks = [ (name, ok) ];
+    lines =
+      [
+        Printf.sprintf "%-18s %7s %17s %17s %9s %6s" "workload" "nodes"
+          "t(untraced)" "t(traced)" "overhead" "spans";
+        Printf.sprintf "%-18s %7.0f %17s %17s %8.1f%% %6d  %s" name nodes
+          (pp_timing t_off) (pp_timing t_on) overhead n_spans
+          (if ok then "tracesets identical  ok"
+           else Printf.sprintf "MISMATCH (equal %b, spans %d)  FAIL" equal n_spans);
+      ];
+    json =
+      [
+        ( "trace_ablation",
+          Obj
+            ([ ("workload", Obs.Json.String name);
+               ("untraced_nodes_per_s", Float (nodes /. t_off.median));
+               ("traced_nodes_per_s", Float (nodes /. t_on.median));
+               ("overhead_pct", Float overhead); ("spans", Int n_spans);
+               ("equivalent", Bool equal) ]
+            @ timing_json "untraced" t_off @ timing_json "traced" t_on) );
+      ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Truncation pressure: the resource-budget counters under tight
    budgets, so perf PRs can see at a glance how much of a search each
-   budget is eating.  The completeness column is also a checked
-   invariant (pass/fail): a tight budget must report Truncated and the
-   default config must stay Exhaustive. *)
+   budget is eating.  The completeness column is checked: a tight
+   budget must report Truncated and the default config must stay
+   Exhaustive. *)
 
-let truncation_pressure_table () =
-  Format.printf "== truncation pressure under tight budgets ==@.";
-  Format.printf "%-24s %8s %6s %9s %9s %7s %7s  %s@." "config" "nodes" "cuts"
-    "deadline" "node_bgt" "oom" "faults" "completeness";
+let truncation () =
   let prog = lit "spinlock" in
-  let row name config ~expect_truncated =
+  let dflt = bench_config () in
+  let row (name, config, expect_truncated) =
     let o = Explore.Enum.behaviors_exn ~config Explore.Enum.Interleaving prog in
     let st = o.Explore.Enum.stats in
-    Format.printf "%-24s %8d %6d %9d %9d %7d %7d  %a@." name
-      st.Explore.Stats.nodes st.Explore.Stats.cuts
-      st.Explore.Stats.deadline_hits st.Explore.Stats.node_budget_hits
-      st.Explore.Stats.oom_hits st.Explore.Stats.faults_injected
-      Explore.Enum.pp_completeness o.Explore.Enum.completeness;
-    let truncated = o.Explore.Enum.completeness <> Explore.Enum.Exhaustive in
-    if truncated = expect_truncated then incr passed
-    else begin
-      Format.printf "%-24s completeness MISMATCH@." name;
-      incr failed
-    end
+    let ok =
+      (o.Explore.Enum.completeness <> Explore.Enum.Exhaustive) = expect_truncated
+    in
+    ( (name, ok),
+      Format.asprintf "%-24s %8d %6d %9d %9d %7d %7d  %a  %s" name
+        st.Explore.Stats.nodes st.Explore.Stats.cuts
+        st.Explore.Stats.deadline_hits st.Explore.Stats.node_budget_hits
+        st.Explore.Stats.oom_hits st.Explore.Stats.faults_injected
+        Explore.Enum.pp_completeness o.Explore.Enum.completeness (status ok) )
   in
-  let dflt = bench_config () in
-  row "default" dflt ~expect_truncated:false;
-  row "max_steps=12"
-    { dflt with Explore.Config.max_steps = 12 }
-    ~expect_truncated:true;
-  row "max_nodes=50"
-    { dflt with Explore.Config.max_nodes = Some 50 }
-    ~expect_truncated:true;
-  row "deadline_ms=0"
-    { dflt with Explore.Config.deadline_ms = Some 0; max_steps = 100_000 }
-    ~expect_truncated:true;
-  row "fault seed=42 rate=5%"
-    {
-      dflt with
-      Explore.Config.fault =
-        Some { Explore.Config.fault_seed = 42; fault_rate = 0.05 };
-    }
-    ~expect_truncated:true;
-  Format.printf "@."
+  let rs =
+    List.map row
+      [
+        ("default", dflt, false);
+        ("max_steps=12", { dflt with Explore.Config.max_steps = 12 }, true);
+        ("max_nodes=50", { dflt with Explore.Config.max_nodes = Some 50 }, true);
+        ( "deadline_ms=0",
+          { dflt with Explore.Config.deadline_ms = Some 0; max_steps = 100_000 },
+          true );
+        ( "fault seed=42 rate=5%",
+          {
+            dflt with
+            Explore.Config.fault =
+              Some { Explore.Config.fault_seed = 42; fault_rate = 0.05 };
+          },
+          true );
+      ]
+  in
+  {
+    checks = List.map fst rs;
+    lines =
+      Printf.sprintf "%-24s %8s %6s %9s %9s %7s %7s  %s" "config" "nodes" "cuts"
+        "deadline" "node_bgt" "oom" "faults" "completeness"
+      :: List.map snd rs;
+    json = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel scaling: the certification-bound workloads (where
@@ -733,181 +831,139 @@ let truncation_pressure_table () =
    litmus shapes, explored at j=1/2/4 under the shipped scheduling
    policy (requested width clamped to the cores — oversubscription off
    regardless of $PSOPT_J, because this table measures what a user
-   gets).  Each timing is the min of two reps to shave scheduler
-   noise.
+   gets).  The three widths run interleaved within each rep.
 
-   Two invariants are checked (they count toward [--check]):
+   Checks:
+   - determinism: identical tracesets and completeness at every width,
+     over every run;
+   - the scaling gate on the median speedup_j4, hardware-aware because
+     a 4-wide speedup is physically unattainable on fewer than 4
+     cores:
+       * "full" mode (>= 4 cores): >= 2.0 on the cert-heavy rows and
+         >= 1.0 on every row — parallel exploration must pay, never
+         cost;
+       * "clamped" mode (< 4 cores): >= 0.9 on every row — the width
+         request is clamped to the hardware, so asking for more
+         domains than cores must be a no-op, not the 2–10x slowdown
+         this gate was added to catch. *)
 
-   - determinism: identical tracesets and completeness at every width;
-   - the scaling gate, hardware-aware because a 4-wide speedup is
-     physically unattainable on fewer than 4 cores:
-       * "full" mode (>= 4 cores): speedup_j4 >= 2.0 on the
-         cert-heavy workloads and >= 1.0 on every workload — parallel
-         exploration must pay, never cost;
-       * "clamped" mode (< 4 cores): speedup_j4 >= 0.9 on every
-         workload — the width request is clamped to the hardware, so
-         asking for more domains than cores must be a no-op, not the
-         2–10x slowdown this gate was added to catch. *)
+type floor_class = Cert_heavy | Any_workload
 
-type gate_mode = Full | Clamped
-
-let gate_mode () =
-  if Explore.Pool.recommended () >= 4 then Full else Clamped
-
-let gate_thresholds = function
-  | Full -> (2.0, 1.0)  (* cert-heavy floor, all-workloads floor *)
-  | Clamped -> (0.9, 0.9)
-
-let json_gate : (string * int * float * float * bool) option ref = ref None
-
-let scaling_table ~timings () =
-  Format.printf "== scaling: domain-parallel exploration at j=1/2/4 ==@.";
-  if timings then
-    Format.printf "%-22s %10s %10s %10s %8s@." "workload" "t(j=1)" "t(j=2)"
-      "t(j=4)" "x(j=4)";
-  let workloads =
-    [
-      ("cert_heavy 80/20", cert_heavy ~pad:80 ~noise:20);
-      ("cert_heavy 100/24", cert_heavy ~pad:100 ~noise:24);
-      ("iriw", lit "iriw");
-      ("spinlock", lit "spinlock");
-    ]
-  in
-  let mode = gate_mode () in
-  let cert_floor, all_floor = gate_thresholds mode in
+let scaling () =
+  let cores = Explore.Pool.recommended () in
+  let mode = if cores >= 4 then "full" else "clamped" in
+  let cert_floor, all_floor = if cores >= 4 then (2.0, 1.0) else (0.9, 0.9) in
   let gate_ok = ref true in
-  List.iter
-    (fun (name, prog) ->
-      let run_once j =
-        let config =
-          {
-            Explore.Config.default with
-            Explore.Config.domains = j;
-            oversubscribe = false;
-          }
-        in
-        (* the ablation tables before this one leave a large, fragmented
-           major heap behind (million-node memo tables); without a
-           compaction the later reps of a row pay unrelated GC debt and
-           the clamped-mode floor flakes on identical work *)
-        Gc.compact ();
-        let t0 = Unix.gettimeofday () in
-        let o =
-          Explore.Enum.behaviors_exn ~config Explore.Enum.Interleaving prog
-        in
-        (o, Unix.gettimeofday () -. t0)
+  let row (name, prog, cls) =
+    let runs = ref [] in
+    let at j () =
+      let config =
+        { Explore.Config.default with Explore.Config.domains = j; oversubscribe = false }
       in
-      (* min of two reps; the determinism check covers every rep *)
-      let run j =
-        let oa, ta = run_once j in
-        let ob, tb = run_once j in
-        (oa, ob, Float.min ta tb)
-      in
-      let o1, o1b, t1 = run 1 in
-      let o2, o2b, t2 = run 2 in
-      let o4, o4b, t4 = run 4 in
-      let same (o : Explore.Enum.outcome) =
-        Explore.Traceset.equal o1.Explore.Enum.traces o.Explore.Enum.traces
-        && o1.Explore.Enum.completeness = o.Explore.Enum.completeness
-      in
-      let ok = List.for_all same [ o1b; o2; o2b; o4; o4b ] in
-      if ok then incr passed
-      else begin
-        Format.printf "%-22s parallel/sequential MISMATCH@." name;
-        incr failed
-      end;
-      let s4 = t1 /. Float.max 1e-9 t4 in
-      let is_cert_heavy =
-        String.length name >= 10 && String.sub name 0 10 = "cert_heavy"
-      in
-      let floor =
-        match mode with
-        | Full when is_cert_heavy -> cert_floor
-        | Full | Clamped -> all_floor
-      in
-      let row_gate_ok = s4 >= floor in
-      if not row_gate_ok then begin
-        gate_ok := false;
-        Format.printf
-          "%-22s scaling gate FAIL: speedup_j4 %.2f < %.2f (%s mode)@." name
-          s4 floor
-          (match mode with Full -> "full" | Clamped -> "clamped")
-      end;
-      json_scaling :=
-        (name, t1, t2, t4, ok, floor, row_gate_ok) :: !json_scaling;
-      if timings then
-        Format.printf "%-22s %9.3fs %9.3fs %9.3fs %7.2fx (floor %.2f %s)@."
-          name t1 t2 t4 s4 floor
-          (if row_gate_ok then "ok" else "FAIL")
-      else if ok then
-        Format.printf
-          "%-22s identical traces+completeness at j=1/2/4  ok (gate floor \
-           %.2f %s)@."
-          name floor
-          (if row_gate_ok then "ok" else "FAIL"))
-    workloads;
-  let mode_s = match mode with Full -> "full" | Clamped -> "clamped" in
-  json_gate :=
-    Some (mode_s, Explore.Pool.recommended (), cert_floor, all_floor, !gate_ok);
-  if !gate_ok then begin
-    incr passed;
-    Format.printf
-      "scaling gate (%s mode, %d cores): speedups within thresholds  ok@."
-      mode_s
-      (Explore.Pool.recommended ())
-  end
-  else begin
-    incr failed;
-    Format.printf "scaling gate (%s mode): FAIL@." mode_s
-  end;
-  Format.printf "@."
+      runs := Explore.Enum.behaviors_exn ~config Explore.Enum.Interleaving prog :: !runs
+    in
+    (* the previous row leaves a large major heap behind; compacting
+       it keeps that GC debt out of this row's reps *)
+    Gc.compact ();
+    let ts = median_time [| at 1; at 2; at 4 |] in
+    let t1 = ts.(0) and t2 = ts.(1) and t4 = ts.(2) in
+    let first = List.hd (List.rev !runs) in
+    let equivalent =
+      List.for_all
+        (fun (o : Explore.Enum.outcome) ->
+          Explore.Traceset.equal first.Explore.Enum.traces o.Explore.Enum.traces
+          && first.Explore.Enum.completeness = o.Explore.Enum.completeness)
+        !runs
+    in
+    let s4 = t1.median /. t4.median in
+    let floor = if cores >= 4 && cls = Cert_heavy then cert_floor else all_floor in
+    let row_ok = s4 >= floor in
+    gate_ok := !gate_ok && row_ok;
+    ( (name, equivalent),
+      Printf.sprintf "%-18s %17s %17s %17s %6.2fx  floor %.2f %s  %s" name
+        (pp_timing t1) (pp_timing t2) (pp_timing t4) s4 floor (status row_ok)
+        (if equivalent then "identical at j=1/2/4" else "parallel/sequential MISMATCH"),
+      Obs.Json.Obj
+        [ ("workload", String name); ("t1_s", Float t1.median);
+          ("t2_s", Float t2.median); ("t4_s", Float t4.median);
+          ("speedup_j4", Float s4); ("equivalent", Bool equivalent);
+          ("gate_floor", Float floor); ("gate_ok", Bool row_ok);
+          ("t1_iqr_s", Float t1.iqr); ("t2_iqr_s", Float t2.iqr);
+          ("t4_iqr_s", Float t4.iqr) ] )
+  in
+  let r =
+    of_rows ~key:"scaling"
+      (Printf.sprintf "%-18s %17s %17s %17s %7s" "workload" "t(j=1)" "t(j=2)"
+         "t(j=4)" "x(j=4)")
+      (List.map row
+         [
+           ("cert_heavy 80/20", cert_heavy ~pad:80 ~noise:20, Cert_heavy);
+           ("cert_heavy 100/24", cert_heavy ~pad:100 ~noise:24, Cert_heavy);
+           ("iriw", lit "iriw", Any_workload);
+           ("spinlock", lit "spinlock", Any_workload);
+         ])
+  in
+  let gate_ok = !gate_ok in
+  {
+    checks = r.checks @ [ ("gate", gate_ok) ];
+    lines =
+      r.lines
+      @ [
+          Printf.sprintf "scaling gate (%s mode, %d cores): %s" mode cores
+            (if gate_ok then "speedups within thresholds  ok" else "FAIL");
+        ];
+    json =
+      r.json
+      @ [
+          ( "scaling_gate",
+            Obj
+              [ ("mode", String mode); ("cores", Int cores);
+                ("cert_heavy_floor", Float cert_floor); ("all_floor", Float all_floor);
+                ("ok", Bool gate_ok) ] );
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Verification service: the content-addressed result store's cold vs
    warm cost over the litmus corpus (docs/SERVICE.md), through the
    same [Server.serve_work] path the daemon uses.  The checked
-   invariant — also under [--check] — is the cache contract: a cold
-   pass misses everywhere, a warm pass hits on every request, and the
-   two return byte-identical reports and exit codes.  The timings show
-   what the store buys a repeated batch. *)
+   invariant is the cache contract: a cold pass misses everywhere, a
+   warm pass hits on every request, and the two return byte-identical
+   reports and exit codes.  Each cold pass gets a fresh store; the
+   warm passes reuse the last one. *)
 
-let json_service : (float * float * int * int) option ref = ref None
-
-let service_store_table ~timings () =
-  Format.printf "== service store: cold vs warm over the litmus corpus ==@.";
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "psopt-bench-store-%d" (Unix.getpid ()))
-  in
-  let store = Service.Store.open_ dir in
+let service () =
+  with_temp_dir "psopt-bench-store" @@ fun root ->
   let stats = Explore.Stats.Service.create () in
   let config = bench_config () in
-  let pass () =
-    let t0 = Unix.gettimeofday () in
-    let replies =
-      List.map
-        (fun (t : Litmus.t) ->
-          match
-            Service.Server.serve_work ~store ~stats
-              (Service.Proto.Litmus t.Litmus.name)
-              config
-          with
-          | Service.Proto.Reply r -> r
-          | _ -> failwith ("service refused litmus " ^ t.Litmus.name))
-        Litmus.all
+  let pass store =
+    List.map
+      (fun (t : Litmus.t) ->
+        match
+          Service.Server.serve_work ~store ~stats
+            (Service.Proto.Litmus t.Litmus.name) config
+        with
+        | Service.Proto.Reply r -> r
+        | _ -> failwith ("service refused litmus " ^ t.Litmus.name))
+      Litmus.all
+  in
+  let stores = ref [] and cold = ref [] and warm = ref [] in
+  let cold_pass () =
+    let s =
+      Service.Store.open_
+        (Filename.concat root (string_of_int (List.length !stores)))
     in
-    (replies, Unix.gettimeofday () -. t0)
+    stores := s :: !stores;
+    cold := pass s
   in
-  let cold, t_cold = pass () in
-  let warm, t_warm = pass () in
+  let t_cold = (median_time [| cold_pass |]).(0) in
+  let t_warm =
+    (median_time [| (fun () -> warm := pass (List.hd !stores)) |]).(0)
+  in
+  let cold = !cold and warm = !warm in
   let total = List.length warm in
-  let hits =
-    List.length (List.filter (fun r -> r.Service.Proto.cached) warm)
-  in
-  let cold_misses =
-    List.for_all (fun r -> not r.Service.Proto.cached) cold
-  in
+  let hits = List.length (List.filter (fun r -> r.Service.Proto.cached) warm) in
+  let cold_misses = List.for_all (fun r -> not r.Service.Proto.cached) cold in
   let identical =
     List.for_all2
       (fun (a : Service.Proto.reply) (b : Service.Proto.reply) ->
@@ -915,36 +971,33 @@ let service_store_table ~timings () =
         && a.Service.Proto.exit_code = b.Service.Proto.exit_code)
       cold warm
   in
-  if cold_misses && hits = total && identical then begin
-    incr passed;
-    Format.printf
-      "%d programs: cold all misses, warm %d/%d hits, replies identical  ok@."
-      total hits total
-  end
-  else begin
-    incr failed;
-    Format.printf
-      "service store MISMATCH (cold misses %b, warm hits %d/%d, identical %b)@."
-      cold_misses hits total identical
-  end;
-  json_service := Some (t_cold, t_warm, hits, total);
-  if timings then
-    Format.printf "cold %.3fs   warm %.3fs   speedup %.1fx@." t_cold t_warm
-      (t_cold /. Float.max 1e-9 t_warm);
-  (try
-     Array.iter
-       (fun shard ->
-         let sd = Filename.concat dir shard in
-         if Sys.is_directory sd then begin
-           Array.iter
-             (fun f -> Sys.remove (Filename.concat sd f))
-             (Sys.readdir sd);
-           Unix.rmdir sd
-         end)
-       (Sys.readdir dir);
-     Unix.rmdir dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  Format.printf "@."
+  let ok = cold_misses && hits = total && identical in
+  {
+    checks = [ ("store contract", ok) ];
+    lines =
+      [
+        (if ok then
+           Printf.sprintf
+             "%d programs: cold all misses, warm %d/%d hits, replies identical  ok"
+             total hits total
+         else
+           Printf.sprintf
+             "service store MISMATCH (cold misses %b, warm hits %d/%d, identical \
+              %b)  FAIL"
+             cold_misses hits total identical);
+        Printf.sprintf "cold %s   warm %s   speedup %.1fx" (pp_timing t_cold)
+          (pp_timing t_warm) (t_cold.median /. t_warm.median);
+      ];
+    json =
+      [
+        ( "service",
+          Obj
+            (("programs", Obs.Json.Int total)
+             :: timing_json "cold" t_cold
+            @ timing_json "warm" t_warm
+            @ [ ("store_hits_warm", Int hits) ]) );
+      ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Replay debugger (docs/REPLAY.md): record a switch-heavy execution
@@ -952,110 +1005,102 @@ let service_store_table ~timings () =
    invariants: the reconstructed state equals the recorder's at every
    step, no single jump replays >= K steps (the keyframe cost model),
    and ddmin strictly reduces the switch count while preserving the
-   output sequence.  Timings (record / load / full backward sweep)
-   print outside [--check]. *)
+   output sequence.  Record, load and a full backward sweep are then
+   timed. *)
 
-let json_replay : (int * int * int * int * int * bool) option ref = ref None
-
-let replay_table ~timings () =
-  Format.printf "== replay: record, O(K) navigation, shrink ==@.";
+let replay () =
+  with_temp_dir "psopt-bench-replay" @@ fun dir ->
   let config = bench_config () in
   let prog = lit "lb" in
   let kf = 4 in
-  let path = Filename.temp_file "psopt-bench-replay" ".trace" in
+  let path = Filename.concat dir "lb.trace" in
   let outs = [ 1; 1 ] in
-  let t0 = Unix.gettimeofday () in
-  let steps =
+  let record () =
     match
       Replay.Record.record_witness ~config ~eager_switch:true ~outs ~path prog
     with
     | Ok n -> n
     | Error m -> failwith ("bench replay: record: " ^ m)
   in
-  let t_record = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let session =
+  let load () =
     match Replay.Store.open_ path with
     | Error e -> failwith (Replay.Store.error_to_string e)
-    | Ok r ->
+    | Ok r -> (
         let s = Replay.Session.load ~keyframe_every:kf r in
         Replay.Store.close_reader r;
-        (match s with
+        match s with
         | Ok s -> s
         | Error e -> failwith (Replay.Store.error_to_string e))
   in
-  let t_load = Unix.gettimeofday () -. t0 in
+  let steps = record () in
+  let session = load () in
   (* reference states straight from the stepper *)
   let states =
-    match
-      Explore.Witness.find_trail ~config ~eager_switch:true ~outs prog
-    with
-    | Some (st0, trail) ->
-        Array.of_list (Explore.Stepper.trail_states st0 trail)
+    match Explore.Witness.find_trail ~config ~eager_switch:true ~outs prog with
+    | Some (st0, trail) -> Array.of_list (Explore.Stepper.trail_states st0 trail)
     | None -> failwith "bench replay: witness vanished"
   in
   let max_jump_cost = ref 0 in
   let equal_everywhere = ref true in
   ignore (Replay.Session.jump session steps);
-  let t0 = Unix.gettimeofday () in
   for n = steps - 1 downto 0 do
     let before = Replay.Session.replayed_steps session in
     ignore (Replay.Session.jump session n);
     max_jump_cost :=
       max !max_jump_cost (Replay.Session.replayed_steps session - before);
-    if
-      not
-        (Explore.Stepper.equal_state states.(n)
-           (Replay.Session.state session))
+    if not (Explore.Stepper.equal_state states.(n) (Replay.Session.state session))
     then equal_everywhere := false
   done;
-  let t_sweep = Unix.gettimeofday () -. t0 in
   let w =
     List.filter_map
       (fun n ->
         match Replay.Session.record_at session n with
-        | Some r -> (
-            match r.Replay.Trace.event with
-            | Some e ->
-                Some { Explore.Witness.tid = r.Replay.Trace.tid; event = e }
-            | None -> None)
-        | None -> None)
+        | Some { Replay.Trace.event = Some e; tid; _ } ->
+            Some { Explore.Witness.tid; event = e }
+        | _ -> None)
       (List.init steps Fun.id)
   in
   let sw_before, sw_after =
     match Replay.Shrink.schedule ~config prog w with
-    | Ok res ->
-        (res.Replay.Shrink.switches_before, res.Replay.Shrink.switches_after)
+    | Ok res -> (res.Replay.Shrink.switches_before, res.Replay.Shrink.switches_after)
     | Error m -> failwith ("bench replay: shrink: " ^ m)
   in
-  (try Sys.remove path with Sys_error _ -> ());
-  (try Sys.remove (path ^ ".idx") with Sys_error _ -> ());
+  let sweep () =
+    ignore (Replay.Session.jump session steps);
+    for n = steps - 1 downto 0 do
+      ignore (Replay.Session.jump session n)
+    done
+  in
+  let ts =
+    median_time
+      [| (fun () -> ignore (record ())); (fun () -> ignore (load ())); sweep |]
+  in
   let ok = !equal_everywhere && !max_jump_cost < kf && sw_after < sw_before in
-  if ok then begin
-    incr passed;
-    if not timings then
-      Format.printf
-        "lb eager %d steps: states exact, max jump %d < K=%d, switches %d \
-         -> %d  ok@."
-        steps !max_jump_cost kf sw_before sw_after
-  end
-  else begin
-    incr failed;
-    Format.printf
-      "lb eager replay FAILED (equal %b, max jump %d, K %d, switches %d -> \
-       %d)@."
-      !equal_everywhere !max_jump_cost kf sw_before sw_after
-  end;
-  json_replay := Some (steps, kf, !max_jump_cost, sw_before, sw_after, ok);
-  if timings then
-    Format.printf
-      "lb eager: %d steps  record %.1fms  load %.1fms  backward sweep \
-       %.2fms  max jump %d  switches %d -> %d@."
-      steps (t_record *. 1e3) (t_load *. 1e3) (t_sweep *. 1e3) !max_jump_cost
-      sw_before sw_after;
-  Format.printf "@."
+  {
+    checks = [ ("lb eager", ok) ];
+    lines =
+      [
+        Printf.sprintf
+          "lb eager %d steps: states %s, max jump %d < K=%d, switches %d -> %d  %s"
+          steps
+          (if !equal_everywhere then "exact" else "DIFFER")
+          !max_jump_cost kf sw_before sw_after (status ok);
+        Printf.sprintf "record %s   load %s   backward sweep %s" (pp_timing ts.(0))
+          (pp_timing ts.(1)) (pp_timing ts.(2));
+      ];
+    json =
+      [
+        ( "replay",
+          Obj
+            ([ ("steps", Obs.Json.Int steps); ("keyframe_every", Int kf);
+               ("max_jump_cost", Int !max_jump_cost);
+               ("switches_before", Int sw_before); ("switches_after", Int sw_after);
+               ("ok", Bool ok) ]
+            @ timing_json "record" ts.(0) @ timing_json "load" ts.(1)
+            @ timing_json "sweep" ts.(2)) );
+      ];
+  }
 
-(* ------------------------------------------------------------------ *)
 (* ------------------------------------------------------------------ *)
 (* Fleet load generation (docs/SERVICE.md "Load generation
    methodology"): a real in-process daemon on a temp socket, driven
@@ -1064,50 +1109,18 @@ let replay_table ~timings () =
    so every measured request is a warm store hit and the quantiles are
    a property of the service path, not of exploration variance.
 
-   Checked gates (also under [--check]): zero transport errors on
-   every row; the warm p99 stays under a generous ceiling; and
-   throughput is monotone up to the knee — growing the closed-loop
-   fleet must never cost more than the tolerance factor, since warm
-   hits bypass the admission queue entirely. *)
+   Checks: zero transport errors on every row; the warm p99 stays
+   under a generous ceiling; the saturation knee is at least the first
+   offered rate; and throughput is monotone up to the knee — growing
+   the closed-loop fleet must never cost more than the tolerance
+   factor, since warm hits bypass the admission queue entirely. *)
 
 let loadgen_p99_ceiling_ms = 500.0
 let loadgen_monotone_tolerance = 0.6
 
-let json_loadgen :
-    (string
-    * int
-    * float
-    * float
-    * float
-    * float
-    * float
-    * int
-    * int
-    * int
-    * int
-    * int
-    * bool)
-    list
-    ref =
-  ref []
-
-let json_loadgen_gate : bool option ref = ref None
-
-let json_loadgen_sat : ((float * bool) list * float option) option ref =
-  ref None
-
-let loadgen_table ~timings () =
-  Format.printf "== loadgen: closed-loop sweep + one open-loop rate ==@.";
-  let socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "psopt-bench-lg-%d.sock" (Unix.getpid ()))
-  in
-  let store_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "psopt-bench-lg-store-%d" (Unix.getpid ()))
-  in
+let loadgen () =
+  with_temp_dir "psopt-bench-lg" @@ fun dir ->
+  let socket = Filename.concat dir "lg.sock" in
   let m = Mutex.create () in
   let c = Condition.create () in
   let ready = ref false in
@@ -1124,7 +1137,7 @@ let loadgen_table ~timings () =
               Mutex.unlock m)
             {
               (Service.Server.default ~socket) with
-              store_dir = Some store_dir;
+              store_dir = Some (Filename.concat dir "store");
               capacity = 64;
               quiet = true;
             })
@@ -1145,87 +1158,73 @@ let loadgen_table ~timings () =
       retries = 0;
     }
   in
-  let gate_ok = ref true in
-  let run_row label cfg =
+  let closed_thr = ref [] in
+  let row (label, cfg) =
     match Service.Loadgen.run cfg with
-    | Error e ->
-        incr failed;
-        gate_ok := false;
-        Format.printf "loadgen %s: FAIL (%s)@." label e
+    | Error e -> ((label, false), Printf.sprintf "%-12s FAIL (%s)" label e, [])
     | Ok r ->
-        let q = r.Service.Loadgen.all.Service.Loadgen.latency in
-        let p50_ms =
-          float_of_int q.Service.Loadgen.Quantiles.p50_ns /. 1e6
-        in
-        let p99_ms =
-          float_of_int q.Service.Loadgen.Quantiles.p99_ns /. 1e6
-        in
-        let p999_ms =
-          float_of_int q.Service.Loadgen.Quantiles.p999_ns /. 1e6
+        let all = r.Service.Loadgen.all in
+        let ms ns = float_of_int ns /. 1e6 in
+        let q = all.Service.Loadgen.latency in
+        let p99_ms = ms q.Service.Loadgen.Quantiles.p99_ns in
+        let ok =
+          r.Service.Loadgen.transport_errors = 0
+          && p99_ms <= loadgen_p99_ceiling_ms
+          && all.Service.Loadgen.sent
+             = all.Service.Loadgen.ok + all.Service.Loadgen.shed
+               + all.Service.Loadgen.busy + all.Service.Loadgen.errors
         in
         let rate_hz =
           match cfg.Service.Loadgen.mode with
-          | Service.Loadgen.Closed -> 0.0
+          | Service.Loadgen.Closed ->
+              closed_thr := r.Service.Loadgen.throughput_rps :: !closed_thr;
+              0.0
           | Service.Loadgen.Open { rate_hz; _ } -> rate_hz
         in
-        let row_ok =
-          r.Service.Loadgen.transport_errors = 0
-          && p99_ms <= loadgen_p99_ceiling_ms
-          && r.Service.Loadgen.all.Service.Loadgen.sent
-             = r.Service.Loadgen.all.Service.Loadgen.ok
-               + r.Service.Loadgen.all.Service.Loadgen.shed
-               + r.Service.Loadgen.all.Service.Loadgen.busy
-               + r.Service.Loadgen.all.Service.Loadgen.errors
-        in
-        if row_ok then incr passed
-        else begin
-          incr failed;
-          gate_ok := false
-        end;
-        if timings then
-          Format.printf
-            "%-12s %3d clients  %8.1f req/s  p50 %6.2fms  p99 %6.2fms  \
-             transport errors %d  %s@."
-            label cfg.Service.Loadgen.clients
-            r.Service.Loadgen.throughput_rps p50_ms p99_ms
-            r.Service.Loadgen.transport_errors
-            (if row_ok then "ok" else "FAIL")
-        else
-          Format.printf "loadgen %s: %s@." label
-            (if row_ok then "ok" else "FAIL");
-        json_loadgen :=
-          ( label,
-            cfg.Service.Loadgen.clients,
-            rate_hz,
-            r.Service.Loadgen.throughput_rps,
-            p50_ms,
-            p99_ms,
-            p999_ms,
-            r.Service.Loadgen.all.Service.Loadgen.sent,
-            r.Service.Loadgen.all.Service.Loadgen.shed
-            + r.Service.Loadgen.all.Service.Loadgen.busy,
-            r.Service.Loadgen.retries,
-            r.Service.Loadgen.all.Service.Loadgen.errors,
-            r.Service.Loadgen.transport_errors,
-            row_ok )
-          :: !json_loadgen
+        ( (label, ok),
+          Printf.sprintf
+            "%-12s %3d clients  %8.1f req/s  p50 %6.2fms  p99 %6.2fms  transport \
+             errors %d  %s"
+            label cfg.Service.Loadgen.clients r.Service.Loadgen.throughput_rps
+            (ms q.Service.Loadgen.Quantiles.p50_ns)
+            p99_ms r.Service.Loadgen.transport_errors (status ok),
+          [
+            Obs.Json.Obj
+              [ ("row", String label); ("clients", Int cfg.Service.Loadgen.clients);
+                ("rate_hz", Float rate_hz);
+                ("throughput_rps", Float r.Service.Loadgen.throughput_rps);
+                ("p50_ms", Float (ms q.Service.Loadgen.Quantiles.p50_ns));
+                ("p99_ms", Float p99_ms);
+                ("p999_ms", Float (ms q.Service.Loadgen.Quantiles.p999_ns));
+                ("sent", Int all.Service.Loadgen.sent);
+                ("shed", Int (all.Service.Loadgen.shed + all.Service.Loadgen.busy));
+                ("retries", Int r.Service.Loadgen.retries);
+                ("errors", Int all.Service.Loadgen.errors);
+                ("transport_errors", Int r.Service.Loadgen.transport_errors);
+                ("ok", Bool ok) ];
+          ] )
   in
-  run_row "closed_j2" { base with clients = 2 };
-  run_row "closed_j4" { base with clients = 4; prewarm = false };
-  run_row "closed_j8" { base with clients = 8; prewarm = false };
-  run_row "open_300hz"
-    {
-      base with
-      clients = 8;
-      prewarm = false;
-      mode =
-        Service.Loadgen.Open
-          { rate_hz = 300.0; arrivals = Service.Loadgen.Poisson };
-    };
+  let rs =
+    List.map row
+      [
+        ("closed_j2", { base with clients = 2 });
+        ("closed_j4", { base with clients = 4; prewarm = false });
+        ("closed_j8", { base with clients = 8; prewarm = false });
+        ( "open_300hz",
+          {
+            base with
+            clients = 8;
+            prewarm = false;
+            mode =
+              Service.Loadgen.Open
+                { rate_hz = 300.0; arrivals = Service.Loadgen.Poisson };
+          } );
+      ]
+  in
   (* stepped saturation search: open-loop at rising offered rates
      until the SLO breaks; the knee is the last passing rate.  The
      first step is far under this host's warm-hit capacity, so the
-     knee must be at least that — checked as part of the gate. *)
+     knee must be at least that. *)
   let sat_rates = [ 200.0; 2000.0 ] in
   let slo =
     {
@@ -1233,262 +1232,81 @@ let loadgen_table ~timings () =
       slo_shed_pct = Some 10.0;
     }
   in
-  (match
-     Service.Loadgen.saturation
-       { base with clients = 8; prewarm = false }
-       ~slo ~rates:sat_rates
-   with
-  | Error e ->
-      incr failed;
-      gate_ok := false;
-      Format.printf "loadgen saturation: FAIL (%s)@." e
-  | Ok sat ->
-      let steps =
-        List.map
-          (fun (s : Service.Loadgen.sat_step) ->
-            (s.Service.Loadgen.rate_hz, s.Service.Loadgen.passed))
-          sat.Service.Loadgen.steps
-      in
-      json_loadgen_sat := Some (steps, sat.Service.Loadgen.knee_hz);
-      let knee_ok =
-        match sat.Service.Loadgen.knee_hz with
-        | Some k -> k >= List.hd sat_rates
-        | None -> false
-      in
-      if knee_ok then incr passed
-      else begin
-        incr failed;
-        gate_ok := false
-      end;
-      Format.printf "loadgen saturation knee: %s (first offered rate %s)@."
-        (match sat.Service.Loadgen.knee_hz with
-        | Some k -> Printf.sprintf "%g req/s" k
-        | None -> "below the first step")
-        (if knee_ok then "sustained  ok" else "NOT sustained  FAIL"));
-  (* monotone-to-the-knee: each closed-loop step must keep at least
-     the tolerance factor of the previous step's throughput *)
-  let closed_thr =
-    List.filter_map
-      (fun (label, _, _, thr, _, _, _, _, _, _, _, _, _) ->
-        if String.length label >= 6 && String.sub label 0 6 = "closed" then
-          Some thr
-        else None)
-      (List.rev !json_loadgen)
+  let knee_ok, knee_line, knee_json =
+    match
+      Service.Loadgen.saturation
+        { base with clients = 8; prewarm = false }
+        ~slo ~rates:sat_rates
+    with
+    | Error e -> (false, "loadgen saturation: FAIL (" ^ e ^ ")", Obs.Json.Null)
+    | Ok sat ->
+        let knee = sat.Service.Loadgen.knee_hz in
+        let ok = match knee with Some k -> k >= List.hd sat_rates | None -> false in
+        let step (s : Service.Loadgen.sat_step) =
+          Obs.Json.Obj
+            [ ("rate_hz", Float s.Service.Loadgen.rate_hz);
+              ("passed", Bool s.Service.Loadgen.passed) ]
+        in
+        ( ok,
+          Printf.sprintf "loadgen saturation knee: %s (first offered rate %s)"
+            (match knee with
+            | Some k -> Printf.sprintf "%g req/s" k
+            | None -> "below the first step")
+            (if ok then "sustained  ok" else "NOT sustained  FAIL"),
+          Obj
+            [ ("steps", List (List.map step sat.Service.Loadgen.steps));
+              ("knee_hz", match knee with Some k -> Float k | None -> Null) ] )
   in
+  (* monotone to the knee: each closed-loop step must keep at least
+     the tolerance factor of the previous step's throughput *)
   let rec monotone = function
-    | a :: (b :: _ as rest) ->
-        b >= loadgen_monotone_tolerance *. a && monotone rest
+    | a :: (b :: _ as rest) -> b >= loadgen_monotone_tolerance *. a && monotone rest
     | _ -> true
   in
-  let mono_ok = monotone closed_thr in
-  if mono_ok then incr passed
-  else begin
-    incr failed;
-    gate_ok := false
-  end;
-  Format.printf "loadgen gate (zero transport errors, p99 <= %.0fms, \
-                 throughput monotone within %.1fx): %s@."
-    loadgen_p99_ceiling_ms loadgen_monotone_tolerance
-    (if !gate_ok && mono_ok then "ok" else "FAIL");
-  json_loadgen_gate := Some (!gate_ok && mono_ok);
-  (match Service.Client.shutdown ~socket with
-  | Ok () -> ()
-  | Error e -> Format.printf "loadgen: shutdown failed: %s@." e);
+  let mono_ok = monotone (List.rev !closed_thr) in
+  let gate_ok = List.for_all (fun ((_, ok), _, _) -> ok) rs && knee_ok && mono_ok in
+  let shutdown =
+    match Service.Client.shutdown ~socket with
+    | Ok () -> []
+    | Error e -> [ "loadgen: shutdown failed: " ^ e ]
+  in
   Thread.join server;
-  (match !server_result with
-  | Ok () -> ()
-  | Error e -> Format.printf "loadgen: server exit: %s@." e);
-  (try
-     Array.iter
-       (fun shard ->
-         let sd = Filename.concat store_dir shard in
-         if Sys.is_directory sd then begin
-           Array.iter
-             (fun f -> Sys.remove (Filename.concat sd f))
-             (Sys.readdir sd);
-           Unix.rmdir sd
-         end)
-       (Sys.readdir store_dir);
-     Unix.rmdir store_dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  Format.printf "@."
+  let server_exit =
+    match !server_result with
+    | Ok () -> []
+    | Error e -> [ "loadgen: server exit: " ^ e ]
+  in
+  {
+    checks =
+      List.map (fun (check, _, _) -> check) rs
+      @ [ ("saturation knee", knee_ok); ("throughput monotone", mono_ok) ];
+    lines =
+      List.map (fun (_, l, _) -> l) rs
+      @ [
+          knee_line;
+          Printf.sprintf
+            "loadgen gate (zero transport errors, p99 <= %.0fms, throughput \
+             monotone within %.1fx): %s"
+            loadgen_p99_ceiling_ms loadgen_monotone_tolerance (status gate_ok);
+        ]
+      @ shutdown @ server_exit;
+    json =
+      [
+        ("loadgen", List (List.concat_map (fun (_, _, j) -> j) rs));
+        ("loadgen_saturation", knee_json);
+        ( "loadgen_gate",
+          Obj
+            [ ("ok", Bool gate_ok); ("p99_ceiling_ms", Float loadgen_p99_ceiling_ms);
+              ("monotone_tolerance", Float loadgen_monotone_tolerance) ] );
+      ];
+  }
 
 (* ------------------------------------------------------------------ *)
-(* [--json FILE]: a stable, hand-rolled summary for CI artifacts. *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* The histogram families the harness itself populates: certification
-   runs and pool tasks during the exploration phases, store lookups
-   and request service times during the service phase
-   ([psopt_service_request_duration_ns] records inside
-   [Server.serve_work], which the service table drives directly). *)
-let json_histograms = [
-  "psopt_explore_cert_run_duration_ns";
-  "psopt_pool_task_duration_ns";
-  "psopt_store_lookup_duration_ns";
-  "psopt_service_request_duration_ns";
-  "psopt_client_request_duration_ns";
-]
-
-let write_json file =
-  let oc = open_out file in
-  let pf fmt = Printf.fprintf oc fmt in
-  pf "{\n";
-  pf "  \"schema\": \"psopt-bench/6\",\n";
-  pf "  \"schema_version\": 6,\n";
-  pf "  \"config_fingerprint\": \"%s\",\n"
-    (json_escape (Explore.Config.fingerprint (bench_config ())));
-  pf "  \"jobs\": %d,\n" !bench_j;
-  pf "  \"domains_recommended\": %d,\n" (Domain.recommended_domain_count ());
-  pf "  \"domain_cap\": %d,\n" Explore.Pool.domain_cap;
-  pf "  \"passed\": %d,\n" !passed;
-  pf "  \"failed\": %d,\n" !failed;
-  pf "  \"rows\": [\n";
-  let rows = List.rev !json_rows in
-  List.iteri
-    (fun i (id, claim, ok) ->
-      pf "    {\"id\": \"%s\", \"claim\": \"%s\", \"ok\": %b}%s\n"
-        (json_escape id) (json_escape claim) ok
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pf "  ],\n";
-  pf "  \"scaling\": [\n";
-  let sc = List.rev !json_scaling in
-  List.iteri
-    (fun i (name, t1, t2, t4, ok, floor, row_gate_ok) ->
-      pf
-        "    {\"workload\": \"%s\", \"t1_s\": %.6f, \"t2_s\": %.6f, \"t4_s\": \
-         %.6f, \"speedup_j4\": %.3f, \"equivalent\": %b, \"gate_floor\": \
-         %.2f, \"gate_ok\": %b}%s\n"
-        (json_escape name) t1 t2 t4
-        (t1 /. Float.max 1e-9 t4)
-        ok floor row_gate_ok
-        (if i = List.length sc - 1 then "" else ","))
-    sc;
-  pf "  ],\n";
-  (match !json_gate with
-  | Some (mode, cores, cert_floor, all_floor, ok) ->
-      pf
-        "  \"scaling_gate\": {\"mode\": \"%s\", \"cores\": %d, \
-         \"cert_heavy_floor\": %.2f, \"all_floor\": %.2f, \"ok\": %b},\n"
-        (json_escape mode) cores cert_floor all_floor ok
-  | None -> pf "  \"scaling_gate\": null,\n");
-  pf "  \"reduction\": [\n";
-  let red = List.rev !json_reduction in
-  List.iteri
-    (fun i
-         (name, nb, nr, factor, sleep, pers, folds, equal, counters_ok, floor,
-          row_ok) ->
-      pf
-        "    {\"workload\": \"%s\", \"nodes_unreduced\": %d, \
-         \"nodes_reduced\": %d, \"factor\": %.3f, \"sleep_prunes\": %d, \
-         \"persistent_prunes\": %d, \"symmetry_folds\": %d, \"equivalent\": \
-         %b, \"counters_ok\": %b, \"gate_floor\": %.2f, \"gate_ok\": %b}%s\n"
-        (json_escape name) nb nr factor sleep pers folds equal counters_ok
-        floor row_ok
-        (if i = List.length red - 1 then "" else ","))
-    red;
-  pf "  ],\n";
-  (match !json_reduction_gate with
-  | Some (gate_ok, corpus_ok) ->
-      pf
-        "  \"reduction_gate\": {\"ok\": %b, \"corpus_equivalent\": %b},\n"
-        gate_ok corpus_ok
-  | None -> pf "  \"reduction_gate\": null,\n");
-  (match !json_service with
-  | Some (cold_s, warm_s, hits, programs) ->
-      pf
-        "  \"service\": {\"programs\": %d, \"cold_s\": %.6f, \"warm_s\": \
-         %.6f, \"store_hits_warm\": %d},\n"
-        programs cold_s warm_s hits
-  | None -> pf "  \"service\": null,\n");
-  (match !json_trace_ablation with
-  | Some (name, off_rate, on_rate, overhead, spans, equal) ->
-      pf
-        "  \"trace_ablation\": {\"workload\": \"%s\", \"untraced_nodes_per_s\": \
-         %.0f, \"traced_nodes_per_s\": %.0f, \"overhead_pct\": %.2f, \
-         \"spans\": %d, \"equivalent\": %b},\n"
-        (json_escape name) off_rate on_rate overhead spans equal
-  | None -> pf "  \"trace_ablation\": null,\n");
-  (match !json_replay with
-  | Some (steps, kf, max_jump, sw_before, sw_after, ok) ->
-      pf
-        "  \"replay\": {\"steps\": %d, \"keyframe_every\": %d, \
-         \"max_jump_cost\": %d, \"switches_before\": %d, \
-         \"switches_after\": %d, \"ok\": %b},\n"
-        steps kf max_jump sw_before sw_after ok
-  | None -> pf "  \"replay\": null,\n");
-  pf "  \"loadgen\": [\n";
-  let lg = List.rev !json_loadgen in
-  List.iteri
-    (fun i
-         (label, clients, rate_hz, thr, p50, p99, p999, sent, shed, retries,
-          errors, terrs, ok) ->
-      pf
-        "    {\"row\": \"%s\", \"clients\": %d, \"rate_hz\": %g, \
-         \"throughput_rps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, \
-         \"p999_ms\": %.3f, \"sent\": %d, \"shed\": %d, \"retries\": %d, \
-         \"errors\": %d, \"transport_errors\": %d, \"ok\": %b}%s\n"
-        (json_escape label) clients rate_hz thr p50 p99 p999 sent shed
-        retries errors terrs ok
-        (if i = List.length lg - 1 then "" else ","))
-    lg;
-  pf "  ],\n";
-  (match !json_loadgen_sat with
-  | Some (steps, knee) ->
-      pf "  \"loadgen_saturation\": {\"steps\": [%s], \"knee_hz\": %s},\n"
-        (String.concat ", "
-           (List.map
-              (fun (rate, passed) ->
-                Printf.sprintf "{\"rate_hz\": %g, \"passed\": %b}" rate passed)
-              steps))
-        (match knee with Some k -> Printf.sprintf "%g" k | None -> "null")
-  | None -> pf "  \"loadgen_saturation\": null,\n");
-  (match !json_loadgen_gate with
-  | Some ok ->
-      pf
-        "  \"loadgen_gate\": {\"ok\": %b, \"p99_ceiling_ms\": %.0f, \
-         \"monotone_tolerance\": %.2f},\n"
-        ok loadgen_p99_ceiling_ms loadgen_monotone_tolerance
-  | None -> pf "  \"loadgen_gate\": null,\n");
-  pf "  \"histograms\": [\n";
-  List.iteri
-    (fun i name ->
-      let s =
-        match Obs.Metrics.find_histogram name with
-        | Some h -> Obs.Metrics.summary h
-        | None ->
-            { Obs.Metrics.count = 0; sum_ns = 0; p50_ns = 0.; p90_ns = 0.;
-              p99_ns = 0.; p999_ns = 0. }
-      in
-      pf
-        "    {\"name\": \"%s\", \"count\": %d, \"sum_ns\": %d, \"p50_ns\": \
-         %.0f, \"p90_ns\": %.0f, \"p99_ns\": %.0f, \"p999_ns\": %.0f}%s\n"
-        (json_escape name) s.Obs.Metrics.count s.Obs.Metrics.sum_ns
-        s.Obs.Metrics.p50_ns s.Obs.Metrics.p90_ns s.Obs.Metrics.p99_ns
-        s.Obs.Metrics.p999_ns
-        (if i = List.length json_histograms - 1 then "" else ","))
-    json_histograms;
-  pf "  ]\n";
-  pf "}\n";
-  close_out oc;
-  Format.printf "json summary written to %s@." file
-
-(* ------------------------------------------------------------------ *)
-(* Synthetic workload generator for optimizer throughput *)
+(* Ablation timings: the mechanisms DESIGN.md ablates, and the
+   optimizer passes on a synthesized 120-block CFG, each as a median
+   per call.  The paper's own workloads (the E/X explorations,
+   refinements, races and simulations) are timed end to end by
+   bench/e2e's paper_verify and explore_large. *)
 
 let synth_cfg ~blocks =
   let open Lang.Ast in
@@ -1517,23 +1335,18 @@ let synth_cfg ~blocks =
   in
   program ~code:[ ("t", codeheap ~entry:"B0" (List.init blocks mk)) ] [ "t" ]
 
-(* ------------------------------------------------------------------ *)
-(* Phase 2: bechamel timings *)
-
-let explore_bench ?config disc prog () =
-  ignore (Explore.Enum.behaviors_exn ?config disc prog)
-
-let tests =
-  let t name f = Test.make ~name (Staged.stage f) in
+let ablation_timings () =
+  let explore ?(config = bench_config ()) disc prog () =
+    ignore (Explore.Enum.behaviors_exn ~config disc prog)
+  in
   let lbp = lit "lb" in
-  let cert_state =
-    (* an LB-style thread with one pending promise, for certification
-       cost measurements *)
+  (* an LB-style thread with one pending promise, for certification
+     cost measurements *)
+  let code_c, ts_c, mem_c =
     let code = lbp.Lang.Ast.code in
     let ts = Option.get (Ps.Thread.init code "t1") in
     let mem =
-      Ps.Memory.init
-        (Lang.Ast.VarSet.elements (Lang.Cfg.vars_of_program lbp))
+      Ps.Memory.init (Lang.Ast.VarSet.elements (Lang.Cfg.vars_of_program lbp))
     in
     let p =
       List.hd
@@ -1542,141 +1355,175 @@ let tests =
     in
     (code, p.Ps.Thread.ts, p.Ps.Thread.mem)
   in
-  let code_c, ts_c, mem_c = cert_state in
   let big = synth_cfg ~blocks:120 in
+  let heavy = cert_heavy ~pad:20 ~noise:8 in
+  let cfg = bench_config () in
+  let il = Explore.Enum.Interleaving and np = Explore.Enum.Non_preemptive in
+  (* each group is timed by one [median_time] call: the settings it
+     compares alternate *)
+  let groups =
+    [
+      [ ("e9_np_equiv", fun () ->
+            ignore (Explore.Refine.equivalent_disciplines ~config:cfg (lit "sb"))) ];
+      [ ("e16_states_il", explore il (lit "fig1_foo"));
+        ("e16_states_np", explore np (lit "fig1_foo")) ];
+      [ ("e17_np_lb", explore np lbp) ];
+      [ ("e10_race_equiv", fun () -> ignore (Race.ww_nprf ~config:cfg (lit "ww_racy"))) ];
+      [ ("x6_witness_lb", fun () ->
+            ignore (Explore.Witness.find ~config:cfg ~outs:[ 1; 1 ] lbp)) ];
+      [ ("abl_cert_capped", fun () -> ignore (Ps.Cert.consistent ~code:code_c ts_c mem_c));
+        ("abl_cert_uncapped", fun () ->
+            ignore (Ps.Cert.consistent ~cap:false ~code:code_c ts_c mem_c)) ];
+      [ ("abl_explore_memo", explore ~config:{ cfg with memoize = true } il (lit "mp_rlx"));
+        ("abl_explore_nomemo", explore ~config:{ cfg with memoize = false } il (lit "mp_rlx")) ];
+      [ ("abl_promise_semantic", explore ~config:{ cfg with promise_mode = Semantic } il lbp);
+        ("abl_promise_syntactic", explore ~config:{ cfg with promise_mode = Syntactic } il lbp);
+        ("abl_promise_none", explore ~config:{ Explore.Config.quick with domains = bench_j } il lbp) ];
+      [ ("abl_cert_cache_on", explore ~config:{ cfg with cert_cache = true } il heavy);
+        ("abl_cert_cache_off", explore ~config:{ cfg with cert_cache = false } il heavy) ];
+      [ ("opt_dce_120blocks", fun () -> ignore (Opt.Pass.apply Opt.Dce.pass big));
+        ("opt_licm_120blocks", fun () -> ignore (Opt.Pass.apply Opt.Licm.pass big));
+        ("opt_liveness_120blocks", fun () ->
+            ignore (Analysis.Liveness.analyze (Lang.Ast.FnameMap.find "t" big.Lang.Ast.code))) ];
+      [ ("e8_licm_pipeline", fun () -> ignore (Opt.Pass.apply Opt.Licm.pass (lit "fig5_src"))) ];
+      [ ("e14_constprop", fun () -> ignore (Opt.Pass.apply Opt.Constprop.pass_fix big)) ];
+      [ ("e15_cse", fun () -> ignore (Opt.Pass.apply Opt.Cse.pass_fix big)) ];
+      [ ("random_run_sb", fun () -> ignore (Explore.Random_run.run_exn ~seed:7 (lit "sb"))) ];
+    ]
+  in
+  let rs =
+    List.concat_map
+      (fun group ->
+        let ts = median_time (Array.of_list (List.map snd group)) in
+        List.mapi (fun i (name, _) -> (name, ts.(i))) group)
+      groups
+  in
+  {
+    checks = [];
+    lines =
+      Printf.sprintf "%-24s %12s %12s" "row" "median" "iqr"
+      :: List.map
+           (fun (name, t) ->
+             Printf.sprintf "%-24s %12s %12s" name (pp_dur t.median) (pp_dur t.iqr))
+           rs;
+    json =
+      [
+        ( "ablation_timings",
+          List
+            (List.map
+               (fun (name, t) ->
+                 Obs.Json.Obj
+                   [ ("row", String name); ("median_s", Float t.median);
+                     ("iqr_s", Float t.iqr) ])
+               rs) );
+      ];
+  }
+
+(* ------------------------------------------------------------------ *)
+
+let tables =
   [
-    (* per-experiment exploration cost *)
-    t "e1_sb" (explore_bench Explore.Enum.Interleaving (lit "sb"));
-    t "e2_lb" (explore_bench Explore.Enum.Interleaving lbp);
-    t "e3_oota" (explore_bench Explore.Enum.Interleaving (lit "lb_oota"));
-    t "e4_cas" (explore_bench Explore.Enum.Interleaving (lit "cas_exclusive"));
-    t "e5_licm_acq" (fun () ->
-        ignore (refines (lit "fig1_foo_opt") (lit "fig1_foo")));
-    t "e6_reorder" (fun () ->
-        ignore (refines (lit "reorder_tgt") (lit "reorder_src")));
-    t "e7_ww_subtle" (fun () -> ignore (Race.ww_rf (lit "fig4")));
-    t "e8_licm_pipeline" (fun () ->
-        ignore (Opt.Pass.apply Opt.Licm.pass (lit "fig5_src")));
-    t "e9_np_equiv" (fun () ->
-        ignore (Explore.Refine.equivalent_disciplines (lit "sb")));
-    t "e10_race_equiv" (fun () -> ignore (Race.ww_nprf (lit "ww_racy")));
-    t "e11_sim_reorder" (fun () ->
-        ignore
-          (Sim.Simcheck.check_program ~inv:Sim.Invariant.iid
-             ~target:(lit "reorder_tgt") ~source:(lit "reorder_src") ()));
-    t "e12_dce_rel" (fun () ->
-        ignore (violates (lit "fig15_bad_tgt") (lit "fig15_src")));
-    t "e13_dce_sim" (fun () ->
-        ignore
-          (Sim.Simcheck.check_program ~inv:Sim.Invariant.idce
-             ~target:(lit "fig16_tgt") ~source:(lit "fig16_src") ()));
-    t "e14_constprop" (fun () ->
-        ignore (Opt.Pass.apply Opt.Constprop.pass_fix big));
-    t "e15_cse" (fun () -> ignore (Opt.Pass.apply Opt.Cse.pass_fix big));
-    t "e16_states_il"
-      (explore_bench Explore.Enum.Interleaving (lit "fig1_foo"));
-    t "e16_states_np"
-      (explore_bench Explore.Enum.Non_preemptive (lit "fig1_foo"));
-    t "e17_np_lb" (explore_bench Explore.Enum.Non_preemptive lbp);
-    (* ablations (DESIGN.md) *)
-    t "abl_cert_capped" (fun () ->
-        ignore (Ps.Cert.consistent ~code:code_c ts_c mem_c));
-    t "abl_cert_uncapped" (fun () ->
-        ignore (Ps.Cert.consistent ~cap:false ~code:code_c ts_c mem_c));
-    t "abl_explore_memo"
-      (explore_bench
-         ~config:{ Explore.Config.default with memoize = true }
-         Explore.Enum.Interleaving (lit "mp_rlx"));
-    t "abl_explore_nomemo"
-      (explore_bench
-         ~config:{ Explore.Config.default with memoize = false }
-         Explore.Enum.Interleaving (lit "mp_rlx"));
-    t "abl_promise_semantic"
-      (explore_bench
-         ~config:{ Explore.Config.default with promise_mode = Explore.Config.Semantic }
-         Explore.Enum.Interleaving lbp);
-    t "abl_promise_syntactic"
-      (explore_bench
-         ~config:{ Explore.Config.default with promise_mode = Explore.Config.Syntactic }
-         Explore.Enum.Interleaving lbp);
-    t "abl_promise_none"
-      (explore_bench ~config:Explore.Config.quick Explore.Enum.Interleaving lbp);
-    t "abl_cert_cache_on"
-      (explore_bench
-         ~config:{ Explore.Config.default with cert_cache = true }
-         Explore.Enum.Interleaving (cert_heavy ~pad:20 ~noise:8));
-    t "abl_cert_cache_off"
-      (explore_bench
-         ~config:{ Explore.Config.default with cert_cache = false }
-         Explore.Enum.Interleaving (cert_heavy ~pad:20 ~noise:8));
-    (* optimizer throughput on the synthetic CFG *)
-    t "opt_dce_120blocks" (fun () -> ignore (Opt.Pass.apply Opt.Dce.pass big));
-    t "opt_licm_120blocks" (fun () -> ignore (Opt.Pass.apply Opt.Licm.pass big));
-    t "opt_liveness_120blocks" (fun () ->
-        ignore
-          (Analysis.Liveness.analyze
-             (Lang.Ast.FnameMap.find "t" big.Lang.Ast.code)));
-    t "random_run_sb" (fun () ->
-        ignore (Explore.Random_run.run_exn ~seed:7 (lit "sb")));
-    (* extras *)
-    t "x1_spinlock" (explore_bench Explore.Enum.Interleaving (lit "spinlock"));
-    t "x3_iriw" (explore_bench Explore.Enum.Interleaving (lit "iriw"));
-    t "x4_wrc" (explore_bench Explore.Enum.Interleaving (lit "wrc"));
-    t "x6_witness_lb" (fun () ->
-        ignore (Explore.Witness.find ~outs:[ 1; 1 ] lbp));
-    t "x8_verif_dce" (fun () ->
-        ignore
-          (Sim.Verif.check
-             (Option.get (Sim.Verif.find "dce"))
-             (lit "fig16_src")));
+    { id = "reproduction"; title = "experiment reproduction (DESIGN.md index)";
+      in_check = true; run = reproduction };
+    { id = "cert_cache";
+      title = "ablation: certification cache on certification-bound workloads";
+      in_check = true; run = cert_cache };
+    { id = "reduction"; title = "ablation: state-space reduction (por + symmetry) on vs off";
+      in_check = true; run = reduction };
+    { id = "trace_ablation"; title = "ablation: span tracing off vs on";
+      in_check = true; run = trace_ablation };
+    { id = "truncation"; title = "truncation pressure under tight budgets";
+      in_check = true; run = truncation };
+    { id = "scaling"; title = "scaling: domain-parallel exploration at j=1/2/4";
+      in_check = true; run = scaling };
+    { id = "service"; title = "service store: cold vs warm over the litmus corpus";
+      in_check = true; run = service };
+    { id = "replay"; title = "replay: record, O(K) navigation, shrink";
+      in_check = true; run = replay };
+    { id = "loadgen"; title = "loadgen: closed-loop sweep + one open-loop rate";
+      in_check = true; run = loadgen };
+    { id = "state_space";
+      title = "E16 series: states explored, interleaving vs non-preemptive";
+      in_check = false; run = state_space };
+    { id = "fig1_sweep"; title = "E5 series: Fig. 1 violation across loop bounds";
+      in_check = false; run = fig1_sweep };
+    { id = "ablation_timings"; title = "ablation timings (median per call)";
+      in_check = false; run = ablation_timings };
   ]
 
-let run_benchmarks () =
-  Format.printf "== bechamel timings (ns/run, linear-regression estimate) ==@.";
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) () in
-  let instances = [ Instance.monotonic_clock ] in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |]
+(* The histogram families the harness itself populates: certification
+   runs and pool tasks during the exploration tables, store lookups
+   and request service times during the service tables
+   ([psopt_service_request_duration_ns] records inside
+   [Server.serve_work], which the service table drives directly). *)
+let histogram_json name =
+  let s =
+    match Obs.Metrics.find_histogram name with
+    | Some h -> Obs.Metrics.summary h
+    | None ->
+        { Obs.Metrics.count = 0; sum_ns = 0; p50_ns = 0.; p90_ns = 0.;
+          p99_ns = 0.; p999_ns = 0. }
   in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let anl = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let est =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ e ] -> Printf.sprintf "%12.0f" e
-            | _ -> "           ?"
-          in
-          Format.printf "%-28s %s ns/run@." name est)
-        anl)
-    tests
+  Obs.Json.Obj
+    [ ("name", String name); ("count", Int s.Obs.Metrics.count);
+      ("sum_ns", Int s.Obs.Metrics.sum_ns); ("p50_ns", Float s.Obs.Metrics.p50_ns);
+      ("p90_ns", Float s.Obs.Metrics.p90_ns); ("p99_ns", Float s.Obs.Metrics.p99_ns);
+      ("p999_ns", Float s.Obs.Metrics.p999_ns) ]
+
+let histograms () =
+  List.map histogram_json
+    [
+      "psopt_explore_cert_run_duration_ns";
+      "psopt_pool_task_duration_ns";
+      "psopt_store_lookup_duration_ns";
+      "psopt_service_request_duration_ns";
+      "psopt_client_request_duration_ns";
+    ]
+
+(* The revision the numbers belong to; "unknown" outside a checkout. *)
+let git_rev () =
+  match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let line = In_channel.input_line ic in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some rev when String.trim rev <> "" -> String.trim rev
+      | _ -> "unknown")
 
 let () =
-  (* [--check]: reproduction rows, the cert-cache equivalence and the
-     parallel-scaling equivalence only — the deterministic pass/fail
-     half of the harness, suitable for CI.  Without it, the timing
-     phases run too. *)
-  parse_argv ();
-  let check_only = !check_only in
-  Format.printf "domains: j=%d (recommended %d, cap %d)@.@." !bench_j
+  Printf.printf "domains: j=%d (recommended %d, cap %d)\n\n%!" bench_j
     (Domain.recommended_domain_count ())
     Explore.Pool.domain_cap;
-  reproduce ();
-  cert_cache_table ~timings:(not check_only);
-  reduction_table ~timings:(not check_only) ();
-  trace_ablation_table ~timings:(not check_only) ();
-  truncation_pressure_table ();
-  scaling_table ~timings:(not check_only) ();
-  service_store_table ~timings:(not check_only) ();
-  replay_table ~timings:(not check_only) ();
-  loadgen_table ~timings:(not check_only) ();
-  if not check_only then begin
-    state_space_table ();
-    fig1_sweep ();
-    run_benchmarks ()
-  end;
-  Format.printf "@.experiments: %d ok, %d failed@." !passed !failed;
-  Option.iter write_json !json_file;
-  if !failed > 0 then exit 1
+  let run t =
+    Printf.printf "== %s ==\n%!" t.title;
+    let t0 = Unix.gettimeofday () in
+    let r = t.run () in
+    List.iter print_endline r.lines;
+    Printf.printf "(%s: %.1fs)\n\n%!" t.id (Unix.gettimeofday () -. t0);
+    { r with checks = List.map (fun (n, ok) -> (t.id ^ ": " ^ n, ok)) r.checks }
+  in
+  let results = List.map run (List.filter (fun t -> t.in_check || not check_only) tables) in
+  let checks = List.concat_map (fun r -> r.checks) results in
+  let failed = List.filter (fun (_, ok) -> not ok) checks in
+  let passed = List.length checks - List.length failed in
+  List.iter (fun (name, _) -> Printf.printf "FAILED: %s\n" name) failed;
+  Printf.printf "experiments: %d ok, %d failed\n%!" passed (List.length failed);
+  Option.iter
+    (fun file ->
+      let check (name, ok) = Obs.Json.Obj [ ("name", String name); ("ok", Bool ok) ] in
+      let fingerprint = Explore.Config.fingerprint (bench_config ()) in
+      Out_channel.with_open_text file (fun oc ->
+          Obs.Json.output oc
+            (Obj
+               ([ ("schema", Obs.Json.String "psopt-bench/7"); ("schema_version", Int 7);
+                  ("config_fingerprint", String fingerprint); ("jobs", Int bench_j);
+                  ("domains_recommended", Int (Domain.recommended_domain_count ()));
+                  ("domain_cap", Int Explore.Pool.domain_cap);
+                  ("git_rev", String (git_rev ())); ("passed", Int passed);
+                  ("failed", Int (List.length failed));
+                  ("checks", List (List.map check checks)) ]
+               @ List.concat_map (fun r -> r.json) results
+               @ [ ("histograms", List (histograms ())) ])));
+      Printf.printf "json summary written to %s\n" file)
+    json_file;
+  if failed <> [] then exit 1

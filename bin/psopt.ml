@@ -1725,48 +1725,6 @@ let chaos_proxy_cmd =
 
 let ms_of_ns_f ns = float_of_int ns /. 1e6
 
-let loadgen_json_of_report (r : Service.Loadgen.report) =
-  let b = Buffer.create 1024 in
-  let class_json (c : Service.Loadgen.class_stats) =
-    let q = c.Service.Loadgen.latency in
-    Printf.sprintf
-      "{\"sent\": %d, \"ok\": %d, \"cached\": %d, \"shed\": %d, \"busy\": %d, \
-       \"errors\": %d, \"p50_ms\": %.3f, \"p90_ms\": %.3f, \"p99_ms\": %.3f, \
-       \"p999_ms\": %.3f, \"max_ms\": %.3f, \"mean_ms\": %.3f}"
-      c.Service.Loadgen.sent c.Service.Loadgen.ok c.Service.Loadgen.cached
-      c.Service.Loadgen.shed c.Service.Loadgen.busy c.Service.Loadgen.errors
-      (ms_of_ns_f q.Service.Loadgen.Quantiles.p50_ns)
-      (ms_of_ns_f q.Service.Loadgen.Quantiles.p90_ns)
-      (ms_of_ns_f q.Service.Loadgen.Quantiles.p99_ns)
-      (ms_of_ns_f q.Service.Loadgen.Quantiles.p999_ns)
-      (ms_of_ns_f q.Service.Loadgen.Quantiles.max_ns)
-      (q.Service.Loadgen.Quantiles.mean_ns /. 1e6)
-  in
-  let mode_json =
-    match r.Service.Loadgen.mode with
-    | Service.Loadgen.Closed -> "{\"kind\": \"closed\"}"
-    | Service.Loadgen.Open { rate_hz; arrivals } ->
-        Printf.sprintf "{\"kind\": \"open\", \"rate_hz\": %g, \"arrivals\": \"%s\"}"
-          rate_hz
-          (match arrivals with
-          | Service.Loadgen.Poisson -> "poisson"
-          | Service.Loadgen.Uniform -> "uniform")
-  in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"mode\": %s, \"clients\": %d, \"wall_s\": %.3f, \
-        \"throughput_rps\": %.1f, \"retries\": %d, \"reconnects\": %d, \
-        \"transport_errors\": %d, \"late_sends\": %d, \"high\": %s, \
-        \"normal\": %s, \"all\": %s}"
-       mode_json r.Service.Loadgen.clients r.Service.Loadgen.wall_s
-       r.Service.Loadgen.throughput_rps r.Service.Loadgen.retries
-       r.Service.Loadgen.reconnects r.Service.Loadgen.transport_errors
-       r.Service.Loadgen.late_sends
-       (class_json r.Service.Loadgen.high)
-       (class_json r.Service.Loadgen.normal)
-       (class_json r.Service.Loadgen.all));
-  Buffer.contents b
-
 let print_report (r : Service.Loadgen.report) =
   let mode =
     match r.Service.Loadgen.mode with
@@ -1944,8 +1902,7 @@ let loadgen_cmd =
               Printf.eprintf "psopt loadgen: cannot write %s: %s\n" file m;
               exit_error
           | oc ->
-              output_string oc payload;
-              output_char oc '\n';
+              Obs.Json.output oc payload;
               close_out oc;
               exit_ok)
     in
@@ -1986,7 +1943,7 @@ let loadgen_cmd =
           exit_error
       | Ok r ->
           print_report r;
-          let code = write_json (loadgen_json_of_report r) in
+          let code = write_json (Service.Loadgen.report_json r) in
           if gates r then exit_fail else code
     end
     else begin
@@ -2009,21 +1966,7 @@ let loadgen_cmd =
           (match sat.Service.Loadgen.knee_hz with
           | Some k -> Printf.printf "saturation knee: %g req/s\n" k
           | None -> Printf.printf "saturation knee: below the first step\n");
-          let steps_json =
-            String.concat ", "
-              (List.map
-                 (fun (s : Service.Loadgen.sat_step) ->
-                   Printf.sprintf
-                     "{\"rate_hz\": %g, \"passed\": %b, \"report\": %s}"
-                     s.Service.Loadgen.rate_hz s.Service.Loadgen.passed
-                     (loadgen_json_of_report s.Service.Loadgen.step_report))
-                 sat.Service.Loadgen.steps)
-          in
-          write_json
-            (Printf.sprintf "{\"steps\": [%s], \"knee_hz\": %s}" steps_json
-               (match sat.Service.Loadgen.knee_hz with
-               | Some k -> Printf.sprintf "%g" k
-               | None -> "null"))
+          write_json (Service.Loadgen.saturation_json sat)
     end
   in
   Cmd.v

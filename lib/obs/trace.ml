@@ -187,54 +187,39 @@ let dropped () = List.fold_left (fun acc b -> acc + b.dropped) 0 (live_bufs ())
 
 (* ---- Chrome trace_event JSON export ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let event_json ~pid ~t0 e =
+  Json.Obj
+    ([
+       ("name", Json.String e.name);
+       ("cat", Json.String e.cat);
+       ("ph", Json.String "X");
+       ("ts", Json.Float (Clock.us_of_ns (e.ts_ns - t0)));
+       ("dur", Json.Float (Clock.us_of_ns e.dur_ns));
+       ("pid", Json.Int pid);
+       ("tid", Json.Int e.tid);
+     ]
+    @
+    if e.args = [] then []
+    else
+      [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) e.args)) ])
 
 (* Timestamps are normalized so the timeline starts at zero, but the
    subtracted base is preserved as a top-level [baseNs] field: that is
    what lets [merge] re-anchor traces from different processes onto
    one absolute clock ({!Clock.now_ns} is epoch-based on every side). *)
-let write_event oc ~pid ~t0 e =
-  Printf.fprintf oc
-    "\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d"
-    (json_escape e.name) (json_escape e.cat)
-    (Clock.us_of_ns (e.ts_ns - t0))
-    (Clock.us_of_ns e.dur_ns) pid e.tid;
-  if e.args <> [] then begin
-    output_string oc ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then output_char oc ',';
-        Printf.fprintf oc "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-      e.args;
-    output_char oc '}'
-  end;
-  output_char oc '}'
-
-let write_events oc evs =
-  let t0 = match evs with [] -> 0 | e :: _ -> e.ts_ns in
-  Printf.fprintf oc "{\"displayTimeUnit\":\"ms\",\"baseNs\":%d,\"traceEvents\":[" t0;
-  List.iteri
-    (fun i e ->
-      if i > 0 then output_char oc ',';
-      write_event oc ~pid:1 ~t0 e)
-    evs;
-  output_string oc "\n]}\n";
+let output_document oc evs =
+  let t0 = match evs with [] -> 0 | (_, e) :: _ -> e.ts_ns in
+  Json.output oc
+    (Json.Obj
+       [
+         ("displayTimeUnit", Json.String "ms");
+         ("baseNs", Json.Int t0);
+         ( "traceEvents",
+           Json.List (List.map (fun (pid, e) -> event_json ~pid ~t0 e) evs) );
+       ]);
   List.length evs
 
+let write_events oc evs = output_document oc (List.map (fun e -> (1, e)) evs)
 let write_channel oc = write_events oc (events ())
 
 let write_file path =
@@ -245,188 +230,59 @@ let write_file path =
       close_out oc;
       Ok n
 
-(* ---- Minimal JSON reader, for trace shape validation ---- *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_arr of json list
-  | J_obj of (string * json) list
-
-exception Bad of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail m = raise (Bad (Printf.sprintf "%s at byte %d" m !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let next () =
-    if !pos >= n then fail "unexpected end of input";
-    let c = s.[!pos] in
-    pos := !pos + 1;
-    c
-  in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        pos := !pos + 1;
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c = if next () <> c then fail (Printf.sprintf "expected %C" c) in
-  let literal lit v =
-    String.iter (fun c -> expect c) lit;
-    v
-  in
-  let parse_string () =
-    let b = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' -> (
-          (match next () with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              let hex = String.init 4 (fun _ -> next ()) in
-              let code =
-                try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-              in
-              (* non-BMP fidelity is irrelevant for shape checking *)
-              if code < 128 then Buffer.add_char b (Char.chr code)
-              else Buffer.add_char b '?'
-          | _ -> fail "bad escape");
-          go ())
-      | c -> Buffer.add_char b c; go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      pos := !pos + 1
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        pos := !pos + 1;
-        skip_ws ();
-        if peek () = Some '}' then (pos := !pos + 1; J_obj [])
-        else begin
-          let rec members acc =
-            skip_ws ();
-            expect '"';
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match next () with
-            | ',' -> members ((k, v) :: acc)
-            | '}' -> J_obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-    | Some '[' ->
-        pos := !pos + 1;
-        skip_ws ();
-        if peek () = Some ']' then (pos := !pos + 1; J_arr [])
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match next () with
-            | ',' -> elements (v :: acc)
-            | ']' -> J_arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-        end
-    | Some '"' ->
-        pos := !pos + 1;
-        J_str (parse_string ())
-    | Some 't' -> literal "true" (J_bool true)
-    | Some 'f' -> literal "false" (J_bool false)
-    | Some 'n' -> literal "null" J_null
-    | Some _ -> J_num (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+(* ---- Shape checking ---- *)
 
 type shape = { n_events : int; names : string list }
 
-let validate_string doc =
-  match parse_json doc with
-  | exception Bad m -> Error ("not valid JSON: " ^ m)
-  | J_obj fields -> (
-      match List.assoc_opt "traceEvents" fields with
-      | None -> Error "missing traceEvents key"
-      | Some (J_arr evs) -> (
-          let check i = function
-            | J_obj e ->
-                let str k =
-                  match List.assoc_opt k e with
-                  | Some (J_str s) -> Ok s
-                  | _ -> Error (Printf.sprintf "event %d: missing string %S" i k)
-                in
-                let num k =
-                  match List.assoc_opt k e with
-                  | Some (J_num _) -> Ok ()
-                  | _ -> Error (Printf.sprintf "event %d: missing number %S" i k)
-                in
-                let ( let* ) = Result.bind in
-                let* name = str "name" in
-                let* ph = str "ph" in
-                let* () =
-                  if ph = "X" then Ok ()
-                  else Error (Printf.sprintf "event %d: ph=%S, expected \"X\"" i ph)
-                in
-                let* () = num "ts" in
-                let* () = num "dur" in
-                let* () = num "pid" in
-                let* () = num "tid" in
-                Ok name
-            | _ -> Error (Printf.sprintf "event %d: not an object" i)
-          in
-          let rec go i names = function
-            | [] -> Ok (List.rev names)
-            | e :: rest -> (
-                match check i e with
-                | Ok name -> go (i + 1) (name :: names) rest
-                | Error _ as e -> e)
-          in
-          match go 0 [] evs with
-          | Error m -> Error m
-          | Ok names ->
-              Ok
-                {
-                  n_events = List.length names;
-                  names = List.sort_uniq compare names;
-                })
-      | Some _ -> Error "traceEvents is not an array")
+let ( let* ) = Result.bind
+
+(* The [traceEvents] array of a document, each event checked to be an
+   object carrying numeric [ts]/[dur] and mapped through [f]. *)
+let trace_events doc f =
+  let* v =
+    Result.map_error (fun m -> "not valid JSON: " ^ m) (Json.of_string doc)
+  in
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | (Json.Obj _ as e) :: rest ->
+        let num k =
+          match Option.bind (Json.member k e) Json.number with
+          | Some f -> Ok f
+          | None -> Error (Printf.sprintf "event %d: missing number %S" i k)
+        in
+        let* x = f i e num in
+        go (i + 1) (x :: acc) rest
+    | _ :: _ -> Error (Printf.sprintf "event %d: not an object" i)
+  in
+  match v with
+  | Json.Obj _ -> (
+      match Json.member "traceEvents" v with
+      | Some (Json.List evs) -> Result.map (fun xs -> (v, xs)) (go 0 [] evs)
+      | Some _ -> Error "traceEvents is not an array"
+      | None -> Error "missing traceEvents key")
   | _ -> Error "top level is not an object"
+
+let validate_string doc =
+  let* _, names =
+    trace_events doc (fun i e num ->
+        let str k =
+          match Json.member k e with
+          | Some (Json.String s) -> Ok s
+          | _ -> Error (Printf.sprintf "event %d: missing string %S" i k)
+        in
+        let* name = str "name" in
+        let* ph = str "ph" in
+        let* () =
+          if ph = "X" then Ok ()
+          else Error (Printf.sprintf "event %d: ph=%S, expected \"X\"" i ph)
+        in
+        let* _ = num "ts" in
+        let* _ = num "dur" in
+        let* _ = num "pid" in
+        let* _ = num "tid" in
+        Ok name)
+  in
+  Ok { n_events = List.length names; names = List.sort_uniq compare names }
 
 let validate_file path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -442,81 +298,44 @@ let validate_file path =
    Perfetto shows the processes side by side; spans of one request
    line up by their [trace_id] arg. *)
 
-type merged_event = {
-  m_name : string;
-  m_cat : string;
-  m_abs_ns : int;
-  m_dur_ns : int;
-  m_pid : int;
-  m_tid : int;
-  m_args : (string * string) list;
-}
-
 let events_of_doc ~pid doc =
-  match parse_json doc with
-  | exception Bad m -> Error ("not valid JSON: " ^ m)
-  | J_obj fields -> (
-      let base =
-        match List.assoc_opt "baseNs" fields with
-        | Some (J_num b) -> int_of_float b
-        | _ -> 0
-      in
-      match List.assoc_opt "traceEvents" fields with
-      | Some (J_arr evs) ->
-          let ev i = function
-            | J_obj e ->
-                let str k d =
-                  match List.assoc_opt k e with
-                  | Some (J_str s) -> s
-                  | _ -> d
-                in
-                let num k =
-                  match List.assoc_opt k e with
-                  | Some (J_num f) -> Ok f
-                  | _ -> Error (Printf.sprintf "event %d: missing number %S" i k)
-                in
-                let ( let* ) = Result.bind in
-                let* ts_us = num "ts" in
-                let* dur_us = num "dur" in
-                let tid =
-                  match List.assoc_opt "tid" e with
-                  | Some (J_num f) -> int_of_float f
-                  | _ -> 0
-                in
-                let args =
-                  match List.assoc_opt "args" e with
-                  | Some (J_obj kvs) ->
-                      List.filter_map
-                        (fun (k, v) ->
-                          match v with J_str s -> Some (k, s) | _ -> None)
-                        kvs
-                  | _ -> []
-                in
-                Ok
-                  {
-                    m_name = str "name" "?";
-                    m_cat = str "cat" "";
-                    m_abs_ns = base + int_of_float (ts_us *. 1e3);
-                    m_dur_ns = int_of_float (dur_us *. 1e3);
-                    m_pid = pid;
-                    m_tid = tid;
-                    m_args = args;
-                  }
-            | _ -> Error (Printf.sprintf "event %d: not an object" i)
-          in
-          let rec go i acc = function
-            | [] -> Ok (List.rev acc)
-            | e :: rest -> (
-                match ev i e with
-                | Ok m -> go (i + 1) (m :: acc) rest
-                | Error _ as err -> err)
-          in
-          go 0 [] evs
-      | _ -> Error "missing traceEvents array")
-  | _ -> Error "top level is not an object"
+  let* v, evs =
+    trace_events doc (fun _ e num ->
+        let str k d =
+          match Json.member k e with Some (Json.String s) -> s | _ -> d
+        in
+        let* ts_us = num "ts" in
+        let* dur_us = num "dur" in
+        let tid =
+          match Option.bind (Json.member "tid" e) Json.number with
+          | Some f -> int_of_float f
+          | None -> 0
+        in
+        let args =
+          match Json.member "args" e with
+          | Some (Json.Obj kvs) ->
+              List.filter_map
+                (fun (k, v) ->
+                  match v with Json.String s -> Some (k, s) | _ -> None)
+                kvs
+          | _ -> []
+        in
+        Ok
+          {
+            name = str "name" "?";
+            cat = str "cat" "";
+            ts_ns = int_of_float (ts_us *. 1e3);
+            dur_ns = int_of_float (dur_us *. 1e3);
+            tid;
+            args;
+          })
+  in
+  let base =
+    match Json.member "baseNs" v with Some (Json.Int b) -> b | _ -> 0
+  in
+  Ok (List.map (fun e -> (pid, { e with ts_ns = base + e.ts_ns })) evs)
 
 let merge_files ~inputs ~output =
-  let ( let* ) = Result.bind in
   let rec read pid acc = function
     | [] -> Ok (List.concat (List.rev acc))
     | path :: rest -> (
@@ -529,27 +348,13 @@ let merge_files ~inputs ~output =
   in
   let* evs = read 1 [] inputs in
   let evs =
-    List.stable_sort (fun a b -> compare (a.m_abs_ns, a.m_pid) (b.m_abs_ns, b.m_pid)) evs
+    List.stable_sort
+      (fun (pa, a) (pb, b) -> compare (a.ts_ns, pa) (b.ts_ns, pb))
+      evs
   in
-  let t0 = match evs with [] -> 0 | e :: _ -> e.m_abs_ns in
   match open_out output with
   | exception Sys_error m -> Error m
   | oc ->
-      Printf.fprintf oc
-        "{\"displayTimeUnit\":\"ms\",\"baseNs\":%d,\"traceEvents\":[" t0;
-      List.iteri
-        (fun i e ->
-          if i > 0 then output_char oc ',';
-          write_event oc ~pid:e.m_pid ~t0
-            {
-              name = e.m_name;
-              cat = e.m_cat;
-              ts_ns = e.m_abs_ns;
-              dur_ns = e.m_dur_ns;
-              tid = e.m_tid;
-              args = e.m_args;
-            })
-        evs;
-      output_string oc "\n]}\n";
+      let n = output_document oc evs in
       close_out oc;
-      Ok (List.length evs)
+      Ok n

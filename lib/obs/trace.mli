@@ -109,9 +109,9 @@ val merge_files : inputs:string list -> output:string -> (int, string) result
 
 (** {2 Shape checking}
 
-    A minimal self-contained JSON reader used by [psopt trace-check]
-    and the CI smoke job to validate emitted traces without external
-    tooling. *)
+    Used by [psopt trace-check] and the CI smoke jobs to validate
+    emitted traces without external tooling; documents are read with
+    {!Json.of_string}. *)
 
 type shape = { n_events : int; names : string list (** distinct, sorted *) }
 

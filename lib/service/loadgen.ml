@@ -533,3 +533,42 @@ let saturation cfg ~slo ~rates =
           None steps
       in
       Ok { steps; knee_hz }
+
+(* ---- JSON reports ([psopt loadgen --json]) ---- *)
+
+let report_json (r : report) =
+  let open Obs.Json in
+  let ms ns = Float (float_of_int ns /. 1e6) in
+  let class_json (c : class_stats) =
+    let q = c.latency in
+    Obj
+      [ ("sent", Int c.sent); ("ok", Int c.ok); ("cached", Int c.cached);
+        ("shed", Int c.shed); ("busy", Int c.busy); ("errors", Int c.errors);
+        ("p50_ms", ms q.Quantiles.p50_ns); ("p90_ms", ms q.Quantiles.p90_ns);
+        ("p99_ms", ms q.Quantiles.p99_ns); ("p999_ms", ms q.Quantiles.p999_ns);
+        ("max_ms", ms q.Quantiles.max_ns); ("mean_ms", Float (q.Quantiles.mean_ns /. 1e6)) ]
+  in
+  let mode =
+    match r.mode with
+    | Closed -> Obj [ ("kind", String "closed") ]
+    | Open { rate_hz; arrivals } ->
+        let arrivals = match arrivals with Poisson -> "poisson" | Uniform -> "uniform" in
+        Obj [ ("kind", String "open"); ("rate_hz", Float rate_hz); ("arrivals", String arrivals) ]
+  in
+  Obj
+    [ ("mode", mode); ("clients", Int r.clients); ("wall_s", Float r.wall_s);
+      ("throughput_rps", Float r.throughput_rps); ("retries", Int r.retries);
+      ("reconnects", Int r.reconnects); ("transport_errors", Int r.transport_errors);
+      ("late_sends", Int r.late_sends); ("high", class_json r.high);
+      ("normal", class_json r.normal); ("all", class_json r.all) ]
+
+let saturation_json s =
+  let open Obs.Json in
+  let step st =
+    Obj
+      [ ("rate_hz", Float st.rate_hz); ("passed", Bool st.passed);
+        ("report", report_json st.step_report) ]
+  in
+  Obj
+    [ ("steps", List (List.map step s.steps));
+      ("knee_hz", match s.knee_hz with Some k -> Float k | None -> Null) ]

@@ -146,3 +146,13 @@ val saturation : config -> slo:slo -> rates:float list -> (saturation, string) r
     breaks; the knee is the last passing rate ([None] when even the
     first step fails).  [cfg.mode]'s arrival process is kept when it
     is already open-loop; Poisson otherwise. *)
+
+(** {2 JSON} *)
+
+val report_json : report -> Obs.Json.t
+(** The report as [psopt loadgen --json] writes it: mode, clients,
+    wall time, throughput, retry/transport counters and the three
+    class summaries (latencies in ms). *)
+
+val saturation_json : saturation -> Obs.Json.t
+(** The steps (offered rate, SLO verdict, report) and the knee. *)

@@ -222,6 +222,96 @@ let check_class name (c : Loadgen.class_stats) =
     (name ^ ": latency samples = ok answers")
     c.Loadgen.ok c.Loadgen.latency.Loadgen.Quantiles.n
 
+(* The keys [psopt loadgen --json] has always written, in order; the
+   CI loadgen job greps the document for ["transport_errors": 0]. *)
+let report_keys =
+  [ "mode"; "clients"; "wall_s"; "throughput_rps"; "retries"; "reconnects";
+    "transport_errors"; "late_sends"; "high"; "normal"; "all" ]
+
+let class_keys =
+  [ "sent"; "ok"; "cached"; "shed"; "busy"; "errors"; "p50_ms"; "p90_ms";
+    "p99_ms"; "p999_ms"; "max_ms"; "mean_ms" ]
+
+let keys = function Obs.Json.Obj kvs -> List.map fst kvs | _ -> []
+
+let reparse v =
+  match Obs.Json.of_string (Obs.Json.to_document v) with
+  | Ok v' ->
+      Alcotest.(check bool) "printed JSON reads back unchanged" true (v = v');
+      v'
+  | Error e -> Alcotest.fail ("report JSON does not parse: " ^ e)
+
+let check_report_json (r : Loadgen.report) =
+  let doc = Obs.Json.to_document (Loadgen.report_json r) in
+  let j = reparse (Loadgen.report_json r) in
+  Alcotest.(check (list string)) "report keys" report_keys (keys j);
+  List.iter
+    (fun c ->
+      Alcotest.(check (list string)) (c ^ " class keys") class_keys
+        (keys (Option.get (Obs.Json.member c j))))
+    [ "high"; "normal"; "all" ];
+  Alcotest.(check (list string)) "mode keys"
+    (match r.Loadgen.mode with
+    | Loadgen.Closed -> [ "kind" ]
+    | Loadgen.Open _ -> [ "kind"; "rate_hz"; "arrivals" ])
+    (keys (Option.get (Obs.Json.member "mode" j)));
+  let needle =
+    Printf.sprintf "\"transport_errors\": %d" r.Loadgen.transport_errors
+  in
+  Alcotest.(check bool) ("document contains " ^ needle) true
+    (Option.is_some
+       (List.find_opt
+          (fun line -> String.trim line = needle ^ ",")
+          (String.split_on_char '\n' doc)))
+
+let test_report_json () =
+  let cls =
+    {
+      Loadgen.sent = 3;
+      ok = 2;
+      cached = 1;
+      shed = 1;
+      busy = 0;
+      errors = 0;
+      latency = Loadgen.Quantiles.of_samples [| 1_000_000; 2_500_000 |];
+    }
+  in
+  let report mode =
+    {
+      Loadgen.mode;
+      clients = 4;
+      wall_s = 1.5;
+      throughput_rps = 1.0 /. 3.0;
+      high = cls;
+      normal = cls;
+      all = cls;
+      retries = 0;
+      reconnects = 1;
+      transport_errors = 0;
+      late_sends = 2;
+    }
+  in
+  let closed = report Loadgen.Closed in
+  check_report_json closed;
+  check_report_json
+    (report (Loadgen.Open { rate_hz = 250.0; arrivals = Loadgen.Uniform }));
+  let sat =
+    reparse
+      (Loadgen.saturation_json
+         {
+           Loadgen.steps =
+             [ { Loadgen.rate_hz = 200.0; step_report = closed; passed = true } ];
+           knee_hz = None;
+         })
+  in
+  Alcotest.(check (list string)) "saturation keys" [ "steps"; "knee_hz" ]
+    (keys sat);
+  match Obs.Json.member "steps" sat with
+  | Some (Obs.Json.List [ step ]) ->
+      Alcotest.(check (list string)) "step keys"
+        [ "rate_hz"; "passed"; "report" ] (keys step)
+  | _ -> Alcotest.fail "saturation steps missing"
+
 let test_closed_loop_accounting () =
   with_daemon (fun socket ->
       let cfg =
@@ -250,7 +340,8 @@ let test_closed_loop_accounting () =
             (r.Loadgen.all.Loadgen.ok > 0);
           Alcotest.(check bool) "closed loop never falls behind a schedule"
             true
-            (r.Loadgen.late_sends = 0))
+            (r.Loadgen.late_sends = 0);
+          check_report_json r)
 
 let test_open_loop_accounting () =
   with_daemon (fun socket ->
@@ -304,6 +395,11 @@ let () =
             test_quantiles_exact;
           Alcotest.test_case "request mix deterministic + proportioned" `Quick
             test_request_mix_deterministic;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "report keys and round trip" `Quick
+            test_report_json;
         ] );
       ( "accounting",
         [

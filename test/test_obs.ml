@@ -301,6 +301,96 @@ let test_trace_merge_files () =
       | Error e -> Alcotest.fail ("validate merged: " ^ e))
 
 (* --------------------------------------------------------------- *)
+(* JSON codec *)
+
+let test_json_printing () =
+  let open Obs.Json in
+  let cases =
+    [
+      ("quote, backslash, newline", String "a\"b\\c\nd", {|"a\"b\\c\nd"|});
+      ("control characters", String "\t\r\001\031", {|"\t\r\u0001\u001f"|});
+      ("integers print without .0", Int 3, "3");
+      ("negative integer", Int (-42), "-42");
+      ("integral float keeps .0", Float 3.0, "3.0");
+      ("fraction", Float 0.25, "0.25");
+      ("non-finite float", Float Float.infinity, "null");
+      ("nested empty containers", List [ Obj []; List []; Obj [ ("k", List []) ] ],
+       {|[{}, [], {"k": []}]|});
+      ( "separators",
+        Obj [ ("ok", Bool true); ("n", Null); ("xs", List [ Int 1; Int 2 ]) ],
+        {|{"ok": true, "n": null, "xs": [1, 2]}|} );
+    ]
+  in
+  List.iter
+    (fun (what, v, expected) ->
+      Alcotest.(check string) what expected (to_string v))
+    cases;
+  Alcotest.(check string) "document layout"
+    ("{\n  \"gate\": {\"ok\": true},\n  \"rows\": [\n    {\"id\": 1},\n    "
+     ^ "{\"id\": 2}\n  ],\n  \"none\": []\n}\n")
+    (to_document
+       (Obj
+          [
+            ("gate", Obj [ ("ok", Bool true) ]);
+            ("rows", List [ Obj [ ("id", Int 1) ]; Obj [ ("id", Int 2) ] ]);
+            ("none", List []);
+          ]))
+
+let test_json_reading () =
+  let open Obs.Json in
+  let read s =
+    match of_string s with Ok v -> v | Error e -> Alcotest.fail (s ^ ": " ^ e)
+  in
+  Alcotest.(check bool) "integer literal reads as Int" true (read "17" = Int 17);
+  Alcotest.(check bool) "fraction reads as Float" true (read "1.5" = Float 1.5);
+  Alcotest.(check bool) "exponent reads as Float" true (read "2e3" = Float 2000.);
+  Alcotest.(check bool) "\\u escape outside ASCII decodes to UTF-8" true
+    (read {|"\u00e9"|} = String "\xc3\xa9");
+  Alcotest.(check bool) "member and number" true
+    (Option.bind (member "a" (read {| {"a": 4} |})) number = Some 4.0);
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) ("rejects " ^ bad) true
+        (Result.is_error (of_string bad)))
+    [ ""; "{"; "[1,]"; "{\"a\" 1}"; "tru"; "1 2"; "\"open" ]
+
+let json_gen =
+  let open QCheck.Gen in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+  let str = string_size ~gen:char (0 -- 12) in
+  sized_size (0 -- 4)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Obs.Json.Null;
+               map (fun b -> Obs.Json.Bool b) bool;
+               map (fun i -> Obs.Json.Int i) int;
+               map (fun f -> Obs.Json.Float f) finite;
+               map (fun f -> Obs.Json.Float (Float.round (f *. 1e6))) finite;
+               map (fun s -> Obs.Json.String s) str;
+             ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Obs.Json.List l) (list_size (0 -- 4) (self (n - 1))));
+               ( 1,
+                 map
+                   (fun kvs -> Obs.Json.Obj kvs)
+                   (list_size (0 -- 4) (pair str (self (n - 1)))) );
+             ])
+
+let json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"print -> parse round trip"
+    (QCheck.make ~print:Obs.Json.to_string json_gen)
+    (fun v ->
+      Obs.Json.of_string (Obs.Json.to_string v) = Ok v
+      && Obs.Json.of_string (Obs.Json.to_document v) = Ok v)
+
+(* --------------------------------------------------------------- *)
 (* Series ring *)
 
 let test_series_ring_wrap () =
@@ -524,6 +614,16 @@ let () =
             test_trace_ctx_per_thread;
           Alcotest.test_case "merge_files stitches two documents" `Quick
             test_trace_merge_files;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "printer: escapes, numbers, separators" `Quick
+            test_json_printing;
+          Alcotest.test_case "reader: numbers, escapes, errors" `Quick
+            test_json_reading;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 20 |])
+            json_roundtrip;
         ] );
       ( "series",
         [
