@@ -12,9 +12,16 @@
    [pass<TAB>item<TAB>verdict], in the order [lines] produces them.
    Regenerate it only for a deliberate verdict change, from the
    [test] directory:
-   [../_build/default/test/test_verdicts.exe print > verdicts.golden]. *)
+   [../_build/default/test/test_verdicts.exe print > verdicts.golden].
+
+   [behaviours.golden] pins the behaviour set ([Traceset.pp]) and the
+   completeness of every such program under both machine disciplines,
+   one block per item ([== item discipline] then the rendering); it
+   must not depend on the pool width ([PSOPT_J]).  Regenerate it the
+   same way with [print-behaviours]. *)
 
 let golden_file = "verdicts.golden"
+let behaviours_file = "behaviours.golden"
 let examples_dir = Filename.concat ".." (Filename.concat "examples" "programs")
 
 let example name =
@@ -48,8 +55,8 @@ let lines () =
   let progs = programs () in
   List.concat_map (fun pass -> List.map (line pass) progs) Sim.Verif.registry
 
-let read_golden () =
-  In_channel.with_open_bin golden_file In_channel.input_all
+let read_golden file =
+  In_channel.with_open_bin file In_channel.input_all
   |> String.split_on_char '\n'
   |> List.filter (fun l -> l <> "")
 
@@ -59,7 +66,7 @@ let item_of l =
   | _ -> l
 
 let test_golden () =
-  let expected = read_golden () in
+  let expected = read_golden golden_file in
   let actual = lines () in
   Alcotest.(check int) "item count" (List.length expected) (List.length actual);
   List.iter2
@@ -68,6 +75,42 @@ let test_golden () =
         Alcotest.failf "verdict of %s drifted:@\nexpected %s@\n     got %s"
           (item_of e) e a)
     expected actual
+
+(* ------------------------------------------------------------------ *)
+(* Behaviour sets under both disciplines. *)
+
+let behaviour_lines () =
+  let progs = programs () in
+  List.concat_map
+    (fun disc ->
+      List.concat_map
+        (fun (name, prog) ->
+          let o = Explore.Enum.behaviors_exn disc prog in
+          let header =
+            Format.asprintf "== %s %a %a" name Explore.Enum.pp_discipline disc
+              Explore.Enum.pp_completeness o.Explore.Enum.completeness
+          in
+          header
+          :: String.split_on_char '\n'
+               (Format.asprintf "%a" Explore.Traceset.pp o.Explore.Enum.traces))
+        progs)
+    [ Explore.Enum.Interleaving; Explore.Enum.Non_preemptive ]
+  |> List.filter (fun l -> l <> "")
+
+let test_behaviours () =
+  let expected = read_golden behaviours_file in
+  let actual = behaviour_lines () in
+  let item = ref "" in
+  List.iteri
+    (fun i a ->
+      if String.starts_with ~prefix:"== " a then item := a;
+      match List.nth_opt expected i with
+      | Some e when String.equal e a -> ()
+      | e ->
+          Alcotest.failf "behaviours of %s drifted at line %d:@\nexpected %s@\n     got %s"
+            !item (i + 1) (Option.value ~default:"<end of file>" e) a)
+    actual;
+  Alcotest.(check int) "line count" (List.length expected) (List.length actual)
 
 (* ------------------------------------------------------------------ *)
 (* Walks per check: every finished exploration bumps this counter. *)
@@ -112,6 +155,8 @@ let test_walks_races () =
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "print" then
     List.iter print_endline (lines ())
+  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "print-behaviours" then
+    List.iter print_endline (behaviour_lines ())
   else
     Alcotest.run "verdicts"
       [
@@ -119,6 +164,8 @@ let () =
           [
             Alcotest.test_case "golden verdicts (7 passes x 146 programs)"
               `Slow test_golden;
+            Alcotest.test_case "golden behaviours (2 disciplines x 146 programs)"
+              `Slow test_behaviours;
           ] );
         ( "walks",
           [
