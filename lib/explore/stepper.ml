@@ -14,6 +14,7 @@ type succ = {
   tid : int;
   event : Ps.Event.te option;
   state : state;
+  renumbering : Ps.Memory.renumbering option;
 }
 
 let init p =
@@ -73,20 +74,17 @@ let successors ~config ~discipline ~program st =
                in
                if not allowed then []
                else
+                 let world, renumbering =
+                   Ps.Machine.install world s.Ps.Thread.ts s.Ps.Thread.mem
+                 in
                  [
                    {
                      kind = Thread_step;
                      choice = i;
                      tid = cur;
                      event = Some s.Ps.Thread.event;
-                     state =
-                       {
-                         world =
-                           Ps.Machine.set_cur_ts world s.Ps.Thread.ts
-                             s.Ps.Thread.mem;
-                         bit = bit';
-                         promised = st.promised;
-                       };
+                     state = { world; bit = bit'; promised = st.promised };
+                     renumbering;
                    };
                  ])
          (Ps.Thread.steps ~code ts mem))
@@ -112,6 +110,9 @@ let successors ~config ~discipline ~program st =
         (List.mapi
            (fun i (s : Ps.Thread.step) ->
              if consistent s.Ps.Thread.ts s.Ps.Thread.mem then
+               let world, renumbering =
+                 Ps.Machine.install world s.Ps.Thread.ts s.Ps.Thread.mem
+               in
                [
                  {
                    kind = Promise_step;
@@ -120,12 +121,11 @@ let successors ~config ~discipline ~program st =
                    event = Some s.Ps.Thread.event;
                    state =
                      {
-                       world =
-                         Ps.Machine.set_cur_ts world s.Ps.Thread.ts
-                           s.Ps.Thread.mem;
+                       world;
                        bit = st.bit;
                        promised = TidMap.add cur (spent + 1) st.promised;
                      };
+                   renumbering;
                  };
                ]
              else [])
@@ -158,6 +158,7 @@ let successors ~config ~discipline ~program st =
                      bit = true;
                      promised = st.promised;
                    };
+                 renumbering = None;
                }
                :: acc
              else acc)

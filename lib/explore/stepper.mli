@@ -40,6 +40,10 @@ type succ = {
   tid : int;  (** acting thread: current for steps, target for switches *)
   event : Ps.Event.te option;  (** [None] exactly for switches *)
   state : state;
+  renumbering : Ps.Memory.renumbering option;
+      (** how the step renumbered the timestamps it found
+          ({!Ps.Machine.install}): the map that relates [state]'s
+          messages to those of the state the step left *)
 }
 
 val init : Lang.Ast.program -> (state, string) result

@@ -11,14 +11,24 @@ end
 module StateSet = Set.Make (State)
 module StateMap = Map.Make (State)
 
+(* The isolated thread's steps, each renumbered into canonical form
+   when it left the grid: appends keep the capped memory canonical,
+   but a write into the gap a cancelled reservation opened does not,
+   and the next slot must again be computed on the grid. *)
 let isolation_steps ~code ts mem =
-  Thread.steps ~code ts mem @ Thread.cancel_steps ts mem
+  List.map
+    (fun (s : Thread.step) ->
+      if s.mem == mem then s
+      else
+        let ts, mem = Thread.canonical s.ts s.mem in
+        { s with ts; mem })
+    (Thread.steps ~code ts mem @ Thread.cancel_steps ts mem)
 
 let consistent_stats ?(fuel = default_fuel) ?(cap = true) ~code
     (ts : Thread.ts) mem =
   if Thread.concrete_promises ts = [] then (true, 0)
   else
-    let mem = if cap then Memory.cap mem else mem in
+    let ts, mem = Thread.canonical ts (if cap then Memory.cap mem else mem) in
     (* Memoize the shallowest depth each state was explored at: a
        revisit with less remaining fuel can be pruned, a revisit with
        more fuel must be re-explored. *)
@@ -45,7 +55,7 @@ let consistent ?fuel ?cap ~code ts mem =
   fst (consistent_stats ?fuel ?cap ~code ts mem)
 
 let certifiable_writes ?(fuel = default_fuel) ~code (ts : Thread.ts) mem =
-  let mem = Memory.cap mem in
+  let ts, mem = Thread.canonical ts (Memory.cap mem) in
   let visited = ref StateSet.empty in
   let acc = ref [] in
   let rec dfs ts mem depth =

@@ -83,11 +83,11 @@ let hash (t : t) =
      structural equality licenses the structural [Hashtbl.hash]. *)
   let regs =
     RegMap.fold
-      (fun r v h -> Rat.hash_combine (Rat.hash_combine h (Hashtbl.hash r)) v)
+      (fun r v h -> Time.hash_combine (Time.hash_combine h (Hashtbl.hash r)) v)
       t.regs 0x10ca1
   in
-  Rat.hash_combine
-    (Rat.hash_combine regs (Hashtbl.hash t.pos))
+  Time.hash_combine
+    (Time.hash_combine regs (Hashtbl.hash t.pos))
     (Hashtbl.hash t.stack)
 
 let pp ppf t =

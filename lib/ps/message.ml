@@ -2,17 +2,17 @@ type t =
   | Msg of {
       var : Lang.Ast.var;
       value : Lang.Ast.value;
-      from_ : Rat.t;
-      to_ : Rat.t;
+      from_ : Time.t;
+      to_ : Time.t;
       view : View.t;
     }
-  | Rsv of { var : Lang.Ast.var; from_ : Rat.t; to_ : Rat.t }
+  | Rsv of { var : Lang.Ast.var; from_ : Time.t; to_ : Time.t }
 
 let msg ~var ~value ~from_ ~to_ ~view = Msg { var; value; from_; to_; view }
 let rsv ~var ~from_ ~to_ = Rsv { var; from_; to_ }
 
 let init x =
-  Msg { var = x; value = 0; from_ = Rat.zero; to_ = Rat.zero; view = View.bot }
+  Msg { var = x; value = 0; from_ = 0; to_ = 0; view = View.bot }
 
 let var = function Msg m -> m.var | Rsv r -> r.var
 let from_ = function Msg m -> m.from_ | Rsv r -> r.from_
@@ -24,19 +24,19 @@ let is_reservation = function Rsv _ -> true | Msg _ -> false
 
 let overlaps a b =
   String.equal (var a) (var b)
-  && (not (Rat.equal (from_ a) (to_ a)))
-  && (not (Rat.equal (from_ b) (to_ b)))
-  && Rat.lt (from_ a) (to_ b)
-  && Rat.lt (from_ b) (to_ a)
+  && from_ a <> to_ a
+  && from_ b <> to_ b
+  && from_ a < to_ b
+  && from_ b < to_ a
 
 let compare (a : t) (b : t) =
   let c = String.compare (var a) (var b) in
   if c <> 0 then c
   else
-    let c = Rat.compare (to_ a) (to_ b) in
+    let c = Int.compare (to_ a) (to_ b) in
     if c <> 0 then c
     else
-      let c = Rat.compare (from_ a) (from_ b) in
+      let c = Int.compare (from_ a) (from_ b) in
       if c <> 0 then c
       else
         (* Views contain maps; compare canonically, never with
@@ -52,16 +52,27 @@ let compare (a : t) (b : t) =
 let equal a b = compare a b = 0
 
 let hash m =
-  let ( ++ ) = Rat.hash_combine in
+  let ( ++ ) = Time.hash_combine in
   match m with
   | Msg m ->
-      Hashtbl.hash m.var ++ m.value ++ Rat.hash m.from_ ++ Rat.hash m.to_
+      Hashtbl.hash m.var ++ m.value ++ Time.mix m.from_ ++ Time.mix m.to_
       ++ View.hash m.view
-  | Rsv r -> 0x5e5e ++ Hashtbl.hash r.var ++ Rat.hash r.from_ ++ Rat.hash r.to_
+  | Rsv r -> 0x5e5e ++ Hashtbl.hash r.var ++ Time.mix r.from_ ++ Time.mix r.to_
+
+let renumber f = function
+  | Msg m ->
+      Msg
+        {
+          m with
+          from_ = f m.var m.from_;
+          to_ = f m.var m.to_;
+          view = View.renumber f m.view;
+        }
+  | Rsv r -> Rsv { r with from_ = f r.var r.from_; to_ = f r.var r.to_ }
 
 let pp ppf = function
   | Msg m ->
-      Format.fprintf ppf "<%s:%d@(%a,%a] %a>" m.var m.value Rat.pp m.from_
-        Rat.pp m.to_ View.pp m.view
+      Format.fprintf ppf "<%s:%d@(%a,%a] %a>" m.var m.value Time.pp m.from_
+        Time.pp m.to_ View.pp m.view
   | Rsv r ->
-      Format.fprintf ppf "<%s:(%a,%a]>" r.var Rat.pp r.from_ Rat.pp r.to_
+      Format.fprintf ppf "<%s:(%a,%a]>" r.var Time.pp r.from_ Time.pp r.to_

@@ -11,28 +11,28 @@ type t =
   | Msg of {
       var : Lang.Ast.var;
       value : Lang.Ast.value;
-      from_ : Rat.t;
-      to_ : Rat.t;
+      from_ : Time.t;
+      to_ : Time.t;
       view : View.t;
     }
-  | Rsv of { var : Lang.Ast.var; from_ : Rat.t; to_ : Rat.t }
+  | Rsv of { var : Lang.Ast.var; from_ : Time.t; to_ : Time.t }
 
 val msg :
   var:Lang.Ast.var ->
   value:Lang.Ast.value ->
-  from_:Rat.t ->
-  to_:Rat.t ->
+  from_:Time.t ->
+  to_:Time.t ->
   view:View.t ->
   t
 
-val rsv : var:Lang.Ast.var -> from_:Rat.t -> to_:Rat.t -> t
+val rsv : var:Lang.Ast.var -> from_:Time.t -> to_:Time.t -> t
 
 val init : Lang.Ast.var -> t
 (** [⟨x : 0@(0,0], V⊥⟩]. *)
 
 val var : t -> Lang.Ast.var
-val from_ : t -> Rat.t
-val to_ : t -> Rat.t
+val from_ : t -> Time.t
+val to_ : t -> Time.t
 val value : t -> Lang.Ast.value option
 val view : t -> View.t option
 val is_concrete : t -> bool
@@ -49,5 +49,9 @@ val compare : t -> t -> int
 val hash : t -> int
 (** Consistent with {!equal}; mixes the location, interval, value and
     message view. *)
+
+val renumber : (Lang.Ast.var -> Time.t -> Time.t) -> t -> t
+(** The interval and the message view through a per-location
+    timestamp map ({!Memory.apply}). *)
 
 val pp : Format.formatter -> t -> unit

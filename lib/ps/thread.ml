@@ -48,7 +48,7 @@ let compare (a : ts) (b : ts) =
 let equal a b = compare a b = 0
 
 let hash (t : ts) =
-  let ( ++ ) = Rat.hash_combine in
+  let ( ++ ) = Time.hash_combine in
   let vrel_loc =
     Ast.VarMap.fold
       (fun x v h -> h ++ Hashtbl.hash x ++ View.hash v)
@@ -57,6 +57,21 @@ let hash (t : ts) =
   let prm = List.fold_left (fun h m -> h ++ Message.hash m) 0x975 t.prm in
   Local.hash t.local ++ View.hash t.view ++ View.hash t.vacq
   ++ View.hash t.vrel ++ vrel_loc ++ prm
+
+let renumber f t =
+  {
+    t with
+    view = View.renumber f t.view;
+    vacq = View.renumber f t.vacq;
+    vrel = View.renumber f t.vrel;
+    vrel_loc = Ast.VarMap.map (View.renumber f) t.vrel_loc;
+    prm = List.map (Message.renumber f) t.prm;
+  }
+
+let canonical t mem =
+  match Memory.renumbering [ mem ] with
+  | None -> (t, mem)
+  | Some r -> (renumber (Memory.apply r) t, Memory.renumber r mem)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>local: %a@ view: %a@ promises: %a@]" Local.pp
@@ -149,7 +164,7 @@ let write_results mode x v (t : ts) mem =
             | Some pv, Some pview
               when String.equal (Message.var p) x
                    && pv = v
-                   && Rat.gt (Message.to_ p) min
+                   && Message.to_ p > min
                    && View.equal pview (fresh_msg_view mode x (Message.to_ p) t)
               ->
                 let view = View.observe_write x (Message.to_ p) t.view in

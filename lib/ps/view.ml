@@ -3,20 +3,20 @@ module VarMap = Lang.Ast.VarMap
 module TimeMap = struct
   (* Sparse: absent bindings are timestamp 0, and we never store 0, so
      that structural comparison coincides with extensional equality. *)
-  type t = Rat.t VarMap.t
+  type t = Time.t VarMap.t
 
   let bot = VarMap.empty
-  let get x t = match VarMap.find_opt x t with Some r -> r | None -> Rat.zero
+  let get x t = match VarMap.find_opt x t with Some r -> r | None -> 0
 
   let set x r t =
-    if Rat.equal r Rat.zero then VarMap.remove x t else VarMap.add x r t
+    if r = 0 then VarMap.remove x t else VarMap.add x r t
 
   let join a b =
-    VarMap.union (fun _ ra rb -> Some (Rat.max ra rb)) a b
+    VarMap.union (fun _ ra rb -> Some (Int.max ra rb)) a b
 
-  let le a b = VarMap.for_all (fun x ra -> Rat.le ra (get x b)) a
-  let equal a b = VarMap.equal Rat.equal a b
-  let compare a b = VarMap.compare Rat.compare a b
+  let le a b = VarMap.for_all (fun x ra -> ra <= get x b) a
+  let equal a b = VarMap.equal Int.equal a b
+  let compare a b = VarMap.compare Int.compare a b
   let bindings t = VarMap.bindings t
 
   let hash t =
@@ -24,15 +24,17 @@ module TimeMap = struct
        internal tree shape *)
     VarMap.fold
       (fun x r h ->
-        Rat.hash_combine (Rat.hash_combine h (Hashtbl.hash x)) (Rat.hash r))
+        Time.hash_combine (Time.hash_combine h (Hashtbl.hash x)) (Time.mix r))
       t 0x51f15
 
   let pp ppf t =
     Format.fprintf ppf "{%a}"
       (Format.pp_print_list
          ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         (fun ppf (x, r) -> Format.fprintf ppf "%s@%a" x Rat.pp r))
+         (fun ppf (x, r) -> Format.fprintf ppf "%s@%a" x Time.pp r))
       (bindings t)
+
+  let renumber f t = VarMap.mapi f t
 end
 
 type t = { na : TimeMap.t; rlx : TimeMap.t }
@@ -49,7 +51,7 @@ let compare a b =
   let c = TimeMap.compare a.na b.na in
   if c <> 0 then c else TimeMap.compare a.rlx b.rlx
 
-let hash v = Rat.hash_combine (TimeMap.hash v.na) (TimeMap.hash v.rlx)
+let hash v = Time.hash_combine (TimeMap.hash v.na) (TimeMap.hash v.rlx)
 
 let read_ts (mode : Lang.Modes.read) x v =
   match mode with
@@ -57,14 +59,17 @@ let read_ts (mode : Lang.Modes.read) x v =
   | Lang.Modes.Rlx | Lang.Modes.Acq -> TimeMap.get x v.rlx
 
 let observe_read (mode : Lang.Modes.read) x t v =
-  let bump tm = TimeMap.set x (Rat.max t (TimeMap.get x tm)) tm in
+  let bump tm = TimeMap.set x (Int.max t (TimeMap.get x tm)) tm in
   match mode with
   | Lang.Modes.Na -> { v with rlx = bump v.rlx }
   | Lang.Modes.Rlx | Lang.Modes.Acq -> { na = bump v.na; rlx = bump v.rlx }
 
 let observe_write x t v =
-  let bump tm = TimeMap.set x (Rat.max t (TimeMap.get x tm)) tm in
+  let bump tm = TimeMap.set x (Int.max t (TimeMap.get x tm)) tm in
   { na = bump v.na; rlx = bump v.rlx }
+
+let renumber f v =
+  { na = TimeMap.renumber f v.na; rlx = TimeMap.renumber f v.rlx }
 
 let pp ppf v =
   Format.fprintf ppf "(na:%a, rlx:%a)" TimeMap.pp v.na TimeMap.pp v.rlx
@@ -81,7 +86,7 @@ let delta ~prev v =
     (fun x ->
       let d get m0 m1 =
         let a = get x m0 and b = get x m1 in
-        if Rat.equal a b then None else Some b
+        if a = b then None else Some b
       in
       match (d TimeMap.get prev.na v.na, d TimeMap.get prev.rlx v.rlx) with
       | None, None -> None
@@ -95,7 +100,7 @@ let pp_delta ~prev ppf v =
       let item ppf (x, na, rlx) =
         let comp tag ppf = function
           | None -> ()
-          | Some r -> Format.fprintf ppf " %s->%a" tag Rat.pp r
+          | Some r -> Format.fprintf ppf " %s->%a" tag Time.pp r
         in
         Format.fprintf ppf "%s:%a%a" x (comp "na") na (comp "rlx") rlx
       in

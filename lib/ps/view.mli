@@ -13,8 +13,8 @@ module TimeMap : sig
   val bot : t
   (** [T⁰ = {x ↦ 0 | x ∈ Var}], represented sparsely. *)
 
-  val get : Lang.Ast.var -> t -> Rat.t
-  val set : Lang.Ast.var -> Rat.t -> t -> t
+  val get : Lang.Ast.var -> t -> Time.t
+  val set : Lang.Ast.var -> Time.t -> t -> t
 
   val join : t -> t -> t
   (** Pointwise maximum [T1 ⊔ T2]. *)
@@ -28,7 +28,12 @@ module TimeMap : sig
   val hash : t -> int
   (** Consistent with {!equal} (folds bindings in key order). *)
 
-  val bindings : t -> (Lang.Ast.var * Rat.t) list
+  val bindings : t -> (Lang.Ast.var * Time.t) list
+
+  val renumber : (Lang.Ast.var -> Time.t -> Time.t) -> t -> t
+  (** Maps every binding through a per-location timestamp map that
+      fixes 0 ({!Memory.apply}). *)
+
   val pp : Format.formatter -> t -> unit
 end
 
@@ -48,23 +53,26 @@ val compare : t -> t -> int
 val hash : t -> int
 (** Consistent with {!equal}. *)
 
-val read_ts : Lang.Modes.read -> Lang.Ast.var -> t -> Rat.t
+val read_ts : Lang.Modes.read -> Lang.Ast.var -> t -> Time.t
 (** The lower bound the semantics imposes on the timestamp of a
     message read from [x]: [Tna(x)] for [na] reads, [Trlx(x)] for
     [rlx]/[acq] reads. *)
 
-val observe_read : Lang.Modes.read -> Lang.Ast.var -> Rat.t -> t -> t
+val observe_read : Lang.Modes.read -> Lang.Ast.var -> Time.t -> t -> t
 (** View update after reading a message of [x] with "to"-timestamp
     [t]: non-atomic reads record [t] in [Trlx] only, atomic reads in
     both maps (Sec. 3, read step). *)
 
-val observe_write : Lang.Ast.var -> Rat.t -> t -> t
+val observe_write : Lang.Ast.var -> Time.t -> t -> t
 (** View update after writing [x] at timestamp [t]: both maps. *)
+
+val renumber : (Lang.Ast.var -> Time.t -> Time.t) -> t -> t
+(** Both time maps through {!TimeMap.renumber}. *)
 
 val pp : Format.formatter -> t -> unit
 
 val delta :
-  prev:t -> t -> (Lang.Ast.var * Rat.t option * Rat.t option) list
+  prev:t -> t -> (Lang.Ast.var * Time.t option * Time.t option) list
 (** The locations whose [na]/[rlx] timestamp changed between [prev]
     and the new view, with the new value per changed component.  Empty
     iff the views are equal. *)

@@ -46,7 +46,7 @@ let race_at kind (w : Ps.Machine.world) =
                 List.find_opt
                   (fun m ->
                     Ps.Message.is_concrete m
-                    && Rat.gt (Ps.Message.to_ m) seen
+                    && Ps.Message.to_ m > seen
                     && not (own m))
                   (Ps.Memory.per_loc x w.Ps.Machine.mem)
               in

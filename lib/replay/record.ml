@@ -29,19 +29,31 @@ let records_of_trail ~config ~program st0 trail =
     | [] -> List.rev acc
     | (s : Stepper.succ) :: rest ->
         let next = s.Stepper.state in
+        (* The step may have renumbered every timestamp: read [prev]
+           through its renumbering, so only what the step did shows. *)
+        let renumbering = s.Stepper.renumbering in
         let added =
-          Ps.Memory.added ~prev:prev.Stepper.world.Ps.Machine.mem
+          Ps.Memory.added ?renumbering ~prev:prev.Stepper.world.Ps.Machine.mem
             next.Stepper.world.Ps.Machine.mem
         in
         let removed =
-          Ps.Memory.removed ~prev:prev.Stepper.world.Ps.Machine.mem
+          Ps.Memory.removed ?renumbering
+            ~prev:prev.Stepper.world.Ps.Machine.mem
             next.Stepper.world.Ps.Machine.mem
         in
         let committed, cert_states =
           Stepper.committed_stats ~config ~program prev
         in
         let view_delta =
-          match (view_of prev s.Stepper.tid, view_of next s.Stepper.tid) with
+          let moved v =
+            match renumbering with
+            | Some r -> Ps.View.renumber (Ps.Memory.apply r) v
+            | None -> v
+          in
+          match
+            ( Option.map moved (view_of prev s.Stepper.tid),
+              view_of next s.Stepper.tid )
+          with
           | Some v0, Some v1 when not (Ps.View.equal v0 v1) ->
               Some (Format.asprintf "%a" (Ps.View.pp_delta ~prev:v0) v1)
           | _ -> None

@@ -57,7 +57,9 @@ type t = {
   corrupt : int Atomic.t;
 }
 
-let record_version = 2
+(* 3: timestamps print as grid ranks; a cached race or verify text
+   that printed a fraction reads differently now. *)
+let record_version = 3
 
 (* ------------------------------------------------------------------ *)
 

@@ -18,7 +18,7 @@ let timemap_related phi vt vs =
     List.for_all
       (fun (y, ts) ->
         match Tmap.find y ts phi with
-        | Some ts' -> Rat.equal ts' (Ps.View.TimeMap.get y tm_s)
+        | Some ts' -> ts' = Ps.View.TimeMap.get y tm_s
         | None -> false)
       (Ps.View.TimeMap.bindings tm_t)
     (* and conversely the source view observes nothing the target's
@@ -30,7 +30,7 @@ let timemap_related phi vt vs =
                String.equal y y2
                && Tmap.find y ts phi = Some ts')
              (Ps.View.TimeMap.bindings tm_t)
-           || Rat.equal ts' Rat.zero)
+           || ts' = 0)
          (Ps.View.TimeMap.bindings tm_s)
   in
   ok vt vs
@@ -47,8 +47,8 @@ let gap_before ms_mem x (msg : Ps.Message.t) =
   List.for_all
     (fun m ->
       Ps.Message.equal m msg
-      || Rat.lt (Ps.Message.to_ m) f'
-      || Rat.ge (Ps.Message.from_ m) (Ps.Message.to_ msg))
+      || Ps.Message.to_ m < f'
+      || Ps.Message.from_ m >= Ps.Message.to_ msg)
     (Ps.Memory.per_loc x ms_mem)
 
 let idce =
@@ -64,7 +64,7 @@ let idce =
             if
               (not (Ps.Message.is_concrete msg))
               || Lang.Ast.VarSet.mem x atomics
-              || Rat.equal (Ps.Message.to_ msg) Rat.zero
+              || Ps.Message.to_ msg = 0
             then true
             else
               match Tmap.find x (Ps.Message.to_ msg) phi with
@@ -94,7 +94,7 @@ let messages_related phi (mt, ms) =
       &&
       if
         (not (Ps.Message.is_concrete msg))
-        || Rat.equal (Ps.Message.to_ msg) Rat.zero
+        || Ps.Message.to_ msg = 0
       then true
       else
         let x = Ps.Message.var msg in

@@ -598,6 +598,74 @@ let test_quarantine_trace () =
 
 (* --------------------------------------------------------------- *)
 
+(* --------------------------------------------------------------- *)
+(* Deltas across a renumbering step *)
+
+(* t1 promises x = 1 after the initialization message; t2 then writes
+   x = 2 into the gap below the promise, which takes the world off the
+   grid, so the step renumbers every timestamp and the promise moves;
+   t1 fulfils it last. *)
+let gap_writer =
+  Lang.Parse.program_of_string
+    {|atomics x;
+threads t1 t2;
+proc t1 entry L {
+L:
+  x.rlx := 1;
+  return;
+}
+proc t2 entry L {
+L:
+  x.rlx := 2;
+  return;
+}|}
+
+let test_renumbered_deltas () =
+  let wr v = Ps.Event.Wr (Lang.Modes.WRlx, "x", v) in
+  let schedule =
+    [ (0, Ps.Event.Prm); (1, wr 2); (1, Ps.Event.Tau); (0, wr 1) ]
+    @ [ (0, Ps.Event.Tau) ]
+  in
+  match Stepper.drive ~config ~discipline:il ~program:gap_writer schedule with
+  | None -> Alcotest.fail "schedule does not drive"
+  | Some (st0, trail) -> (
+      let is_event e (s : Stepper.succ) = s.Stepper.event = Some e in
+      let gap_write = List.find (is_event (wr 2)) trail in
+      Alcotest.(check bool) "the gap write renumbers" true
+        (gap_write.Stepper.renumbering <> None);
+      let records =
+        Replay.Record.records_of_trail ~config ~program:gap_writer st0 trail
+      in
+      let added e =
+        List.concat_map
+          (fun (r : Trace.record) ->
+            if r.Trace.event = Some e then r.Trace.msgs_added else [])
+          records
+      in
+      Alcotest.(check int) "promise: one +msg" 1
+        (List.length (added Ps.Event.Prm));
+      Alcotest.(check (list string)) "gap write: exactly its own +msg"
+        [ "<x:2@(1,2] (na:{}, rlx:{})>" ] (added (wr 2));
+      Alcotest.(check (list string)) "fulfilment: no +msg" [] (added (wr 1));
+      match Witness.annotate ~config gap_writer (Witness.of_trail trail) with
+      | None -> Alcotest.fail "witness does not annotate"
+      | Some steps -> (
+          let step e =
+            List.find
+              (fun (a : Witness.annotated_step) -> a.Witness.event = Some e)
+              steps
+          in
+          (match (step Ps.Event.Prm).Witness.note with
+          | Witness.Promises { fulfilled_at = Some j; _ } ->
+              Alcotest.(check int) "promise linked to its fulfilment"
+                (step (wr 1)).Witness.num j
+          | _ -> Alcotest.fail "promise not linked to its fulfilment");
+          match (step (wr 1)).Witness.note with
+          | Witness.Fulfills { promised_at = Some i; _ } ->
+              Alcotest.(check int) "fulfilment linked to its promise"
+                (step Ps.Event.Prm).Witness.num i
+          | _ -> Alcotest.fail "fulfilment not linked to its promise"))
+
 let () =
   Alcotest.run "replay"
     [
@@ -618,6 +686,8 @@ let () =
             test_keyframe_jump_cost;
           Alcotest.test_case "step/back cross the same records" `Quick
             test_step_back_records;
+          Alcotest.test_case "deltas across a renumbering step" `Quick
+            test_renumbered_deltas;
         ] );
       ( "proto",
         [

@@ -1,20 +1,22 @@
 (* The thread-local simulation machinery (Sec. 6): timestamp mappings,
    invariants, the delayed write set and the simulation game. *)
 
-let rat = Alcotest.testable Rat.pp Rat.equal
-let t n = Rat.of_int n
+let time = Alcotest.testable Ps.Time.pp Int.equal
+(* Rank [n] on the canonical timestamp grid. *)
+let t n = n * Ps.Time.grid
 
 (* ------------------------------------------------------------------ *)
 (* Tmap *)
 
 let test_tmap_basics () =
   let phi = Sim.Tmap.init [ "x"; "y" ] in
-  Alcotest.(check (option rat |> fun t -> t)) "phi0 maps (x,0) to 0"
-    (Some Rat.zero)
-    (Sim.Tmap.find "x" Rat.zero phi);
+  Alcotest.(check (option time)) "phi0 maps (x,0) to 0"
+    (Some 0)
+    (Sim.Tmap.find "x" 0 phi);
   let phi = Sim.Tmap.add "x" (t 1) (t 2) phi in
-  Alcotest.(check (option rat)) "added" (Some (t 2)) (Sim.Tmap.find "x" (t 1) phi);
-  Alcotest.(check (option rat)) "missing" None (Sim.Tmap.find "y" (t 1) phi)
+  Alcotest.(check (option time))
+    "added" (Some (t 2)) (Sim.Tmap.find "x" (t 1) phi);
+  Alcotest.(check (option time)) "missing" None (Sim.Tmap.find "y" (t 1) phi)
 
 let test_tmap_mon () =
   let phi = Sim.Tmap.add "x" (t 1) (t 5) (Sim.Tmap.init [ "x" ]) in
@@ -92,18 +94,18 @@ let test_messages_related_views () =
   (* a release-write message whose view differs under phi is related
      only when the source view is the phi-image of the target's *)
   let phi = Sim.Tmap.init [ "x"; "y" ] in
-  let phi = Sim.Tmap.add "y" (t 1) (t 1) phi in
+  let phi = Sim.Tmap.add "y" (t 2) (t 2) phi in
   let phi = Sim.Tmap.add "x" (t 2) (t 2) phi in
-  let view_t = Ps.View.observe_write "y" (t 1) Ps.View.bot in
+  let view_t = Ps.View.observe_write "y" (t 2) Ps.View.bot in
   let mk view =
     Ps.Memory.add_exn
       (Ps.Message.msg ~var:"x" ~value:1 ~from_:(t 1) ~to_:(t 2) ~view)
       (Ps.Memory.add_exn
-         (Ps.Message.msg ~var:"y" ~value:1 ~from_:(Rat.midpoint Rat.zero Rat.one)
-            ~to_:(t 1) ~view:Ps.View.bot)
+         (Ps.Message.msg ~var:"y" ~value:1 ~from_:(t 1) ~to_:(t 2)
+            ~view:Ps.View.bot)
          (Ps.Memory.init [ "x"; "y" ]))
   in
-  let phi_full = Sim.Tmap.add "y" (t 1) (t 1) phi in
+  let phi_full = Sim.Tmap.add "y" (t 2) (t 2) phi in
   Alcotest.(check bool) "matching views related" true
     (Sim.Invariant.messages_related phi_full (mk view_t, mk view_t));
   Alcotest.(check bool) "mismatched views rejected" false
@@ -119,13 +121,13 @@ let test_delayed () =
   let d = Sim.Delayed.record_target_write "x" (t 3) d in
   let d = Sim.Delayed.record_target_write "y" (t 2) d in
   Alcotest.(check int) "size" 3 (Sim.Delayed.size d);
-  Alcotest.(check (option rat)) "oldest on x" (Some (t 1))
+  Alcotest.(check (option time)) "oldest on x" (Some (t 1))
     (Sim.Delayed.oldest_on "x" d);
   let d = Sim.Delayed.discharge "x" d in
-  Alcotest.(check (option rat)) "oldest discharged first" (Some (t 3))
+  Alcotest.(check (option time)) "oldest discharged first" (Some (t 3))
     (Sim.Delayed.oldest_on "x" d);
   let d = Sim.Delayed.discharge "y" d in
-  Alcotest.(check (option rat)) "y discharged" None (Sim.Delayed.oldest_on "y" d);
+  Alcotest.(check (option time)) "y discharged" None (Sim.Delayed.oldest_on "y" d);
   Alcotest.(check int) "one left" 1 (Sim.Delayed.size d);
   (* discharge on an absent location is a no-op *)
   Alcotest.(check int) "noop discharge" 1
@@ -160,7 +162,7 @@ let test_scenarios () =
              Ps.Message.var m = "x"
              &&
              match Ps.Message.view m with
-             | Some v -> Rat.gt (Ps.View.TimeMap.get "y" v.Ps.View.na) Rat.zero
+             | Some v -> Ps.View.TimeMap.get "y" v.Ps.View.na > 0
              | None -> false)
            sc)
        ss);

@@ -3,8 +3,9 @@
 
 open Lang.Modes
 
-let rat = Alcotest.testable Rat.pp Rat.equal
-let t n = Rat.of_int n
+let time = Alcotest.testable Ps.Time.pp Int.equal
+(* Rank [n] on the canonical timestamp grid. *)
+let t n = n * Ps.Time.grid
 
 (* A one-thread code heap around the given straight-line body. *)
 let code_of instrs =
@@ -71,8 +72,8 @@ let test_na_read_updates_trlx_only () =
       (steps_of code ts mem)
   in
   let v = s.Ps.Thread.ts.Ps.Thread.view in
-  Alcotest.check rat "Tna unchanged" Rat.zero (Ps.View.TimeMap.get "x" v.Ps.View.na);
-  Alcotest.check rat "Trlx bumped" (t 2) (Ps.View.TimeMap.get "x" v.Ps.View.rlx)
+  Alcotest.check time "Tna unchanged" 0 (Ps.View.TimeMap.get "x" v.Ps.View.na);
+  Alcotest.check time "Trlx bumped" (t 2) (Ps.View.TimeMap.get "x" v.Ps.View.rlx)
 
 let test_write_updates_both_views () =
   let code, ts, mem = state [ Lang.Ast.Store ("x", Lang.Ast.Val 3, WNa) ] [ "x" ] in
@@ -82,8 +83,8 @@ let test_write_updates_both_views () =
   | e -> Alcotest.failf "unexpected event %a" Ps.Event.pp_te e);
   let v = s.Ps.Thread.ts.Ps.Thread.view in
   let written = Ps.View.TimeMap.get "x" v.Ps.View.na in
-  Alcotest.(check bool) "Tna bumped" true (Rat.gt written Rat.zero);
-  Alcotest.check rat "Tna = Trlx" written (Ps.View.TimeMap.get "x" v.Ps.View.rlx);
+  Alcotest.(check bool) "Tna bumped" true (written > 0);
+  Alcotest.check time "Tna = Trlx" written (Ps.View.TimeMap.get "x" v.Ps.View.rlx);
   (* the new message is in memory with bottom view (na write) *)
   match Ps.Memory.find "x" written s.Ps.Thread.mem with
   | Some m -> Alcotest.(check bool) "bot view" true
@@ -110,7 +111,7 @@ let test_release_write_carries_view () =
   | Some m ->
       let mv = Option.get (Ps.Message.view m) in
       Alcotest.(check bool) "message view records y" true
-        (Rat.gt (Ps.View.TimeMap.get "y" mv.Ps.View.na) Rat.zero)
+        (Ps.View.TimeMap.get "y" mv.Ps.View.na > 0)
   | None -> Alcotest.fail "release message missing"
 
 let test_acquire_read_joins_message_view () =
@@ -126,7 +127,7 @@ let test_acquire_read_joins_message_view () =
       (fun (s : Ps.Thread.step) -> s.Ps.Thread.event = Ps.Event.Rd (Acq, "x", 1))
       (steps_of code ts mem)
   in
-  Alcotest.check rat "acq joins Tna(y)" (t 9)
+  Alcotest.check time "acq joins Tna(y)" (t 9)
     (Ps.View.TimeMap.get "y" s.Ps.Thread.ts.Ps.Thread.view.Ps.View.na)
 
 let test_rlx_read_does_not_join () =
@@ -142,10 +143,10 @@ let test_rlx_read_does_not_join () =
       (fun (s : Ps.Thread.step) -> s.Ps.Thread.event = Ps.Event.Rd (Rlx, "x", 1))
       (steps_of code ts mem)
   in
-  Alcotest.check rat "rlx does not join Tna(y)" Rat.zero
+  Alcotest.check time "rlx does not join Tna(y)" 0
     (Ps.View.TimeMap.get "y" s.Ps.Thread.ts.Ps.Thread.view.Ps.View.na);
   (* ... but an acquire fence afterwards does (vacq accumulated). *)
-  Alcotest.check rat "vacq recorded y" (t 9)
+  Alcotest.check time "vacq recorded y" (t 9)
     (Ps.View.TimeMap.get "y" s.Ps.Thread.ts.Ps.Thread.vacq.Ps.View.na)
 
 let test_acq_fence_folds_vacq () =
@@ -166,7 +167,7 @@ let test_acq_fence_folds_vacq () =
   let s2 = List.hd (steps_of code s.Ps.Thread.ts s.Ps.Thread.mem) in
   Alcotest.(check bool) "fence event" true
     (s2.Ps.Thread.event = Ps.Event.Fnc FAcq);
-  Alcotest.check rat "acq fence folds y into Tna" (t 9)
+  Alcotest.check time "acq fence folds y into Tna" (t 9)
     (Ps.View.TimeMap.get "y" s2.Ps.Thread.ts.Ps.Thread.view.Ps.View.na)
 
 let test_rel_fence_then_rlx_write () =
@@ -191,7 +192,7 @@ let test_rel_fence_then_rlx_write () =
   | Some m ->
       let mv = Option.get (Ps.Message.view m) in
       Alcotest.(check bool) "rlx write after rel fence synchronizes" true
-        (Rat.gt (Ps.View.TimeMap.get "y" mv.Ps.View.na) Rat.zero)
+        (Ps.View.TimeMap.get "y" mv.Ps.View.na > 0)
   | None -> Alcotest.fail "message missing"
 
 let test_release_sequence_rlx_write () =
@@ -224,7 +225,7 @@ let test_release_sequence_rlx_write () =
   | Some m ->
       let mv = Option.get (Ps.Message.view m) in
       Alcotest.(check bool) "relaxed write carries the release view" true
-        (Rat.gt (Ps.View.TimeMap.get "y" mv.Ps.View.na) Rat.zero)
+        (Ps.View.TimeMap.get "y" mv.Ps.View.na > 0)
   | None -> Alcotest.fail "message missing");
   (* ... but a relaxed write to a DIFFERENT location does not *)
   ()
@@ -280,7 +281,7 @@ let test_cas_inherits_read_view () =
   match Ps.Memory.find "x" xts su.Ps.Thread.mem with
   | Some m ->
       let mv = Option.get (Ps.Message.view m) in
-      Alcotest.check rat "update inherits y@9" (t 9)
+      Alcotest.check time "update inherits y@9" (t 9)
         (Ps.View.TimeMap.get "y" mv.Ps.View.na)
   | None -> Alcotest.fail "update message missing"
 
@@ -304,7 +305,7 @@ let test_cas_success_and_failure () =
   (* its message attaches: from = 0 *)
   let xts = Ps.View.TimeMap.get "x" su.Ps.Thread.ts.Ps.Thread.view.Ps.View.rlx in
   (match Ps.Memory.find "x" xts su.Ps.Thread.mem with
-  | Some m -> Alcotest.check rat "adjacent from" Rat.zero (Ps.Message.from_ m)
+  | Some m -> Alcotest.check time "adjacent from" 0 (Ps.Message.from_ m)
   | None -> Alcotest.fail "CAS message missing");
   (* failure branch: memory with a non-matching value *)
   let mem2 =
@@ -329,7 +330,7 @@ let test_cas_blocked_by_adjacent () =
     state [ Lang.Ast.Cas ("r", "x", Lang.Ast.Val 0, Lang.Ast.Val 5, Rlx, WRlx) ] [ "x" ]
   in
   (* occupy the interval right after the init message *)
-  let mem = Ps.Memory.add_exn (Ps.Message.rsv ~var:"x" ~from_:Rat.zero ~to_:(t 1)) mem in
+  let mem = Ps.Memory.add_exn (Ps.Message.rsv ~var:"x" ~from_:0 ~to_:(t 1)) mem in
   let ss = steps_of code ts mem in
   Alcotest.(check bool) "no success possible" true
     (List.for_all

@@ -2,28 +2,29 @@
 
 module TM = Ps.View.TimeMap
 
-let rat = Alcotest.testable Rat.pp Rat.equal
+let time = Alcotest.testable Ps.Time.pp Int.equal
 let tm = Alcotest.testable TM.pp TM.equal
 let view = Alcotest.testable Ps.View.pp Ps.View.equal
 
-let t n = Rat.of_int n
+(* Rank [n] on the canonical timestamp grid. *)
+let t n = n * Ps.Time.grid
 
 let test_timemap_basics () =
-  Alcotest.check rat "bot is 0" Rat.zero (TM.get "x" TM.bot);
+  Alcotest.check time "bot is 0" 0 (TM.get "x" TM.bot);
   let m = TM.set "x" (t 3) TM.bot in
-  Alcotest.check rat "set/get" (t 3) (TM.get "x" m);
-  Alcotest.check rat "other loc still 0" Rat.zero (TM.get "y" m);
+  Alcotest.check time "set/get" (t 3) (TM.get "x" m);
+  Alcotest.check time "other loc still 0" 0 (TM.get "y" m);
   (* Setting 0 keeps the sparse representation canonical. *)
-  Alcotest.check tm "set 0 = bot" TM.bot (TM.set "x" Rat.zero TM.bot);
-  Alcotest.check tm "overwrite to 0 erases" TM.bot (TM.set "x" Rat.zero m)
+  Alcotest.check tm "set 0 = bot" TM.bot (TM.set "x" 0 TM.bot);
+  Alcotest.check tm "overwrite to 0 erases" TM.bot (TM.set "x" 0 m)
 
 let test_timemap_join () =
   let a = TM.set "x" (t 3) (TM.set "y" (t 1) TM.bot) in
   let b = TM.set "x" (t 2) (TM.set "z" (t 5) TM.bot) in
   let j = TM.join a b in
-  Alcotest.check rat "x max" (t 3) (TM.get "x" j);
-  Alcotest.check rat "y kept" (t 1) (TM.get "y" j);
-  Alcotest.check rat "z kept" (t 5) (TM.get "z" j);
+  Alcotest.check time "x max" (t 3) (TM.get "x" j);
+  Alcotest.check time "y kept" (t 1) (TM.get "y" j);
+  Alcotest.check time "z kept" (t 5) (TM.get "z" j);
   Alcotest.(check bool) "a <= join" true (TM.le a j);
   Alcotest.(check bool) "b <= join" true (TM.le b j);
   Alcotest.(check bool) "join not <= a" false (TM.le j a)
@@ -44,11 +45,11 @@ let test_read_ts_by_mode () =
   let v =
     { Ps.View.na = TM.set "x" (t 1) TM.bot; rlx = TM.set "x" (t 4) TM.bot }
   in
-  Alcotest.check rat "na reads bound by Tna" (t 1)
+  Alcotest.check time "na reads bound by Tna" (t 1)
     (Ps.View.read_ts Lang.Modes.Na "x" v);
-  Alcotest.check rat "rlx bound by Trlx" (t 4)
+  Alcotest.check time "rlx bound by Trlx" (t 4)
     (Ps.View.read_ts Lang.Modes.Rlx "x" v);
-  Alcotest.check rat "acq bound by Trlx" (t 4)
+  Alcotest.check time "acq bound by Trlx" (t 4)
     (Ps.View.read_ts Lang.Modes.Acq "x" v)
 
 (* The paper's read rule: a non-atomic read updates Trlx only; an
@@ -56,19 +57,19 @@ let test_read_ts_by_mode () =
 let test_observe_read () =
   let v = Ps.View.bot in
   let v_na = Ps.View.observe_read Lang.Modes.Na "x" (t 5) v in
-  Alcotest.check rat "na read leaves Tna" Rat.zero (TM.get "x" v_na.Ps.View.na);
-  Alcotest.check rat "na read bumps Trlx" (t 5) (TM.get "x" v_na.Ps.View.rlx);
+  Alcotest.check time "na read leaves Tna" 0 (TM.get "x" v_na.Ps.View.na);
+  Alcotest.check time "na read bumps Trlx" (t 5) (TM.get "x" v_na.Ps.View.rlx);
   let v_rlx = Ps.View.observe_read Lang.Modes.Rlx "x" (t 5) v in
-  Alcotest.check rat "rlx read bumps Tna" (t 5) (TM.get "x" v_rlx.Ps.View.na);
-  Alcotest.check rat "rlx read bumps Trlx" (t 5) (TM.get "x" v_rlx.Ps.View.rlx);
+  Alcotest.check time "rlx read bumps Tna" (t 5) (TM.get "x" v_rlx.Ps.View.na);
+  Alcotest.check time "rlx read bumps Trlx" (t 5) (TM.get "x" v_rlx.Ps.View.rlx);
   (* reads never lower a view *)
   let v_hi = Ps.View.observe_read Lang.Modes.Rlx "x" (t 2) v_rlx in
   Alcotest.check view "no downgrade" v_rlx v_hi
 
 let test_observe_write () =
   let v = Ps.View.observe_write "x" (t 7) Ps.View.bot in
-  Alcotest.check rat "write bumps Tna" (t 7) (TM.get "x" v.Ps.View.na);
-  Alcotest.check rat "write bumps Trlx" (t 7) (TM.get "x" v.Ps.View.rlx)
+  Alcotest.check time "write bumps Tna" (t 7) (TM.get "x" v.Ps.View.na);
+  Alcotest.check time "write bumps Trlx" (t 7) (TM.get "x" v.Ps.View.rlx)
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -81,7 +82,7 @@ let tm_gen =
         (fun l ->
           List.fold_left
             (fun m (i, n) ->
-              TM.set (Printf.sprintf "v%d" i) (Rat.of_int n) m)
+              TM.set (Printf.sprintf "v%d" i) ((t n)) m)
             TM.bot l)
         (list_size (int_range 0 6) (pair (int_range 0 4) (int_range 0 20))))
 
