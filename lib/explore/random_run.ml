@@ -47,7 +47,7 @@ let run ?(seed = 0) ?(max_steps = 10_000) (p : Lang.Ast.program) =
                (match s.Ps.Thread.event with
                | Ps.Event.Out v -> outs := v :: !outs
                | _ -> ());
-               world := Ps.Machine.set_cur_ts w s.Ps.Thread.ts s.Ps.Thread.mem
+               world := fst (Ps.Machine.install w s.Ps.Thread.ts s.Ps.Thread.mem)
          done
        with Exit -> ());
       Ok
