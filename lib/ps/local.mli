@@ -14,6 +14,14 @@ type pos =
       fn : Lang.Ast.fname;
       rest : Lang.Ast.instr list;
       term : Lang.Ast.terminator;
+      left : int;
+          (** [List.length rest]: the program point within the block.
+              Two points of one run of identical instructions differ
+              only here (their [rest] lists are equal up to length),
+              so {!hash} mixes it in and {!equal} tests it first.  It
+              is the last field so that [Stdlib.compare]'s order on
+              positions, and thus {!compare}'s, is the order without
+              it: [left] is a function of [rest], which comes first. *)
     }
   | Finished
 
@@ -52,7 +60,10 @@ val step_over : t -> t
     @raise Invalid_argument if the block has no pending instruction. *)
 
 val compare : t -> t -> int
+
 val equal : t -> t -> bool
+(** [compare a b = 0]: [==] first, then [left], then the rest of the
+    structure; allocation-free except as {!Share.Map.equal} says. *)
 
 val hash : t -> int
 (** Consistent with {!equal}. *)

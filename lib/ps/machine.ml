@@ -20,6 +20,8 @@ let init (p : Lang.Ast.program) =
   | Ok tp -> Ok { tp; cur = 0; mem }
   | Error e -> Error e
 
+module Tids = Share.Map (TidMap)
+
 let tids w = List.map fst (TidMap.bindings w.tp)
 let cur_ts w = TidMap.find w.cur w.tp
 let install w ts mem =
@@ -27,9 +29,10 @@ let install w ts mem =
   match Memory.renumbering [ mem ] with
   | None -> ({ w with tp; mem }, None)
   | Some r ->
+      let f = Memory.apply r in
       ( {
           w with
-          tp = TidMap.map (Thread.renumber (Memory.apply r)) tp;
+          tp = Tids.mapi (fun _ ts -> Thread.renumber f ts) tp;
           mem = Memory.renumber r mem;
         },
         Some r )
@@ -48,7 +51,14 @@ let compare a b =
     let c = Int.compare a.cur b.cur in
     if c <> 0 then c else Memory.compare a.mem b.mem
 
-let equal a b = compare a b = 0
+(* [compare = 0].  Equal worlds reached by
+   different interleavings share most of their thread states and
+   message lists, which the [==] tests of each layer catch. *)
+let equal a b =
+  a == b
+  || a.cur = b.cur
+     && Tids.equal Thread.equal a.tp b.tp
+     && Memory.equal a.mem b.mem
 
 let hash w =
   let tp =

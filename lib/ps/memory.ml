@@ -193,6 +193,14 @@ let on_grid = function
       && VarMap.for_all (fun x l -> VarMap.mem x a || canonical_from 0 l) b
   | ms -> List.for_all canonical ms
 
+(* [x]'s endpoints across [ms] are on the grid, by the walks above: a
+   sufficient test, so that a step that moves one location sorts the
+   endpoints of that location alone. *)
+let loc_on_grid x = function
+  | [ a ] -> canonical_from 0 (per_loc x a)
+  | [ a; b ] -> union_from (-k) (per_loc x a) false (per_loc x b) false
+  | _ -> false
+
 (* Per renumbered location, its sorted distinct endpoints: the i-th
    becomes [i * K].  Locations already on the grid are absent. *)
 type renumbering = int array VarMap.t
@@ -213,32 +221,42 @@ let renumbering ms =
     let r =
       List.fold_left
         (fun r x ->
-          let a = endpoints x ms in
-          let on_grid = ref true in
-          Array.iteri (fun i t -> if t <> i * k then on_grid := false) a;
-          if !on_grid then r else VarMap.add x a r)
+          if loc_on_grid x ms then r
+          else
+            let a = endpoints x ms in
+            let on_grid = ref true in
+            Array.iteri (fun i t -> if t <> i * k then on_grid := false) a;
+            if !on_grid then r else VarMap.add x a r)
         VarMap.empty vars
     in
     if VarMap.is_empty r then None else Some r
 
+(* The index of the first element of the sorted [a.(lo..hi-1)] that is
+   not below [t]. *)
+let rec lower_bound a t lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if a.(mid) < t then lower_bound a t (mid + 1) hi else lower_bound a t lo mid
+
 (* An endpoint goes to its rank; any other value (the endpoint of a
    message the step removed) to the middle of the gap it falls into. *)
 let apply r x t =
-  match VarMap.find_opt x r with
-  | None -> t
-  | Some a ->
-      let rec search lo hi =
-        if lo >= hi then lo
-        else
-          let mid = (lo + hi) / 2 in
-          if a.(mid) < t then search (mid + 1) hi else search lo mid
-      in
-      let i = search 0 (Array.length a) in
+  match VarMap.find x r with
+  | exception Not_found -> t
+  | a ->
+      let i = lower_bound a t 0 (Array.length a) in
       if i < Array.length a && a.(i) = t then i * k else (i * k) - (k / 2)
 
-let renumber r m = VarMap.map (List.map (Message.renumber (apply r))) m
+(* A location the map does not name keeps its list, and a message whose
+   interval and view do not move stays the same message: most of a
+   step's memory comes back shared. *)
+let renumber r m =
+  let f = apply r in
+  Share.Vars.mapi (fun _ l -> Share.list_map (Message.renumber f) l) m
 
-let equal a b = VarMap.equal (List.equal Message.equal) a b
+let equal_msgs a b = Share.list_equal Message.equal a b
+let equal a b = Share.Vars.equal equal_msgs a b
 let compare a b = VarMap.compare (List.compare Message.compare) a b
 
 let hash m =

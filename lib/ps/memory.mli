@@ -111,9 +111,14 @@ val apply : renumbering -> Lang.Ast.var -> Time.t -> Time.t
     ranks of its neighbouring endpoints. *)
 
 val renumber : renumbering -> t -> t
-(** Every interval and message view through {!apply}. *)
+(** Every interval and message view through {!apply}.  What the map
+    moves nothing in stays physically shared: a message list, a
+    message, or the memory itself. *)
 
 val equal : t -> t -> bool
+(** [compare a b = 0], [==] first at every level down to single
+    messages; allocation-free except as {!Share.Map.equal} says. *)
+
 val compare : t -> t -> int
 
 val hash : t -> int

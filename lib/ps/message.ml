@@ -49,7 +49,19 @@ let compare (a : t) (b : t) =
         | Msg _, Rsv _ -> -1
         | Rsv _, Msg _ -> 1
 
-let equal a b = compare a b = 0
+(* [compare = 0], the interval ends first (the cheapest
+   discriminators), the location name last but one. *)
+let equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Msg ma, Msg mb ->
+      ma.to_ = mb.to_ && ma.from_ = mb.from_ && ma.value = mb.value
+      && String.equal ma.var mb.var
+      && View.equal ma.view mb.view
+  | Rsv ra, Rsv rb ->
+      ra.to_ = rb.to_ && ra.from_ = rb.from_ && String.equal ra.var rb.var
+  | Msg _, Rsv _ | Rsv _, Msg _ -> false
 
 let hash m =
   let ( ++ ) = Time.hash_combine in
@@ -59,16 +71,16 @@ let hash m =
       ++ View.hash m.view
   | Rsv r -> 0x5e5e ++ Hashtbl.hash r.var ++ Time.mix r.from_ ++ Time.mix r.to_
 
-let renumber f = function
+let renumber f mg =
+  match mg with
   | Msg m ->
-      Msg
-        {
-          m with
-          from_ = f m.var m.from_;
-          to_ = f m.var m.to_;
-          view = View.renumber f m.view;
-        }
-  | Rsv r -> Rsv { r with from_ = f r.var r.from_; to_ = f r.var r.to_ }
+      let from_ = f m.var m.from_ and to_ = f m.var m.to_ in
+      let view = View.renumber f m.view in
+      if from_ = m.from_ && to_ = m.to_ && view == m.view then mg
+      else Msg { m with from_; to_; view }
+  | Rsv r ->
+      let from_ = f r.var r.from_ and to_ = f r.var r.to_ in
+      if from_ = r.from_ && to_ = r.to_ then mg else Rsv { r with from_; to_ }
 
 let pp ppf = function
   | Msg m ->

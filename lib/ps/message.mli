@@ -44,6 +44,8 @@ val overlaps : t -> t -> bool
     interval [(0, 0]] never overlaps anything. *)
 
 val equal : t -> t -> bool
+(** [compare a b = 0]; allocation-free except as {!Share.Map.equal} says. *)
+
 val compare : t -> t -> int
 
 val hash : t -> int
@@ -52,6 +54,7 @@ val hash : t -> int
 
 val renumber : (Lang.Ast.var -> Time.t -> Time.t) -> t -> t
 (** The interval and the message view through a per-location
-    timestamp map ({!Memory.apply}). *)
+    timestamp map ({!Memory.apply}); the argument itself when the map
+    moves nothing in it. *)
 
 val pp : Format.formatter -> t -> unit

@@ -45,7 +45,16 @@ let compare (a : ts) (b : ts) =
   Ast.VarMap.compare View.compare a.vrel_loc b.vrel_loc <?> fun () ->
   List.compare Message.compare a.prm b.prm
 
-let equal a b = compare a b = 0
+(* [compare = 0], the local state first (its position count tells
+   apart most states that are not equal). *)
+let equal a b =
+  a == b
+  || Local.equal a.local b.local
+     && View.equal a.view b.view
+     && View.equal a.vacq b.vacq
+     && View.equal a.vrel b.vrel
+     && Share.Vars.equal View.equal a.vrel_loc b.vrel_loc
+     && Share.list_equal Message.equal a.prm b.prm
 
 let hash (t : ts) =
   let ( ++ ) = Time.hash_combine in
@@ -59,14 +68,16 @@ let hash (t : ts) =
   ++ View.hash t.vrel ++ vrel_loc ++ prm
 
 let renumber f t =
-  {
-    t with
-    view = View.renumber f t.view;
-    vacq = View.renumber f t.vacq;
-    vrel = View.renumber f t.vrel;
-    vrel_loc = Ast.VarMap.map (View.renumber f) t.vrel_loc;
-    prm = List.map (Message.renumber f) t.prm;
-  }
+  let view = View.renumber f t.view
+  and vacq = View.renumber f t.vacq
+  and vrel = View.renumber f t.vrel
+  and vrel_loc = Share.Vars.mapi (fun _ v -> View.renumber f v) t.vrel_loc
+  and prm = Share.list_map (Message.renumber f) t.prm in
+  if
+    view == t.view && vacq == t.vacq && vrel == t.vrel
+    && vrel_loc == t.vrel_loc && prm == t.prm
+  then t
+  else { t with view; vacq; vrel; vrel_loc; prm }
 
 let canonical t mem =
   match Memory.renumbering [ mem ] with

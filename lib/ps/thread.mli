@@ -35,7 +35,9 @@ val init : Lang.Ast.code -> Lang.Ast.fname -> ts option
 (** Initial thread state [((σ, V⊥, ∅))] for a thread running [f]. *)
 
 val compare : ts -> ts -> int
+
 val equal : ts -> ts -> bool
+(** [compare a b = 0]; allocation-free except as {!Share.Map.equal} says. *)
 
 val hash : ts -> int
 (** Consistent with {!equal}; mixes the local state, all views and
@@ -45,7 +47,8 @@ val pp : Format.formatter -> ts -> unit
 
 val renumber : (Lang.Ast.var -> Time.t -> Time.t) -> ts -> ts
 (** Every view and promise through a per-location timestamp map
-    ({!Memory.apply}).  A monotone map keeps the promise set sorted. *)
+    ({!Memory.apply}).  A monotone map keeps the promise set sorted.
+    The argument itself when the map moves none of its timestamps. *)
 
 val canonical : ts -> Memory.t -> ts * Memory.t
 (** A lone thread and its memory renumbered into canonical form

@@ -15,7 +15,7 @@ module TimeMap = struct
     VarMap.union (fun _ ra rb -> Some (Int.max ra rb)) a b
 
   let le a b = VarMap.for_all (fun x ra -> ra <= get x b) a
-  let equal a b = VarMap.equal Int.equal a b
+  let equal a b = Share.Vars.equal Int.equal a b
   let compare a b = VarMap.compare Int.compare a b
   let bindings t = VarMap.bindings t
 
@@ -34,7 +34,7 @@ module TimeMap = struct
          (fun ppf (x, r) -> Format.fprintf ppf "%s@%a" x Time.pp r))
       (bindings t)
 
-  let renumber f t = VarMap.mapi f t
+  let renumber f t = Share.Vars.mapi f t
 end
 
 type t = { na : TimeMap.t; rlx : TimeMap.t }
@@ -45,7 +45,8 @@ let join a b =
   { na = TimeMap.join a.na b.na; rlx = TimeMap.join a.rlx b.rlx }
 
 let le a b = TimeMap.le a.na b.na && TimeMap.le a.rlx b.rlx
-let equal a b = TimeMap.equal a.na b.na && TimeMap.equal a.rlx b.rlx
+let equal a b =
+  a == b || (TimeMap.equal a.na b.na && TimeMap.equal a.rlx b.rlx)
 
 let compare a b =
   let c = TimeMap.compare a.na b.na in
@@ -69,7 +70,8 @@ let observe_write x t v =
   { na = bump v.na; rlx = bump v.rlx }
 
 let renumber f v =
-  { na = TimeMap.renumber f v.na; rlx = TimeMap.renumber f v.rlx }
+  let na = TimeMap.renumber f v.na and rlx = TimeMap.renumber f v.rlx in
+  if na == v.na && rlx == v.rlx then v else { na; rlx }
 
 let pp ppf v =
   Format.fprintf ppf "(na:%a, rlx:%a)" TimeMap.pp v.na TimeMap.pp v.rlx

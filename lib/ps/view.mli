@@ -23,6 +23,8 @@ module TimeMap : sig
   (** Pointwise order. *)
 
   val equal : t -> t -> bool
+  (** [compare a b = 0]; allocation-free except as {!Share.Map.equal} says. *)
+
   val compare : t -> t -> int
 
   val hash : t -> int
@@ -32,7 +34,8 @@ module TimeMap : sig
 
   val renumber : (Lang.Ast.var -> Time.t -> Time.t) -> t -> t
   (** Maps every binding through a per-location timestamp map that
-      fixes 0 ({!Memory.apply}). *)
+      fixes 0 ({!Memory.apply}); the argument itself when the map
+      moves none of its timestamps. *)
 
   val pp : Format.formatter -> t -> unit
 end
@@ -47,7 +50,10 @@ val bot : t
 
 val join : t -> t -> t
 val le : t -> t -> bool
+
 val equal : t -> t -> bool
+(** [compare a b = 0]; allocation-free except as {!Share.Map.equal} says. *)
+
 val compare : t -> t -> int
 
 val hash : t -> int
@@ -67,7 +73,8 @@ val observe_write : Lang.Ast.var -> Time.t -> t -> t
 (** View update after writing [x] at timestamp [t]: both maps. *)
 
 val renumber : (Lang.Ast.var -> Time.t -> Time.t) -> t -> t
-(** Both time maps through {!TimeMap.renumber}. *)
+(** Both time maps through {!TimeMap.renumber}; the argument itself
+    when neither moves. *)
 
 val pp : Format.formatter -> t -> unit
 
