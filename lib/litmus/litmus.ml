@@ -918,3 +918,32 @@ let pp_verdict ppf = function
       if missing <> [] then
         Format.fprintf ppf " expected-missing: %a" pp_outs missing
   | Inconclusive why -> Format.fprintf ppf "inconclusive: %s" why
+
+let interleaved_worlds () =
+  let program =
+    let open Lang.Build in
+    let body x y =
+      [ assign "a" (i 1); store x ~mode:Lang.Modes.WRlx (i 1);
+        assign "b" (i 2); store y ~mode:Lang.Modes.WRlx (i 2) ]
+    in
+    program ~atomics:[ "x"; "y"; "u"; "w" ]
+      [ proc "t1" [ blk "L0" (body "x" "u") ret ];
+        proc "t2" [ blk "L0" (body "y" "w") ret ] ]
+      ~threads:[ "t1"; "t2" ]
+  in
+  let step kind choice s =
+    match
+      Explore.Stepper.apply ~config:Explore.Config.default
+        ~discipline:Explore.Enum.Interleaving ~program s kind ~choice
+    with
+    | Some succ -> succ.Explore.Stepper.state
+    | None -> failwith "Litmus.interleaved_worlds: step not enabled"
+  in
+  let run s =
+    List.fold_left (fun s _ -> step Explore.Stepper.Thread_step 0 s) s [ 1; 2; 3; 4 ]
+  in
+  let switch tid = step Explore.Stepper.Switch_step tid in
+  let s0 = Result.get_ok (Explore.Stepper.init program) in
+  let a = (s0 |> run |> switch 1 |> run).Explore.Stepper.world in
+  let b = (s0 |> switch 1 |> run |> switch 0 |> run |> switch 1).Explore.Stepper.world in
+  (a, b)

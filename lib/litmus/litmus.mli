@@ -177,3 +177,12 @@ val check_all :
     at every [j]. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
+
+val interleaved_worlds : unit -> Ps.Machine.world * Ps.Machine.world
+(** Two equal worlds reached by different interleavings of one
+    two-thread program: each thread runs its four steps (two local
+    assignments, two stores to its own locations), thread 0 first in
+    one world and thread 1 first in the other, and both end on thread
+    1.  They share no message list, so {!Ps.Machine.equal} walks them:
+    the pair the allocation test of [Machine.equal] and the bench's
+    [ps_machine_equal] timing both measure. *)
