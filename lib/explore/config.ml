@@ -122,7 +122,7 @@ let full_reduction = { por = true; symmetry = true; bound_promises = None }
 let fingerprint t =
   let b = Buffer.create 96 in
   let add fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b ';') fmt in
-  add "psopt-config-fp/2";
+  add "psopt-config-fp/3";
   add "promises=%d" t.max_promises;
   add "mode=%s"
     (match t.promise_mode with

@@ -41,6 +41,7 @@ module Node = struct
   }
 
   let make ~world ~bit ~promised = { world; bit; promised; hv = 0 }
+  let world n = n.world
 
   let hash n =
     if n.hv <> 0 then n.hv
@@ -109,8 +110,25 @@ end
 
 module CertTbl = Hashtbl.Make (CertKey)
 
-(* One successor: the output emitted (if any) and the next node. *)
-type succ = { emit : Lang.Ast.value option; next : Node.t }
+type kind = Thread_step | Promise_step | Switch_step
+
+(* One successor: how it was taken, its index among the candidates of
+   its kind (before any filtering), the thread event, the next node and
+   how the step renumbered the timestamps. *)
+type succ = {
+  kind : kind;
+  choice : int;
+  event : Ps.Event.te option;
+  next : Node.t;
+  renumbering : Ps.Memory.renumbering option;
+}
+
+(* A child's traces as its parent sees them: an output step prepends
+   its value. *)
+let label event traces =
+  match event with
+  | Some (Ps.Event.Out v) -> Traceset.prepend v traces
+  | _ -> traces
 
 (* State shared by every worker domain of one search.
 
@@ -708,7 +726,7 @@ let promise_candidates w ts mem =
             let compute () =
               Obs.Trace.span ~cat:"explore" "candidates" (fun () ->
                   Ps.Cert.certifiable_writes ~fuel:s.cfg.Config.cert_fuel
-                    ~code:s.code ts mem)
+                    ~cap:s.cfg.Config.cap_certification ~code:s.code ts mem)
             in
             if not s.cfg.Config.cert_cache then compute ()
             else
@@ -724,6 +742,17 @@ let promise_candidates w ts mem =
                     publish_now w
                   end;
                   cands))
+
+(* [List.filter_map] that also passes each element's index. *)
+let filter_mapi f l =
+  let rec go i = function
+    | [] -> []
+    | x :: rest -> (
+        match f i x with
+        | Some y -> y :: go (i + 1) rest
+        | None -> go (i + 1) rest)
+  in
+  go 0 l
 
 let successors w (n : Node.t) : succ list =
   let s = w.s in
@@ -743,21 +772,30 @@ let successors w (n : Node.t) : succ list =
     | Interleaving -> Some true
     | Non_preemptive -> Npsem.bit_after te ~before:n.bit
   in
-  let lift (step : Ps.Thread.step) : succ option =
+  let make kind choice ~bit ~promised (step : Ps.Thread.step) =
+    let world, renumbering =
+      Ps.Machine.install wd step.Ps.Thread.ts step.Ps.Thread.mem
+    in
+    {
+      kind;
+      choice;
+      event = Some step.Ps.Thread.event;
+      next = Node.make ~world ~bit ~promised;
+      renumbering;
+    }
+  in
+  let lift kind i (step : Ps.Thread.step) : succ option =
     match bit_after step.Ps.Thread.event with
     | None -> None
     | Some bit -> (
-        let world, _ =
-          Ps.Machine.install wd step.Ps.Thread.ts step.Ps.Thread.mem
-        in
-        let next = Node.make ~world ~bit ~promised:n.Node.promised in
         match step.Ps.Thread.event with
-        | Ps.Event.Out v ->
-            if Lazy.force committed then Some { emit = Some v; next } else None
-        | _ -> Some { emit = None; next })
+        | Ps.Event.Out _ when not (Lazy.force committed) -> None
+        | _ -> Some (make kind i ~bit ~promised:n.Node.promised step))
   in
-  let regular = List.filter_map lift (Ps.Thread.steps ~code:s.code ts mem) in
-  let promises =
+  let regular =
+    filter_mapi (lift Thread_step) (Ps.Thread.steps ~code:s.code ts mem)
+  in
+  let promise_steps =
     (* [reduction.bound_promises] overrides [max_promises] and forces
        strict reporting: the bounded-promise mode is exhaustive for
        the bound and honestly [Truncated [Promise_budget]] above it. *)
@@ -788,21 +826,23 @@ let successors w (n : Node.t) : succ list =
     else
       let candidates = promise_candidates w ts mem in
       Ps.Thread.promise_steps ~candidates ~atomics:s.atomics ts mem
-      |> List.filter_map (fun (step : Ps.Thread.step) ->
-             (* A promise must remain certifiable with the chosen
-                slot; pruning inconsistent promise placements is sound
-                because a τ machine step must end consistent. *)
-             if consistent w step.Ps.Thread.ts step.Ps.Thread.mem then (
-               w.ls.Stats.promises <- w.ls.Stats.promises + 1;
-               let world, _ =
-                 Ps.Machine.install wd step.Ps.Thread.ts step.Ps.Thread.mem
-               in
-               let promised =
-                 TidMap.add wd.Ps.Machine.cur (promised_cur + 1) n.promised
-               in
-               Some
-                 { emit = None; next = Node.make ~world ~bit:n.Node.bit ~promised })
-             else None)
+  in
+  let promises =
+    let promised =
+      if promise_steps = [] then n.promised
+      else TidMap.add wd.Ps.Machine.cur (promised_cur + 1) n.promised
+    in
+    filter_mapi
+      (fun i (step : Ps.Thread.step) ->
+        (* A promise must remain certifiable with the chosen slot;
+           pruning inconsistent promise placements is sound because a
+           τ machine step must end consistent. *)
+        if consistent w step.Ps.Thread.ts step.Ps.Thread.mem then begin
+          w.ls.Stats.promises <- w.ls.Stats.promises + 1;
+          Some (make Promise_step i ~bit:n.Node.bit ~promised step)
+        end
+        else None)
+      promise_steps
   in
   let reservations =
     if not s.cfg.Config.reservations then []
@@ -820,7 +860,10 @@ let successors w (n : Node.t) : succ list =
         if rsv_allowed then Ps.Thread.reserve_steps ts mem else []
       in
       let ccls = Ps.Thread.cancel_steps ts mem in
-      List.filter_map lift (rsvs @ ccls)
+      (* Reserve and cancel steps are filed as promise steps, their
+         choices continuing the promise placements' numbering. *)
+      let base = List.length promise_steps in
+      filter_mapi (fun i -> lift Promise_step (base + i)) (rsvs @ ccls)
   in
   (* Ample-set rule of the partial-order reduction
      (docs/REDUCTION.md): when the current thread's only regular move
@@ -855,7 +898,8 @@ let successors w (n : Node.t) : succ list =
        | _ -> false)
     &&
     match regular with
-    | [ { emit = None; next } ] -> next.Node.bit = n.Node.bit
+    | [ { event = Some (Ps.Event.Out _); _ } ] -> false
+    | [ { next; _ } ] -> next.Node.bit = n.Node.bit
     | _ -> false
   in
   let switches =
@@ -903,7 +947,10 @@ let successors w (n : Node.t) : succ list =
                 && not (Ps.Local.is_finished ts'.Ps.Thread.local)
               then
                 {
-                  emit = None;
+                  kind = Switch_step;
+                  choice = tid;
+                  event = None;
+                  renumbering = None;
                   next =
                     Node.make
                       ~world:(Ps.Machine.switch wd tid)
@@ -1024,7 +1071,7 @@ and jframe = {
   jbase : Traceset.t;
   jtaint : int;
   jpeak : int;
-  jemits : Lang.Ast.value option array;
+  jevents : Ps.Event.te option array;
   jslots : (Traceset.t * int * int) option array;
   jpending : int Atomic.t;
 }
@@ -1035,7 +1082,7 @@ and task = { tn : Node.t; tdepth : int; ttarget : target }
 type sframe = {
   fn : Node.t;
   fdepth : int;
-  femit : Lang.Ast.value option;  (* edge label from the parent frame *)
+  fevent : Ps.Event.te option;  (* edge label from the parent frame *)
   fsuccs : succ array;
   mutable fnext : int;
   mutable facc : Traceset.t;
@@ -1157,11 +1204,7 @@ let rec deliver w (result : delivered) (t : target) (r : Traceset.t * int * int)
             match slot with
             | None -> assert false
             | Some (tr, t, pk) ->
-                let tr =
-                  match f.jemits.(i) with
-                  | Some v -> Traceset.prepend v tr
-                  | None -> tr
-                in
+                let tr = label f.jevents.(i) tr in
                 acc := Traceset.union !acc tr;
                 taint := min !taint t;
                 peak := max !peak pk)
@@ -1190,7 +1233,7 @@ let exec w (h : task Pool.worker) result (task : task) =
   in
   seed task.ttarget;
   let stack : sframe Stack.t = Stack.create () in
-  let start n depth emit =
+  let start n depth event =
     match enter w n depth with
     | Done r -> Some r
     | Expand (succs, base) ->
@@ -1198,7 +1241,7 @@ let exec w (h : task Pool.worker) result (task : task) =
           {
             fn = n;
             fdepth = depth;
-            femit = emit;
+            fevent = event;
             fsuccs = succs;
             fnext = 0;
             facc = base;
@@ -1208,9 +1251,8 @@ let exec w (h : task Pool.worker) result (task : task) =
           stack;
         None
   in
-  let merge (f : sframe) ((tr, t, pk) : Traceset.t * int * int) emit =
-    let tr = match emit with Some v -> Traceset.prepend v tr | None -> tr in
-    f.facc <- Traceset.union f.facc tr;
+  let merge (f : sframe) ((tr, t, pk) : Traceset.t * int * int) event =
+    f.facc <- Traceset.union f.facc (label event tr);
     f.ftaint <- min f.ftaint t;
     f.fpeak <- max f.fpeak pk
   in
@@ -1232,11 +1274,11 @@ let exec w (h : task Pool.worker) result (task : task) =
         let rem = Array.length f.fsuccs - f.fnext in
         let child = if i < nf - 1 then 1 else 0 in
         let k = rem + child in
-        let jemits = Array.make k None in
+        let jevents = Array.make k None in
         let jslots = Array.make k None in
-        if child = 1 then jemits.(0) <- frames.(i + 1).femit;
+        if child = 1 then jevents.(0) <- frames.(i + 1).fevent;
         for r = 0 to rem - 1 do
-          jemits.(child + r) <- f.fsuccs.(f.fnext + r).emit
+          jevents.(child + r) <- f.fsuccs.(f.fnext + r).event
         done;
         let jf =
           {
@@ -1246,7 +1288,7 @@ let exec w (h : task Pool.worker) result (task : task) =
             jbase = f.facc;
             jtaint = f.ftaint;
             jpeak = f.fpeak;
-            jemits;
+            jevents;
             jslots;
             jpending = Atomic.make k;
           }
@@ -1283,10 +1325,10 @@ let exec w (h : task Pool.worker) result (task : task) =
           if f.fnext < Array.length f.fsuccs then
             if want_split () then convert ()
             else begin
-              let { emit; next } = f.fsuccs.(f.fnext) in
+              let { event; next; _ } = f.fsuccs.(f.fnext) in
               f.fnext <- f.fnext + 1;
-              (match start next (f.fdepth + 1) emit with
-              | Some r -> merge f r emit
+              (match start next (f.fdepth + 1) event with
+              | Some r -> merge f r event
               | None -> ());
               loop ()
             end
@@ -1308,7 +1350,7 @@ let exec w (h : task Pool.worker) result (task : task) =
             ignore (Stack.pop stack);
             if Stack.is_empty stack then deliver w result task.ttarget r
             else begin
-              merge (Stack.top stack) r f.femit;
+              merge (Stack.top stack) r f.fevent;
               loop ()
             end
           end
@@ -1358,6 +1400,15 @@ let effective_domains cfg =
   in
   max 1 (min cfg.Config.domains cap)
 
+type stepper = worker
+
+let stepper ~config disc (p : Lang.Ast.program) =
+  make_worker ~parallel:false
+    (make_search ~threads:p.Lang.Ast.threads p.Lang.Ast.code
+       p.Lang.Ast.atomics disc config)
+
+let root world = Node.make ~world ~bit:true ~promised:TidMap.empty
+
 let behaviors ?(config = Config.default) ?observe disc (p : Lang.Ast.program) =
   if observe <> None && config.Config.reduction <> Config.no_reduction then
     invalid_arg "Enum.behaviors: ~observe needs Config.no_reduction";
@@ -1368,7 +1419,7 @@ let behaviors ?(config = Config.default) ?observe disc (p : Lang.Ast.program) =
         make_search ?observe ~threads:p.Lang.Ast.threads p.Lang.Ast.code
           p.Lang.Ast.atomics disc config
       in
-      let root = Node.make ~world ~bit:true ~promised:TidMap.empty in
+      let root = root world in
       (* An observer sees states in DFS order, which only the
          single-domain walk has. *)
       let j = if observe = None then effective_domains config else 1 in
@@ -1444,7 +1495,7 @@ let iter_reachable ?(config = Config.default) disc (p : Lang.Ast.program) ~f =
               List.iter (fun { next; _ } -> visit next (depth + 1)) succs
       in
       Obs.Trace.span ~cat:"explore" "enumerate" (fun () ->
-          visit (Node.make ~world ~bit:true ~promised:TidMap.empty) 0);
+          visit (root world) 0);
       Stats.add ~into:s.stats w.ls;
       s.stats.Stats.memo_size <- NodeTbl.length best;
       s.stats.Stats.cert_cache_size <-

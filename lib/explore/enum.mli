@@ -106,3 +106,52 @@ val iter_reachable :
     measurements of experiments E9/E16). *)
 
 val pp_discipline : Format.formatter -> discipline -> unit
+
+(** {2 The successor relation}
+
+    The one machine-step relation of this library: {!behaviors} and
+    {!iter_reachable} walk it, and so, through {!Stepper}, do the
+    witness search, the replay recorder and debugger, and the
+    shrinker. *)
+
+(** A search node: a machine world, the non-preemptive switch bit [β]
+    (always [true] under {!Interleaving}) and the promise steps spent
+    per thread. *)
+module Node : sig
+  type t
+
+  val world : t -> Ps.Machine.world
+  val equal : t -> t -> bool
+  val hash : t -> int
+end
+
+type kind = Thread_step | Promise_step | Switch_step
+
+type succ = {
+  kind : kind;
+  choice : int;
+      (** the step's index among the candidates of its kind, taken
+          before any filtering: in {!Ps.Thread.steps} for thread
+          steps; in {!Ps.Thread.promise_steps} for promise steps, with
+          reserve then cancel steps continuing that numbering; the
+          target thread id for switches *)
+  event : Ps.Event.te option;  (** [None] exactly for switches *)
+  next : Node.t;
+  renumbering : Ps.Memory.renumbering option;
+      (** the timestamp renumbering {!Ps.Machine.install} applied *)
+}
+
+type stepper
+(** One single-domain search worker over a program, whose
+    certification and promise-candidate caches persist across
+    {!successors} calls. *)
+
+val stepper : config:Config.t -> discipline -> Lang.Ast.program -> stepper
+val root : Ps.Machine.world -> Node.t
+(** The initial node: switch bit on, no promises spent. *)
+
+val successors : stepper -> Node.t -> succ list
+(** Every successor the search expands from a node, in the search's
+    order: thread steps, promise steps, reserve and cancel steps (when
+    [config.reservations]), then switches in descending thread id —
+    after the configured reduction's pruning and the promise bound. *)

@@ -1,15 +1,20 @@
-(** The deterministic machine-stepping core shared by the witness
-    search and the replay debugger ([lib/replay]).
+(** The deterministic machine-stepping core of the witness search and
+    the replay debugger ([lib/replay]): a projection of {!Enum}'s
+    successor relation, not a copy of it.
 
-    A {!state} is a machine world plus the two pieces of search-side
-    bookkeeping that gate successor steps: the non-preemptive switch
-    bit [β] (Fig. 10) and the per-thread promise-budget spent.
-    {!successors} enumerates every machine step allowed from a state —
-    regular thread steps first (in {!Ps.Thread.steps} order), then
-    promise steps, then context switches in ascending thread id — with
-    exactly the gating of {!Enum}/{!Witness}: outputs and switches only
-    at configurations where the current thread is consistent, promises
-    only within the budget and (non-preemptively) when the bit is on.
+    A {!state} is {!Enum}'s search node: a machine world plus the two
+    pieces of search-side bookkeeping that gate successor steps, the
+    non-preemptive switch bit [β] (Fig. 10) and the promise steps spent
+    per thread.  {!successors} is {!Enum.successors} on one
+    single-domain worker ({!t}), so it has exactly the gating of the
+    explorer: outputs and switches only where the current thread is
+    consistent, promises within the budget ([reduction.bound_promises]
+    included) and (non-preemptively) while the bit is on, reserve and
+    cancel steps when [config.reservations] is set, and the configured
+    reduction's pruning.  The order is the explorer's: thread steps,
+    promise steps (reserve and cancel last among them), then switches
+    in descending thread id.  The worker's certification and candidate
+    caches are shared by every call on the same {!t}.
 
     Because the enumeration is a pure function of the state and the
     configuration, a [(kind, choice)] pair identifies one successor
@@ -17,77 +22,57 @@
     execution step-for-step without search, which is what the replay
     store persists ([docs/REPLAY.md]). *)
 
-module TidMap = Ps.Machine.TidMap
+type state = Enum.Node.t
 
-type state = {
-  world : Ps.Machine.world;
-  bit : bool;  (** the non-preemptive switch bit [β]; always [true]
-                   under the interleaving discipline *)
-  promised : int TidMap.t;  (** promise steps spent, per thread *)
-}
+(** How a successor was taken: reserve and cancel steps are
+    [Promise_step]s. *)
+type kind = Enum.kind = Thread_step | Promise_step | Switch_step
 
-(** How a successor was taken. *)
-type kind = Thread_step | Promise_step | Switch_step
-
-type succ = {
+type succ = Enum.succ = {
   kind : kind;
   choice : int;
       (** index of this candidate inside the deterministic enumeration
-          of its kind: position in the {!Ps.Thread.steps} /
-          {!Ps.Thread.promise_steps} list, or the target thread id for
-          switches.  [(kind, choice)] replayed through {!apply} from
-          the same state yields the same successor. *)
-  tid : int;  (** acting thread: current for steps, target for switches *)
+          of its kind, before filtering: position in the
+          {!Ps.Thread.steps} list; position in the
+          {!Ps.Thread.promise_steps} list, continued by the reserve and
+          cancel steps; or the target thread id for switches.
+          [(kind, choice)] replayed through {!apply} from the same state
+          yields the same successor. *)
   event : Ps.Event.te option;  (** [None] exactly for switches *)
-  state : state;
+  next : state;
   renumbering : Ps.Memory.renumbering option;
       (** how the step renumbered the timestamps it found
-          ({!Ps.Machine.install}): the map that relates [state]'s
+          ({!Ps.Machine.install}): the map that relates [next]'s
           messages to those of the state the step left *)
 }
+
+type t
+(** A stepper over one program, configuration and discipline. *)
+
+val create :
+  ?config:Config.t -> discipline:Enum.discipline -> Lang.Ast.program -> t
 
 val init : Lang.Ast.program -> (state, string) result
 (** Initial state: machine init, bit on, no promises spent. *)
 
+val world : state -> Ps.Machine.world
+
+val tid : succ -> int
+(** The acting thread: the current one for steps, the target for
+    switches. *)
+
 val equal_state : state -> state -> bool
-val compare_state : state -> state -> int
+val hash_state : state -> int
 
-val committed : config:Config.t -> program:Lang.Ast.program -> state -> bool
-(** Whether the current thread passes promise certification — the gate
-    on outputs, switches and termination. *)
+val successors : t -> state -> succ list
+(** All allowed machine steps, in the explorer's order. *)
 
-val committed_stats :
-  config:Config.t -> program:Lang.Ast.program -> state -> bool * int
-(** {!committed} plus the certification-search state count
-    ({!Ps.Cert.consistent_stats}). *)
-
-val successors :
-  config:Config.t ->
-  discipline:Enum.discipline ->
-  program:Lang.Ast.program ->
-  state ->
-  succ list
-(** All allowed machine steps, deterministically ordered: thread
-    steps, then promise steps, then switches. *)
-
-val apply :
-  config:Config.t ->
-  discipline:Enum.discipline ->
-  program:Lang.Ast.program ->
-  state ->
-  kind ->
-  choice:int ->
-  succ option
+val apply : t -> state -> kind -> choice:int -> succ option
 (** Replay one recorded choice: the successor of that [kind] whose
     {!succ.choice} matches, or [None] if the enumeration from this
     state has no such candidate (a corrupt or mismatched trace). *)
 
-val drive :
-  config:Config.t ->
-  discipline:Enum.discipline ->
-  program:Lang.Ast.program ->
-  (int * Ps.Event.te) list ->
-  (state * succ list) option
+val drive : t -> (int * Ps.Event.te) list -> (state * succ list) option
 (** Schedule-constrained execution: find (by backtracking over the
     successor enumeration) a machine run whose thread/promise steps
     follow the given [(tid, event)] schedule exactly — context

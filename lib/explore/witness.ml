@@ -3,69 +3,61 @@ module TidMap = Ps.Machine.TidMap
 type step = { tid : int; event : Ps.Event.te }
 type t = step list
 
-(* The witness search walks the same committed-step space as {!Enum}
-   (out/switch gated on the current thread's consistency; the
-   non-preemptive discipline additionally threads the switch bit), but
-   tracks how much of the requested output sequence has been emitted
-   and returns the path.  The successor enumeration itself lives in
-   {!Stepper}, shared with the replay debugger. *)
+(* The witness search walks {!Enum}'s successor relation (through
+   {!Stepper}, shared with the replay debugger), but tracks how much of
+   the requested output sequence has been emitted and returns the
+   path. *)
 
-module Key = struct
-  type t = Stepper.state * int
-  (* stepper state (world, switch bit, promise budget spent), outputs
-     matched *)
+module Visited = Hashtbl.Make (struct
+  type t = Stepper.state * int  (* search node, outputs matched *)
 
-  let compare (s1, k1) (s2, k2) =
-    let c = Stepper.compare_state s1 s2 in
-    if c <> 0 then c else Int.compare k1 k2
-end
-
-module KeySet = Set.Make (Key)
+  let equal (s1, k1) (s2, k2) = k1 = k2 && Stepper.equal_state s1 s2
+  let hash (s, k) = Ps.Time.hash_combine (Stepper.hash_state s) k
+end)
 
 let find_trail ?(config = Config.default) ?(discipline = Enum.Interleaving)
     ?(eager_switch = false) ~outs (p : Lang.Ast.program) =
   match Stepper.init p with
   | Error e -> raise (Errors.Error (Errors.Ill_formed e))
   | Ok st0 ->
+      let stepper = Stepper.create ~config ~discipline p in
       let target = Array.of_list outs in
-      let visited = ref KeySet.empty in
+      let visited = Visited.create 1024 in
       let exception Found of Stepper.succ list in
-      let rec dfs (st : Stepper.state) matched depth acc =
-        if depth < config.Config.max_steps then begin
-          let key = (st, matched) in
-          if not (KeySet.mem key !visited) then begin
-            visited := KeySet.add key !visited;
-            if
-              matched = Array.length target
-              && Ps.Machine.terminal st.Stepper.world
-            then raise (Found (List.rev acc));
-            let succs = Stepper.successors ~config ~discipline ~program:p st in
-            let succs =
-              (* Eager-switch order: try context switches before thread
-                 and promise steps, so the first witness found is
-                 switch-heavy — a realistic "buggy schedule" for the
-                 shrinker to reduce (default DFS order yields schedules
-                 that are already near switch-minimal). *)
-              if eager_switch then
-                let sw, rest =
-                  List.partition
-                    (fun (s : Stepper.succ) ->
-                      s.Stepper.kind = Stepper.Switch_step)
-                    succs
-                in
-                sw @ rest
-              else succs
-            in
-            List.iter
-              (fun (s : Stepper.succ) ->
-                match s.Stepper.event with
-                | Some (Ps.Event.Out v) ->
-                    if matched < Array.length target && v = target.(matched)
-                    then
-                      dfs s.Stepper.state (matched + 1) (depth + 1) (s :: acc)
-                | _ -> dfs s.Stepper.state matched (depth + 1) (s :: acc))
-              succs
-          end
+      let rec dfs st matched depth acc =
+        if
+          depth < config.Config.max_steps
+          && not (Visited.mem visited (st, matched))
+        then begin
+          Visited.add visited (st, matched) ();
+          if
+            matched = Array.length target
+            && Ps.Machine.terminal (Stepper.world st)
+          then raise (Found (List.rev acc));
+          let succs = Stepper.successors stepper st in
+          let succs =
+            (* Eager-switch order: try context switches before thread
+               and promise steps, so the first witness found is
+               switch-heavy — a realistic "buggy schedule" for the
+               shrinker to reduce (default DFS order yields schedules
+               that are already near switch-minimal). *)
+            if eager_switch then
+              let sw, rest =
+                List.partition
+                  (fun (s : Stepper.succ) -> s.kind = Stepper.Switch_step)
+                  succs
+              in
+              sw @ rest
+            else succs
+          in
+          List.iter
+            (fun (s : Stepper.succ) ->
+              match s.event with
+              | Some (Ps.Event.Out v) ->
+                  if matched < Array.length target && v = target.(matched) then
+                    dfs s.next (matched + 1) (depth + 1) (s :: acc)
+              | _ -> dfs s.next matched (depth + 1) (s :: acc))
+            succs
         end
       in
       (try
@@ -76,8 +68,8 @@ let find_trail ?(config = Config.default) ?(discipline = Enum.Interleaving)
 let of_trail trail =
   List.filter_map
     (fun (s : Stepper.succ) ->
-      match s.Stepper.event with
-      | Some event -> Some { tid = s.Stepper.tid; event }
+      match s.event with
+      | Some event -> Some { tid = Stepper.tid s; event }
       | None -> None)
     trail
 
@@ -124,15 +116,15 @@ let moved renumbering ((x, t) as id) =
 
 let msg_to_string m = Format.asprintf "%a" Ps.Message.pp m
 
-let prm_of_tid (st : Stepper.state) tid =
-  match TidMap.find_opt tid st.Stepper.world.Ps.Machine.tp with
+let prm_of_tid st tid =
+  match TidMap.find_opt tid (Stepper.world st).Ps.Machine.tp with
   | Some ts -> ts.Ps.Thread.prm
   | None -> []
 
 let annotate ?(config = Config.default) ?(discipline = Enum.Interleaving)
     (p : Lang.Ast.program) (w : t) =
   let schedule = List.map (fun (s : step) -> (s.tid, s.event)) w in
-  match Stepper.drive ~config ~discipline ~program:p schedule with
+  match Stepper.drive (Stepper.create ~config ~discipline p) schedule with
   | None -> None
   | Some (st0, trail) ->
       let states = Array.of_list (Stepper.trail_states st0 trail) in
@@ -142,33 +134,33 @@ let annotate ?(config = Config.default) ?(discipline = Enum.Interleaving)
          of state [i]. *)
       let rec carry i j id =
         if i >= j then id
-        else carry (i + 1) j (moved steps.(i).Stepper.renumbering id)
+        else carry (i + 1) j (moved steps.(i).renumbering id)
       in
       (* Per trail position: the message a promise step announced, and
          the promised messages a fulfillment removed from its thread's
          promise set. *)
       let promised_msg i =
         let s = steps.(i) in
-        if s.Stepper.kind <> Stepper.Promise_step then None
+        if s.event <> Some Ps.Event.Prm then None
         else
           match
-            Ps.Memory.added ?renumbering:s.Stepper.renumbering
-              ~prev:states.(i).Stepper.world.Ps.Machine.mem
-              states.(i + 1).Stepper.world.Ps.Machine.mem
+            Ps.Memory.added ?renumbering:s.renumbering
+              ~prev:(Stepper.world states.(i)).Ps.Machine.mem
+              (Stepper.world states.(i + 1)).Ps.Machine.mem
           with
           | [ m ] -> Some m
           | _ -> None
       in
       let fulfilled_msgs i =
         let s = steps.(i) in
-        if s.Stepper.kind <> Stepper.Thread_step then []
+        if s.kind <> Stepper.Thread_step then []
         else
-          let before = prm_of_tid states.(i) s.Stepper.tid in
-          let after = prm_of_tid states.(i + 1) s.Stepper.tid in
+          let before = prm_of_tid states.(i) (Stepper.tid s) in
+          let after = prm_of_tid states.(i + 1) (Stepper.tid s) in
           let after_ids = List.map msg_id after in
           List.filter
             (fun m ->
-              not (List.mem (moved s.Stepper.renumbering (msg_id m)) after_ids))
+              not (List.mem (moved s.renumbering (msg_id m)) after_ids))
             before
       in
       let annotated =
@@ -204,7 +196,7 @@ let annotate ?(config = Config.default) ?(discipline = Enum.Interleaving)
                       Fulfills
                         { msg = msg_to_string m; promised_at = promise_at (i - 1) })
             in
-            { num = i; tid = s.Stepper.tid; event = s.Stepper.event; note })
+            { num = i; tid = Stepper.tid s; event = s.event; note })
       in
       Some annotated
 

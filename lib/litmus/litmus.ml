@@ -931,12 +931,12 @@ let interleaved_worlds () =
         proc "t2" [ blk "L0" (body "y" "w") ret ] ]
       ~threads:[ "t1"; "t2" ]
   in
+  let stepper =
+    Explore.Stepper.create ~discipline:Explore.Enum.Interleaving program
+  in
   let step kind choice s =
-    match
-      Explore.Stepper.apply ~config:Explore.Config.default
-        ~discipline:Explore.Enum.Interleaving ~program s kind ~choice
-    with
-    | Some succ -> succ.Explore.Stepper.state
+    match Explore.Stepper.apply stepper s kind ~choice with
+    | Some succ -> succ.Explore.Stepper.next
     | None -> failwith "Litmus.interleaved_worlds: step not enabled"
   in
   let run s =
@@ -944,6 +944,9 @@ let interleaved_worlds () =
   in
   let switch tid = step Explore.Stepper.Switch_step tid in
   let s0 = Result.get_ok (Explore.Stepper.init program) in
-  let a = (s0 |> run |> switch 1 |> run).Explore.Stepper.world in
-  let b = (s0 |> switch 1 |> run |> switch 0 |> run |> switch 1).Explore.Stepper.world in
+  let a = Explore.Stepper.world (s0 |> run |> switch 1 |> run) in
+  let b =
+    Explore.Stepper.world
+      (s0 |> switch 1 |> run |> switch 0 |> run |> switch 1)
+  in
   (a, b)

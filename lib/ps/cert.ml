@@ -54,8 +54,9 @@ let consistent_stats ?(fuel = default_fuel) ?(cap = true) ~code
 let consistent ?fuel ?cap ~code ts mem =
   fst (consistent_stats ?fuel ?cap ~code ts mem)
 
-let certifiable_writes ?(fuel = default_fuel) ~code (ts : Thread.ts) mem =
-  let ts, mem = Thread.canonical ts (Memory.cap mem) in
+let certifiable_writes ?(fuel = default_fuel) ?(cap = true) ~code
+    (ts : Thread.ts) mem =
+  let ts, mem = Thread.canonical ts (if cap then Memory.cap mem else mem) in
   let visited = ref StateSet.empty in
   let acc = ref [] in
   let rec dfs ts mem depth =

@@ -39,11 +39,13 @@ val consistent_stats :
 
 val certifiable_writes :
   ?fuel:int ->
+  ?cap:bool ->
   code:Lang.Ast.code ->
   Thread.ts ->
   Memory.t ->
   (Lang.Ast.var * Lang.Ast.value) list
 (** The [(x, v)] pairs of non-atomic/relaxed write events occurring in
-    any bounded isolation run of the thread from the capped memory —
-    exactly the writes a certifiable promise could announce.  Used by
-    {!Explore} to enumerate promise candidates. *)
+    any bounded isolation run of the thread from the capped memory (the
+    raw memory with [~cap:false], as {!consistent}) — exactly the
+    writes a certifiable promise could announce.  Used by {!Explore} to
+    enumerate promise candidates. *)

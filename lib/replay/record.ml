@@ -3,8 +3,8 @@ module TidMap = Ps.Machine.TidMap
 
 let msg_to_string m = Format.asprintf "%a" Ps.Message.pp m
 
-let view_of (st : Stepper.state) tid =
-  match TidMap.find_opt tid st.Stepper.world.Ps.Machine.tp with
+let view_of st tid =
+  match TidMap.find_opt tid (Stepper.world st).Ps.Machine.tp with
   | Some ts -> Some ts.Ps.Thread.view
   | None -> None
 
@@ -12,7 +12,7 @@ let view_of (st : Stepper.state) tid =
    promise/reserve/cancel steps are identified through the memory
    delta (Prm carries no payload). *)
 let loc_of (s : Stepper.succ) ~added ~removed =
-  match s.Stepper.event with
+  match s.event with
   | Some
       ( Ps.Event.Rd (_, x, _)
       | Ps.Event.Wr (_, x, _)
@@ -25,24 +25,28 @@ let loc_of (s : Stepper.succ) ~added ~removed =
   | _ -> None
 
 let records_of_trail ~config ~program st0 trail =
-  let rec go num (prev : Stepper.state) acc = function
+  let rec go num prev acc = function
     | [] -> List.rev acc
     | (s : Stepper.succ) :: rest ->
-        let next = s.Stepper.state in
+        let next = s.next in
         (* The step may have renumbered every timestamp: read [prev]
            through its renumbering, so only what the step did shows. *)
-        let renumbering = s.Stepper.renumbering in
+        let renumbering = s.renumbering in
+        let prev_world = Stepper.world prev in
+        let mem = (Stepper.world next).Ps.Machine.mem in
         let added =
-          Ps.Memory.added ?renumbering ~prev:prev.Stepper.world.Ps.Machine.mem
-            next.Stepper.world.Ps.Machine.mem
+          Ps.Memory.added ?renumbering ~prev:prev_world.Ps.Machine.mem mem
         in
         let removed =
-          Ps.Memory.removed ?renumbering
-            ~prev:prev.Stepper.world.Ps.Machine.mem
-            next.Stepper.world.Ps.Machine.mem
+          Ps.Memory.removed ?renumbering ~prev:prev_world.Ps.Machine.mem mem
         in
+        (* The certification gate of the pre-state, with its search
+           effort. *)
         let committed, cert_states =
-          Stepper.committed_stats ~config ~program prev
+          Ps.Cert.consistent_stats ~fuel:config.Explore.Config.cert_fuel
+            ~cap:config.Explore.Config.cap_certification
+            ~code:program.Lang.Ast.code
+            (Ps.Machine.cur_ts prev_world) prev_world.Ps.Machine.mem
         in
         let view_delta =
           let moved v =
@@ -51,8 +55,8 @@ let records_of_trail ~config ~program st0 trail =
             | None -> v
           in
           match
-            ( Option.map moved (view_of prev s.Stepper.tid),
-              view_of next s.Stepper.tid )
+            ( Option.map moved (view_of prev (Stepper.tid s)),
+              view_of next (Stepper.tid s) )
           with
           | Some v0, Some v1 when not (Ps.View.equal v0 v1) ->
               Some (Format.asprintf "%a" (Ps.View.pp_delta ~prev:v0) v1)
@@ -61,10 +65,10 @@ let records_of_trail ~config ~program st0 trail =
         let r =
           {
             Trace.num;
-            tid = s.Stepper.tid;
-            kind = s.Stepper.kind;
-            choice = s.Stepper.choice;
-            event = s.Stepper.event;
+            tid = Stepper.tid s;
+            kind = s.kind;
+            choice = s.choice;
+            event = s.event;
             loc = loc_of s ~added ~removed;
             committed;
             cert_states;
@@ -108,7 +112,7 @@ let record_schedule ?(config = Explore.Config.default)
   let schedule =
     List.map (fun (s : Explore.Witness.step) -> (s.tid, s.event)) w
   in
-  match Stepper.drive ~config ~discipline ~program schedule with
+  match Stepper.drive (Stepper.create ~config ~discipline program) schedule with
   | None -> Error "schedule does not drive to a terminal state"
   | Some (st0, trail) ->
       write_trail ~config ~discipline ~note ~outs ~path program st0 trail

@@ -2,6 +2,7 @@ module Stepper = Explore.Stepper
 
 type t = {
   s_header : Trace.header;
+  stepper : Stepper.t;
   records : Trace.record array;
   keyframes : Stepper.state array;
       (* keyframes.(i) = state at position i * kf; slot 0 is the
@@ -16,7 +17,7 @@ let header t = t.s_header
 let length t = Array.length t.records
 let pos t = t.pos
 let state t = t.cur
-let world t = t.cur.Stepper.world
+let world t = Stepper.world t.cur
 let keyframe_every t = t.kf
 let replayed_steps t = t.replayed
 
@@ -25,18 +26,15 @@ let record_at t n =
 
 (* Apply record [r] from [st]; check the trace still describes this
    program's deterministic enumeration. *)
-let apply_record ~config ~discipline ~program st (r : Trace.record) =
-  match
-    Stepper.apply ~config ~discipline ~program st r.Trace.kind
-      ~choice:r.Trace.choice
-  with
+let apply_record stepper st (r : Trace.record) =
+  match Stepper.apply stepper st r.Trace.kind ~choice:r.Trace.choice with
   | None -> Error "recorded choice not available — trace/config mismatch"
   | Some succ ->
       if
-        succ.Stepper.tid <> r.Trace.tid
-        || not (Option.equal Ps.Event.equal_te succ.Stepper.event r.Trace.event)
+        Stepper.tid succ <> r.Trace.tid
+        || not (Option.equal Ps.Event.equal_te succ.event r.Trace.event)
       then Error "recorded event differs from the replayed step"
-      else Ok succ.Stepper.state
+      else Ok succ.next
 
 let of_records ?(keyframe_every = 16) (h : Trace.header) records =
   if keyframe_every <= 0 then Error "keyframe_every must be positive"
@@ -44,8 +42,10 @@ let of_records ?(keyframe_every = 16) (h : Trace.header) records =
     match Stepper.init h.Trace.program with
     | Error m -> Error m
     | Ok st0 -> (
-        let config = h.Trace.config and discipline = h.Trace.discipline in
-        let program = h.Trace.program in
+        let stepper =
+          Stepper.create ~config:h.Trace.config ~discipline:h.Trace.discipline
+            h.Trace.program
+        in
         let records = Array.of_list records in
         let n = Array.length records in
         let kf = keyframe_every in
@@ -60,7 +60,7 @@ let of_records ?(keyframe_every = 16) (h : Trace.header) records =
             if r.Trace.num <> i then
               Error (Printf.sprintf "record %d numbered %d" i r.Trace.num)
             else
-              match apply_record ~config ~discipline ~program st r with
+              match apply_record stepper st r with
               | Error m -> Error (Printf.sprintf "step %d: %s" i m)
               | Ok st' -> validate (i + 1) st'
         in
@@ -70,6 +70,7 @@ let of_records ?(keyframe_every = 16) (h : Trace.header) records =
             Ok
               {
                 s_header = h;
+                stepper;
                 records;
                 keyframes;
                 kf;
@@ -91,9 +92,6 @@ let jump t n =
   if n < 0 || n > len then
     Error (Printf.sprintf "step %d out of range 0..%d" n len)
   else begin
-    let config = t.s_header.Trace.config in
-    let discipline = t.s_header.Trace.discipline in
-    let program = t.s_header.Trace.program in
     (* Start from whichever is closest at or below [n]: the current
        position (cheap forward stepping) or the nearest keyframe. *)
     let base_kf = n / t.kf * t.kf in
@@ -108,9 +106,7 @@ let jump t n =
         Ok ()
       end
       else
-        match
-          apply_record ~config ~discipline ~program st t.records.(i)
-        with
+        match apply_record t.stepper st t.records.(i) with
         | Error m -> Error (Printf.sprintf "step %d: %s" i m)
         | Ok st' ->
             t.replayed <- t.replayed + 1;

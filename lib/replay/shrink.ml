@@ -118,13 +118,16 @@ let count_switches trail =
   List.length
     (List.filter (fun (s : Stepper.succ) -> s.kind = Stepper.Switch_step) trail)
 
-let drive_witness ~config ~discipline ~program (w : Witness.t) =
-  Stepper.drive ~config ~discipline ~program
+let drive_witness stepper (w : Witness.t) =
+  Stepper.drive stepper
     (List.map (fun (s : Witness.step) -> (s.tid, s.event)) w)
 
-let schedule ?(config = Explore.Config.default)
-    ?(discipline = Explore.Enum.Interleaving) program (w : Witness.t) =
-  match drive_witness ~config ~discipline ~program w with
+let schedule ?config ?(discipline = Explore.Enum.Interleaving) program
+    (w : Witness.t) =
+  (* One stepper for every candidate: they all replay the same
+     program, so its certification caches carry over. *)
+  let stepper = Stepper.create ?config ~discipline program in
+  match drive_witness stepper w with
   | None -> Error "schedule does not drive to a terminal state"
   | Some (_, trail0) ->
       let segs = segments w in
@@ -139,13 +142,13 @@ let schedule ?(config = Explore.Config.default)
         incr tried;
         let cand = rebuild segs kept in
         outs_of cand = outs0
-        && Option.is_some (drive_witness ~config ~discipline ~program cand)
+        && Option.is_some (drive_witness stepper cand)
       in
       let kept = ddmin ~check boundaries in
       let witness = rebuild segs kept in
       (* Re-drive the winner for the final trail (ddmin only kept the
          boolean). *)
-      (match drive_witness ~config ~discipline ~program witness with
+      (match drive_witness stepper witness with
       | None -> Error "internal: accepted candidate no longer drives"
       | Some (init, trail) ->
           Ok

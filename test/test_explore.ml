@@ -393,6 +393,43 @@ let test_reservations_no_new_outcomes () =
   Alcotest.(check (list (list int)))
     "outcomes stable under reservations" base with_rsv
 
+let test_no_cap_candidates () =
+  (* Promise candidates follow [cap_certification] like the
+     certification itself: uncapped, t1's [y = 1] is a candidate. *)
+  let done_11 config =
+    let o =
+      Explore.Enum.behaviors_exn ~config Explore.Enum.Interleaving
+        Lb_cas.program
+    in
+    Alcotest.(check bool) "exhaustive" true o.Explore.Enum.exact;
+    List.mem [ 1; 1 ] (Explore.Traceset.done_outs o.Explore.Enum.traces)
+  in
+  Alcotest.(check bool) "[1; 1] done uncapped" true
+    (done_11 { Explore.Config.default with cap_certification = false });
+  Alcotest.(check bool) "no [1; 1] capped" false
+    (done_11 Explore.Config.default)
+
+let has_promise w =
+  List.exists
+    (fun (s : Explore.Witness.step) -> s.Explore.Witness.event = Ps.Event.Prm)
+    w
+
+let test_witness_promise_bound () =
+  (* The witness search walks the explorer's relation, so the promise
+     bound binds it too: LB's [1; 1] needs one promise. *)
+  let find k =
+    let reduction =
+      { Explore.Config.no_reduction with bound_promises = Some k }
+    in
+    Explore.Witness.find
+      ~config:{ Explore.Config.default with reduction }
+      ~outs:[ 1; 1 ] Litmus.lb.Litmus.prog
+  in
+  Alcotest.(check bool) "no witness at bound 0" true (find 0 = None);
+  match find 1 with
+  | None -> Alcotest.fail "LB 1/1 should have a witness at bound 1"
+  | Some w -> Alcotest.(check bool) "a promise at bound 1" true (has_promise w)
+
 let test_witness_lb () =
   (* The paper's annotated LB execution: a promise must appear. *)
   match Explore.Witness.find ~outs:[ 1; 1 ] Litmus.lb.Litmus.prog with
@@ -486,6 +523,8 @@ let () =
         [
           Alcotest.test_case "no new outcomes" `Quick
             test_reservations_no_new_outcomes;
+          Alcotest.test_case "uncapped candidates (LB+CAS)" `Quick
+            test_no_cap_candidates;
         ] );
       ( "witness",
         [
@@ -493,6 +532,8 @@ let () =
           Alcotest.test_case "forbidden outcomes" `Quick
             test_witness_forbidden;
           Alcotest.test_case "non-preemptive" `Quick test_witness_np;
+          Alcotest.test_case "the promise bound binds" `Quick
+            test_witness_promise_bound;
         ] );
       ( "machine",
         [

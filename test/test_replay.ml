@@ -260,6 +260,46 @@ let test_state_equality_everywhere () =
       (Stepper.equal_state states.(n) (Session.state t))
   done
 
+(* A reservation execution is recorded, read back and replayed like
+   any other: with reservations on, LB+CAS's [1; 1] needs t1 to reserve
+   the slot after [z]'s last message before promising [y = 1]. *)
+let test_reservation_roundtrip () =
+  let config = { config with Explore.Config.reservations = true } in
+  let p = Lb_cas.program in
+  Alcotest.(check bool) "no witness without reservations" true
+    (Witness.find_trail ~outs:[ 1; 1 ] p = None);
+  match Witness.find_trail ~config ~outs:[ 1; 1 ] p with
+  | None -> Alcotest.fail "no LB+CAS 1,1 witness with reservations"
+  | Some (st0, trail) -> (
+      Alcotest.(check bool) "the witness reserves" true
+        (List.exists
+           (fun (s : Stepper.succ) -> s.event = Some Ps.Event.Rsv)
+           trail);
+      let path = fresh "lb-cas.trace" in
+      (match Replay.Record.record_witness ~config ~outs:[ 1; 1 ] ~path p with
+      | Ok n -> Alcotest.(check int) "every step recorded" (List.length trail) n
+      | Error m -> Alcotest.fail m);
+      let states = Array.of_list (Stepper.trail_states st0 trail) in
+      let t = load_exn path in
+      for n = 0 to Session.length t do
+        (match Session.jump t n with Ok () -> () | Error m -> Alcotest.fail m);
+        Alcotest.(check bool)
+          (Printf.sprintf "state at %d replayed" n)
+          true
+          (Stepper.equal_state states.(n) (Session.state t))
+      done;
+      match Replay.Shrink.schedule ~config p (Witness.of_trail trail) with
+      | Error m -> Alcotest.fail m
+      | Ok res ->
+          let path = fresh "lb-cas-shrunk.trace" in
+          (match
+             Replay.Record.record_schedule ~config ~outs:[ 1; 1 ] ~path p
+               res.Replay.Shrink.witness
+           with
+          | Ok n -> Alcotest.(check bool) "shrunk trace recorded" true (n > 0)
+          | Error m -> Alcotest.fail m);
+          ignore (load_exn path))
+
 let test_keyframe_jump_cost () =
   let path = fresh "lb-kf.trace" in
   ignore (record_lb ~eager:true path);
@@ -626,7 +666,9 @@ let test_renumbered_deltas () =
     [ (0, Ps.Event.Prm); (1, wr 2); (1, Ps.Event.Tau); (0, wr 1) ]
     @ [ (0, Ps.Event.Tau) ]
   in
-  match Stepper.drive ~config ~discipline:il ~program:gap_writer schedule with
+  match
+    Stepper.drive (Stepper.create ~config ~discipline:il gap_writer) schedule
+  with
   | None -> Alcotest.fail "schedule does not drive"
   | Some (st0, trail) -> (
       let is_event e (s : Stepper.succ) = s.Stepper.event = Some e in
@@ -688,6 +730,8 @@ let () =
             test_step_back_records;
           Alcotest.test_case "deltas across a renumbering step" `Quick
             test_renumbered_deltas;
+          Alcotest.test_case "a reservation execution round-trips" `Quick
+            test_reservation_roundtrip;
         ] );
       ( "proto",
         [

@@ -201,6 +201,104 @@ let test_loop_thm41 =
     arbitrary_loop_program (fun p ->
       Explore.Refine.equivalent_disciplines ~config p)
 
+(* ------------------------------------------------------------------ *)
+(* Witness search and explorer walk one relation.
+
+   At each setting, with promise bound k and the next bound k + 1:
+   every [Done] trace the explorer finds at k has a witness at k; and
+   every [Done] trace it finds at k + 1 but not at k has no witness at
+   k — the direction that catches a witness search ignoring the bound.
+   The first direction is checked on runs without a step cut (the
+   witness search marks a state visited at its first depth, so a cut
+   can hide a path from it); the second needs the run at k to be
+   complete up to the bound itself.  Programs are the random ones above
+   and load-buffering skeletons whose threads may CAS on [f] before
+   their write, the shape whose promises can need a reservation. *)
+
+let lb_gen =
+  let open QCheck.Gen in
+  let cas =
+    map2
+      (fun expect write ->
+        Cas ("c", "f", Val expect, Val write, Lang.Modes.Rlx, Lang.Modes.WRlx))
+      (int_range 0 1) (int_range 1 2)
+  in
+  let fill =
+    list_size (int_range 0 2) (frequency [ (2, cas); (1, instr_gen) ])
+  in
+  let thread name src dst =
+    map2
+      (fun fill value ->
+        let instrs =
+          (Load ("r0", src, Lang.Modes.Na) :: fill)
+          @ [ Store (dst, value, Lang.Modes.WNa); Print (Reg "r0") ]
+        in
+        (name, codeheap ~entry:"L" [ ("L", block instrs Return) ]))
+      fill
+      (oneofl [ Reg "r0"; Val 1 ])
+  in
+  map2
+    (fun t1 t2 -> program ~atomics:[ "f" ] ~code:[ t1; t2 ] [ "t1"; "t2" ])
+    (thread "t1" "x" "y") (thread "t2" "y" "x")
+
+let arbitrary_agreement_program =
+  QCheck.make ~print:Lang.Pp.program_to_string
+    QCheck.Gen.(oneof [ program_gen; lb_gen ])
+
+let done_outs (o : Explore.Enum.outcome) =
+  Explore.Traceset.fold
+    (fun tr acc ->
+      match tr.Ps.Event.ending with
+      | Ps.Event.Done -> tr.Ps.Event.outs :: acc
+      | _ -> acc)
+    o.Explore.Enum.traces []
+
+let witness_agrees ~name ~at ~next =
+  QCheck.Test.make ~count:25
+    ~name:("witness and explorer agree: " ^ name)
+    arbitrary_agreement_program (fun p ->
+      let run config =
+        Explore.Enum.behaviors_exn ~config Explore.Enum.Interleaving p
+      in
+      let o = run at and o' = run next in
+      let witnessed outs = Explore.Witness.find ~config:at ~outs p <> None in
+      let complete =
+        List.for_all
+          (fun r -> r = Explore.Errors.Promise_budget)
+          (Explore.Stats.truncation_reasons o.Explore.Enum.stats)
+      in
+      let d = done_outs o in
+      (o.Explore.Enum.stats.Explore.Stats.cuts > 0 || List.for_all witnessed d)
+      && ((not complete)
+         || List.for_all
+              (fun outs -> List.mem outs d || not (witnessed outs))
+              (done_outs o')))
+
+let agreement =
+  let base = { config with max_nodes = Some 20_000 } in
+  let bound k =
+    let reduction =
+      { Explore.Config.no_reduction with bound_promises = Some k }
+    in
+    { base with reduction }
+  in
+  (* Reservations multiply the state space (one reserve step per
+     message and location): most of these searches end at the node
+     budget, and only the first direction is checked on them. *)
+  let rsv = { base with reservations = true; max_nodes = Some 5_000 } in
+  [
+    witness_agrees ~name:"no reduction" ~at:base
+      ~next:(Explore.Config.with_promises 2 base);
+    witness_agrees ~name:"full reduction"
+      ~at:(Explore.Config.with_reduction Explore.Config.full_reduction base)
+      ~next:
+        (Explore.Config.with_reduction Explore.Config.full_reduction
+           (Explore.Config.with_promises 2 base));
+    witness_agrees ~name:"promise bound 0" ~at:(bound 0) ~next:(bound 1);
+    witness_agrees ~name:"reservations" ~at:rsv
+      ~next:(Explore.Config.with_promises 2 rsv);
+  ]
+
 let () =
   Alcotest.run "soundness"
     [
@@ -216,6 +314,11 @@ let () =
             test_witness_completeness;
             test_witness_soundness;
           ] );
+      ( "agreement",
+        List.map
+          (fun t ->
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 21 |]) t)
+          agreement );
       ( "loop-programs",
         List.map QCheck_alcotest.to_alcotest
           [ test_loop_passes_refine; test_loop_thm41 ] );
