@@ -1465,21 +1465,29 @@ let iter_reachable ?(config = Config.default) disc (p : Lang.Ast.program) ~f =
          off its successors and undercounting both states and
          transitions.  Re-expansion on improvement makes the walk
          budget-complete: every state reachable within [max_steps]
-         micro-steps along some path is visited. *)
+         micro-steps along some path is visited.
+
+         Until the walk has cut a state, re-expansion cannot find
+         anything: every finished expansion reached everything below
+         it, a node still on the stack is only met again deeper, budget
+         stops are sticky and node faults are a pure function of the
+         state.  So a node is expanded again only once [cuts] is
+         positive, and a cut is counted only for a node never
+         expanded (one met again at the budget lost nothing). *)
       let best = NodeTbl.create 1024 in
       let rec visit (n : Node.t) depth =
-        if depth >= s.cfg.Config.max_steps then
-          w.ls.Stats.cuts <- w.ls.Stats.cuts + 1
-        else if budget_stop w <> None || node_fault_fires w n then
-          (* Budget or fault: skip the subtree.  The stats counters
-             record the reason, so callers recover completeness via
-             [Stats.truncation_reasons]. *)
-          ()
-        else
-          let prev = NodeTbl.find_opt best n in
-          match prev with
-          | Some d when d <= depth -> ()
-          | _ ->
+        let prev = NodeTbl.find_opt best n in
+        match prev with
+        | Some d when d <= depth || w.ls.Stats.cuts = 0 -> ()
+        | _ ->
+            if depth >= s.cfg.Config.max_steps then
+              w.ls.Stats.cuts <- w.ls.Stats.cuts + 1
+            else if budget_stop w <> None || node_fault_fires w n then
+              (* Budget or fault: skip the subtree.  The stats counters
+                 record the reason, so callers recover completeness via
+                 [Stats.truncation_reasons]. *)
+              ()
+            else begin
               if depth > w.ls.Stats.peak_depth then w.ls.Stats.peak_depth <- depth;
               NodeTbl.replace best n depth;
               let first = prev = None in
@@ -1493,6 +1501,7 @@ let iter_reachable ?(config = Config.default) disc (p : Lang.Ast.program) ~f =
               if first then
                 w.ls.Stats.transitions <- w.ls.Stats.transitions + List.length succs;
               List.iter (fun { next; _ } -> visit next (depth + 1)) succs
+            end
       in
       Obs.Trace.span ~cat:"explore" "enumerate" (fun () ->
           visit (root world) 0);

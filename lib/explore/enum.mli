@@ -97,9 +97,25 @@ val iter_reachable :
   Lang.Ast.program ->
   f:(committed:bool -> Ps.Machine.world -> unit) ->
   (Stats.t, string) result
-(** Visit every distinct reachable machine state once (breadth across
-    the same successor relation as {!behaviors}).  [committed] is true
-    when the current thread passes the consistency check — exactly the
+(** Visit every distinct reachable machine state once, depth-first
+    over the same successor relation as {!behaviors}, calling [f] on
+    each state the first time the walk expands it.
+
+    A state met again is expanded again only when it is met at a
+    shallower depth than before {e and} the walk has already cut a
+    state at [config.max_steps]; before the first cut, a second
+    expansion could reach nothing new, so every state is expanded
+    once.  After a cut, re-expansion on a shallower path keeps the walk
+    budget-complete: every state reachable within [max_steps] steps is
+    visited.  Either way the states reach [f] in the order in which a
+    walk that always re-expanded on a shallower path would first visit
+    them, with the same node and transition counts.  A step cut (the
+    [cuts] counter of {!Stats}, which makes the walk [Truncated
+    [Step_budget]]) is counted only for a state met at the budget that
+    was never expanded: a state met again there loses nothing.
+
+    [committed] is true when the current thread passes the
+    consistency check — exactly the
     machine configurations reachable by Fig. 9/Fig. 10 machine steps,
     which is where the race predicate of Fig. 11 is evaluated
     ({!Race}).  Returns the exploration statistics (the state-space

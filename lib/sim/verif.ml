@@ -61,8 +61,11 @@ let check ?sim_config ?explore_config r (src : Lang.Ast.program) =
   in
   (* The stages share walks (docs/SEMANTICS.md, "One walk per
      program").  The source's ww-RF stays its own reachability scan,
-     run first: under a step cut the memoized walk re-expands cut
-     subtrees and costs far more than the scan. *)
+     run first.  The scan expands each state once until it cuts one,
+     where the memoized walk expands a state once per memo miss (iriw:
+     4,852 against 11,397 expansions); under a step cut the memoized
+     walk also re-expands cut subtrees along every path, and costs far
+     more than the scan. *)
   let src_rf = lazy (Race.ww_rf ?config:scfg src) in
   let sims =
     lazy

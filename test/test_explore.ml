@@ -365,6 +365,103 @@ let test_iter_reachable_budget_complete () =
   let n12, _ = count 12 and n13, _ = count 13 in
   Alcotest.(check bool) "node count monotone in the budget" true (n12 <= n13)
 
+(* Regression: a state already expanded at a shallower depth and met
+   again at the budget used to count a step cut, so iriw at 20 steps
+   came back [Truncated] though it visits every state it visits at
+   400. *)
+let test_iter_reachable_no_spurious_cut () =
+  List.iter
+    (fun disc ->
+      let config = { Explore.Config.default with max_steps = 20 } in
+      match
+        Explore.Enum.iter_reachable ~config disc Litmus.iriw.Litmus.prog
+          ~f:(fun ~committed:_ _ -> ())
+      with
+      | Ok st ->
+          Alcotest.(check string)
+            "exhaustive" "exhaustive"
+            (Format.asprintf "%a" Explore.Enum.pp_completeness
+               (Explore.Enum.completeness_of st));
+          Alcotest.(check int) "nodes" 4852 st.Explore.Stats.nodes
+      | Error e -> Alcotest.fail e)
+    [ Explore.Enum.Interleaving; Explore.Enum.Non_preemptive ]
+
+module NodeTbl = Hashtbl.Make (Explore.Enum.Node)
+
+(* The reference: the reachability walk that expands a state again
+   whenever it meets it at a shallower depth, cut or no cut.  Returns
+   the worlds in first-visit order, the node and the transition
+   count. *)
+let reexpanding_walk ~config disc p =
+  match Ps.Machine.init p with
+  | Error e -> Alcotest.fail e
+  | Ok world ->
+      let st = Explore.Enum.stepper ~config disc p in
+      let best = NodeTbl.create 1024 in
+      let seen = ref [] and nodes = ref 0 and transitions = ref 0 in
+      let rec visit n depth =
+        if depth < config.Explore.Config.max_steps then
+          match NodeTbl.find_opt best n with
+          | Some d when d <= depth -> ()
+          | prev ->
+              NodeTbl.replace best n depth;
+              let succs = Explore.Enum.successors st n in
+              if prev = None then begin
+                incr nodes;
+                seen := Explore.Enum.Node.world n :: !seen;
+                transitions := !transitions + List.length succs
+              end;
+              List.iter
+                (fun s -> visit s.Explore.Enum.next (depth + 1))
+                succs
+      in
+      visit (Explore.Enum.root world) 0;
+      (List.rev !seen, !nodes, !transitions)
+
+(* The scan expands each state once until it cuts one, and first
+   visits states in the reference's order, with its counts; an
+   [Exhaustive] scan visits what the unbounded one visits. *)
+let test_iter_reachable_reference () =
+  let programs =
+    List.map (fun t -> (t.Litmus.name, t.Litmus.prog)) Litmus.all
+    @ List.init 108 (fun seed ->
+          (Printf.sprintf "seed %d" seed, Explore.Stress.generate ~seed))
+  in
+  let scan config disc p =
+    let seen = ref [] in
+    match
+      Explore.Enum.iter_reachable ~config disc p ~f:(fun ~committed:_ w ->
+          seen := w :: !seen)
+    with
+    | Ok st -> (List.rev !seen, st)
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun disc ->
+          let at b = { Explore.Config.default with max_steps = b } in
+          let full = (snd (scan (at 400) disc p)).Explore.Stats.nodes in
+          List.iter
+            (fun b ->
+              let what = Printf.sprintf "%s at %d" name b in
+              let worlds, st = scan (at b) disc p in
+              let ref_worlds, nodes, transitions =
+                reexpanding_walk ~config:(at b) disc p
+              in
+              Alcotest.(check bool)
+                (what ^ " first visits") true
+                (List.equal Ps.Machine.equal worlds ref_worlds);
+              Alcotest.(check (pair int int))
+                (what ^ " nodes, transitions") (nodes, transitions)
+                (st.Explore.Stats.nodes, st.Explore.Stats.transitions);
+              if Explore.Enum.completeness_of st = Explore.Enum.Exhaustive then
+                Alcotest.(check int) (what ^ " exhaustive") full
+                  st.Explore.Stats.nodes)
+            [ 6; 10; 14; 20; 400 ])
+        [ Explore.Enum.Interleaving; Explore.Enum.Non_preemptive ])
+    programs
+
 let test_reservations_no_new_outcomes () =
   (* Enumerating reserve/cancel steps may widen the state space but
      must not change the completed outcomes: reservations only block
@@ -540,6 +637,10 @@ let () =
           Alcotest.test_case "iter_reachable" `Quick test_iter_reachable;
           Alcotest.test_case "iter_reachable budget-complete" `Quick
             test_iter_reachable_budget_complete;
+          Alcotest.test_case "iter_reachable no spurious cut" `Quick
+            test_iter_reachable_no_spurious_cut;
+          Alcotest.test_case "iter_reachable against the re-expanding walk"
+            `Quick test_iter_reachable_reference;
           Alcotest.test_case "init" `Quick test_machine_init;
         ] );
     ]
