@@ -56,22 +56,38 @@ let default_j =
   | Some j -> j
   | None -> Explore.Pool.recommended ()
 
+(* An integer option with a floor.  A value below it is a usage error:
+   read as is, a negative budget would silently run a different search
+   ("no promises", "no deadline", an empty truncated walk). *)
+let int_from lo =
+  let parse str =
+    match int_of_string_opt str with
+    | None ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected an integer" str))
+    | Some n when n < lo ->
+        Error
+          (`Msg (Printf.sprintf "%d is invalid, expected an integer >= %d" n lo))
+    | Some n -> Ok n
+  in
+  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+
 let jobs_term =
   let doc =
     "Domain pool width for parallel exploration (default: the machine's \
      recommended domain count, or a positive \\$PSOPT_J).  Results are \
      identical for every width."
   in
-  Arg.(value & opt int default_j & info [ "j"; "jobs" ] ~doc ~docv:"N")
+  Arg.(value & opt (int_from 1) default_j & info [ "j"; "jobs" ] ~doc ~docv:"N")
 
 let config_term =
   let promises =
     let doc = "Promise steps allowed per thread (0 disables promising)." in
-    Arg.(value & opt int 1 & info [ "promises" ] ~doc)
+    Arg.(value & opt (int_from 0) 1 & info [ "promises" ] ~doc)
   in
   let steps =
     let doc = "Exploration depth budget." in
-    Arg.(value & opt int 400 & info [ "max-steps" ] ~doc)
+    Arg.(value & opt (int_from 0) 400 & info [ "max-steps" ] ~doc)
   in
   let no_cap =
     let doc = "Certify promises against the plain (uncapped) memory." in
@@ -79,11 +95,11 @@ let config_term =
   in
   let deadline =
     let doc = "Wall-clock budget in milliseconds (0 = none)." in
-    Arg.(value & opt int 0 & info [ "deadline-ms" ] ~doc)
+    Arg.(value & opt (int_from 0) 0 & info [ "deadline-ms" ] ~doc)
   in
   let nodes =
     let doc = "Budget on distinct explored states (0 = none)." in
-    Arg.(value & opt int 0 & info [ "max-nodes" ] ~doc)
+    Arg.(value & opt (int_from 0) 0 & info [ "max-nodes" ] ~doc)
   in
   let por =
     let doc =
@@ -113,7 +129,7 @@ let config_term =
     in
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_from 0)) None
       & info [ "max-promises" ] ~doc ~docv:"K")
   in
   Term.(
@@ -133,7 +149,7 @@ let config_term =
             cap_certification = not no_cap;
             deadline_ms = (if deadline > 0 then Some deadline else None);
             max_nodes = (if nodes > 0 then Some nodes else None);
-            domains = max 1 j;
+            domains = j;
             reduction;
           })
     $ promises $ steps $ no_cap $ deadline $ nodes $ por $ symmetry $ reduce
@@ -260,7 +276,9 @@ let run_cmd =
 
 let sample_cmd =
   let runs =
-    Arg.(value & opt int 1000 & info [ "runs" ] ~doc:"Number of executions.")
+    Arg.(
+      value & opt (int_from 0) 1000
+      & info [ "runs" ] ~doc:"Number of executions.")
   in
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Base seed.") in
   let run file runs seed =
@@ -673,17 +691,19 @@ let litmus_cmd =
 
 let stress_cmd =
   let cases =
-    Arg.(value & opt int 50 & info [ "cases" ] ~doc:"Number of random cases.")
+    Arg.(
+      value & opt (int_from 0) 50
+      & info [ "cases" ] ~doc:"Number of random cases.")
   in
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Base seed.") in
   let deadline =
     Arg.(
-      value & opt int 2000
+      value & opt (int_from 0) 2000
       & info [ "deadline-ms" ] ~doc:"Per-attempt wall-clock budget.")
   in
   let retries =
     Arg.(
-      value & opt int 2
+      value & opt (int_from 0) 2
       & info [ "retries" ]
           ~doc:"Extra attempts with doubled budgets while inconclusive.")
   in

@@ -31,35 +31,67 @@ module Node = struct
     world : Ps.Machine.world;
     bit : bool;
     promised : int TidMap.t;
-    (* Memoized structural hash, 0 = not yet computed.  Hashing a node
-       walks the entire world (every thread's views plus the whole
-       memory), so it is far too expensive to redo on every table
-       probe — and published cache entries carry their hash to the
-       absorbing domain for free.  The unsynchronized write is benign:
-       every racing writer stores the same value. *)
+    (* Memoized structural hash, 0 = not yet computed.  It is probed
+       on every table lookup, and published cache entries carry it to
+       the absorbing domain for free.  The unsynchronized write is
+       benign: every racing writer stores the same value. *)
     mutable hv : int;
+    (* The world's leaf hashes ({!Ps.Machine.leaves}), built by
+       [successors] from the parent's, until the node is expanded: then
+       its hash is fixed and its children have taken what they share
+       with it, so memo keys carry none. *)
+    mutable leaves : Ps.Machine.leaves option;
   }
 
-  let make ~world ~bit ~promised = { world; bit; promised; hv = 0 }
+  let make ?leaves world ~bit ~promised =
+    { world; bit; promised; hv = 0; leaves }
   let world n = n.world
 
+  let of_world_hash n wh =
+    let promised =
+      TidMap.fold
+        (fun tid k h -> Ps.Time.hash_combine (Ps.Time.hash_combine h tid) k)
+        n.promised 0x6e6f
+    in
+    let h =
+      Ps.Time.hash_combine
+        (Ps.Time.hash_combine wh (Bool.to_int n.bit))
+        promised
+    in
+    if h = 0 then 0x6e6f else h
+
+  let scratch_hash n = of_world_hash n (Ps.Machine.hash n.world)
+
+  (* A node without leaves (the root, a [canon] image, a node expanded
+     before) hashes its whole world. *)
   let hash n =
     if n.hv <> 0 then n.hv
     else begin
-      let promised =
-        TidMap.fold
-          (fun tid k h -> Ps.Time.hash_combine (Ps.Time.hash_combine h tid) k)
-          n.promised 0x6e6f
-      in
       let h =
-        Ps.Time.hash_combine
-          (Ps.Time.hash_combine (Ps.Machine.hash n.world) (Bool.to_int n.bit))
-          promised
+        match n.leaves with
+        | Some lv -> of_world_hash n (Ps.Machine.hash_leaves n.world lv)
+        | None -> scratch_hash n
       in
-      let h = if h = 0 then 0x6e6f else h in
       n.hv <- h;
       h
     end
+
+  (* The leaves [successors] builds the children's from, computed
+     from the world when the node has none. *)
+  let leaves n =
+    match n.leaves with
+    | Some lv -> lv
+    | None ->
+        let lv = Ps.Machine.leaves n.world in
+        n.leaves <- Some lv;
+        lv
+
+  (* [successors] is done with the node: fix its hash while the leaves
+     make it cheap, and drop them. *)
+  let expanded n lv =
+    if n.hv = 0 then
+      n.hv <- of_world_hash n (Ps.Machine.hash_leaves n.world lv);
+    n.leaves <- None
 
   (* Structural equality (the world's, the bit's and the budget's).
      The memoized hashes go first: the tables
@@ -84,18 +116,32 @@ module NodeTbl = Hashtbl.Make (Node)
 module CertKey = struct
   type t = { ts : Ps.Thread.ts; mem : Ps.Memory.t; mutable khv : int }
 
+  let of_hashes th mh =
+    let h = Ps.Time.hash_combine th mh in
+    if h = 0 then 0x4b45 else h
+
   let make ts mem = { ts; mem; khv = 0 }
 
-  (* Same memoization scheme as {!Node.hash}: the key hash walks the
-     thread state and the whole memory, and each key is probed several
-     times (fault site, cache lookup, cache insert, absorption). *)
+  (* The key of a node's own configuration (its current thread and the
+     memory), hashed from the node's leaves. *)
+  let own (wd : Ps.Machine.world) lv =
+    {
+      ts = Ps.Machine.cur_ts wd;
+      mem = wd.Ps.Machine.mem;
+      khv =
+        of_hashes
+          (Ps.Machine.thread_hash lv wd.Ps.Machine.cur)
+          (Ps.Machine.memory_hash lv);
+    }
+
+  let scratch_hash k = of_hashes (Ps.Thread.hash k.ts) (Ps.Memory.hash k.mem)
+
+  (* Memoized as {!Node.hash} is: each key is probed several times
+     (fault site, cache lookup, cache insert, absorption). *)
   let hash k =
     if k.khv <> 0 then k.khv
     else begin
-      let h =
-        Ps.Time.hash_combine (Ps.Thread.hash k.ts) (Ps.Memory.hash k.mem)
-      in
-      let h = if h = 0 then 0x4b45 else h in
+      let h = scratch_hash k in
       k.khv <- h;
       h
     end
@@ -515,7 +561,7 @@ let canon s (n : Node.t) : Node.t =
     if not !changed then n
     else
       Node.make
-        ~world:{ wd with Ps.Machine.tp = !tp; cur = !cur }
+        { wd with Ps.Machine.tp = !tp; cur = !cur }
         ~bit:n.Node.bit ~promised:!promised
   end
 
@@ -635,11 +681,11 @@ let cert_hist =
   Obs.Metrics.histogram ~help:"Certification consistency-check run time"
     "psopt_explore_cert_run_duration_ns"
 
-let run_cert s ts mem =
+let run_cert s (key : CertKey.t) =
   Obs.Trace.span ~cat:"explore" "certify" (fun () ->
       Obs.Metrics.time cert_hist (fun () ->
           Ps.Cert.consistent ~fuel:s.cfg.Config.cert_fuel
-            ~cap:s.cfg.Config.cap_certification ~code:s.code ts mem))
+            ~cap:s.cfg.Config.cap_certification ~code:s.code key.ts key.mem))
 
 (* The certification caches share entries between workers more
    eagerly than the memo.  A run costs far more than a publication or
@@ -659,7 +705,7 @@ let cached w tbl key =
 (* Exact certification accounting: every call bumps [cert_checks] and
    then exactly one of [cert_faults] / [cert_trivial] /
    [cert_cache_hits] / [cert_runs]. *)
-let consistent w ts mem =
+let consistent w (key : CertKey.t) =
   let s = w.s in
   let ls = w.ls in
   ls.Stats.cert_checks <- ls.Stats.cert_checks + 1;
@@ -668,7 +714,6 @@ let consistent w ts mem =
      of the configuration, so it is the same on every path and every
      domain that reaches it.  The configuration hash (the fault site)
      is only computed when fault injection is armed. *)
-  let key = CertKey.make ts mem in
   if s.fault <> None && fault_fires s (CertKey.hash key) salt_cert then begin
     ls.Stats.cert_faults <- ls.Stats.cert_faults + 1;
     ls.Stats.faults_injected <- ls.Stats.faults_injected + 1;
@@ -677,14 +722,14 @@ let consistent w ts mem =
   else if
     (* Promise-free thread states are trivially consistent; don't
        spend a hash of the whole configuration on them. *)
-    Ps.Thread.concrete_promises ts = []
+    Ps.Thread.concrete_promises key.ts = []
   then begin
     ls.Stats.cert_trivial <- ls.Stats.cert_trivial + 1;
     true
   end
   else if not s.cfg.Config.cert_cache then begin
     ls.Stats.cert_runs <- ls.Stats.cert_runs + 1;
-    run_cert s ts mem
+    run_cert s key
   end
   else
     match cached w w.cert_cache key with
@@ -693,7 +738,7 @@ let consistent w ts mem =
         verdict
     | None ->
         ls.Stats.cert_runs <- ls.Stats.cert_runs + 1;
-        let verdict = run_cert s ts mem in
+        let verdict = run_cert s key in
         CertTbl.replace w.cert_cache key verdict;
         if w.parallel then begin
           w.pub_cert <- (key, verdict) :: w.pub_cert;
@@ -701,12 +746,11 @@ let consistent w ts mem =
         end;
         verdict
 
-let promise_candidates w ts mem =
+let promise_candidates w (key : CertKey.t) =
   let s = w.s in
   match s.cfg.Config.promise_mode with
   | Config.No_promises -> []
   | mode -> (
-      let key = CertKey.make ts mem in
       if s.fault <> None && fault_fires s (CertKey.hash key) salt_cand then begin
         (* Candidate discovery killed by an injected fault: no promise
            successors from here — behaviours shrink, never grow. *)
@@ -716,7 +760,7 @@ let promise_candidates w ts mem =
       else
         match mode with
         | Config.No_promises -> assert false
-        | Config.Syntactic -> Ps.Thread.writes_in_code ~code:s.code ts
+        | Config.Syntactic -> Ps.Thread.writes_in_code ~code:s.code key.ts
         | Config.Semantic -> (
             (* Candidate discovery is the other certification search,
                run for every node with promise budget left; like the
@@ -726,7 +770,8 @@ let promise_candidates w ts mem =
             let compute () =
               Obs.Trace.span ~cat:"explore" "candidates" (fun () ->
                   Ps.Cert.certifiable_writes ~fuel:s.cfg.Config.cert_fuel
-                    ~cap:s.cfg.Config.cap_certification ~code:s.code ts mem)
+                    ~cap:s.cfg.Config.cap_certification ~code:s.code key.ts
+                    key.mem)
             in
             if not s.cfg.Config.cert_cache then compute ()
             else
@@ -764,9 +809,13 @@ let successors w (n : Node.t) : succ list =
     | Some k -> k
     | None -> 0
   in
+  (* The children's leaves are built from the node's, and so is the
+     hash of the certification key of the node's own configuration. *)
+  let lv = Node.leaves n in
+  let own = CertKey.own wd lv in
   (* The current thread's consistency gates outputs and switches; it
      is cheap when the thread has no promises. *)
-  let committed = lazy (consistent w ts mem) in
+  let committed = lazy (consistent w own) in
   let bit_after te =
     match s.disc with
     | Interleaving -> Some true
@@ -780,7 +829,9 @@ let successors w (n : Node.t) : succ list =
       kind;
       choice;
       event = Some step.Ps.Thread.event;
-      next = Node.make ~world ~bit ~promised;
+      next =
+        Node.make ~leaves:(Ps.Machine.leaves ~prev:lv world) world ~bit
+          ~promised;
       renumbering;
     }
   in
@@ -816,7 +867,7 @@ let successors w (n : Node.t) : succ list =
          inconclusive, never toward a claim). *)
       let strict = s.cfg.Config.strict_promises || bound <> None in
       if strict && sched_ok && not budget_left then
-        if promise_candidates w ts mem <> [] then begin
+        if promise_candidates w own <> [] then begin
           w.ls.Stats.promise_budget_hits <- w.ls.Stats.promise_budget_hits + 1;
           if bound <> None then
             w.ls.Stats.promise_bound_hits <- w.ls.Stats.promise_bound_hits + 1
@@ -824,7 +875,7 @@ let successors w (n : Node.t) : succ list =
       []
     end
     else
-      let candidates = promise_candidates w ts mem in
+      let candidates = promise_candidates w own in
       Ps.Thread.promise_steps ~candidates ~atomics:s.atomics ts mem
   in
   let promises =
@@ -837,7 +888,8 @@ let successors w (n : Node.t) : succ list =
         (* A promise must remain certifiable with the chosen slot;
            pruning inconsistent promise placements is sound because a
            τ machine step must end consistent. *)
-        if consistent w step.Ps.Thread.ts step.Ps.Thread.mem then begin
+        if consistent w (CertKey.make step.Ps.Thread.ts step.Ps.Thread.mem)
+        then begin
           w.ls.Stats.promises <- w.ls.Stats.promises + 1;
           Some (make Promise_step i ~bit:n.Node.bit ~promised step)
         end
@@ -952,8 +1004,7 @@ let successors w (n : Node.t) : succ list =
                   event = None;
                   renumbering = None;
                   next =
-                    Node.make
-                      ~world:(Ps.Machine.switch wd tid)
+                    Node.make ~leaves:lv (Ps.Machine.switch wd tid)
                       ~bit:true ~promised:n.Node.promised;
                 }
                 :: acc
@@ -1017,6 +1068,7 @@ let successors w (n : Node.t) : succ list =
   (match s.observe with
   | Some f when Lazy.force committed -> f wd
   | _ -> ());
+  Node.expanded n lv;
   regular @ promises @ reservations @ switches
 
 (* ------------------------------------------------------------------ *)
@@ -1407,7 +1459,16 @@ let stepper ~config disc (p : Lang.Ast.program) =
     (make_search ~threads:p.Lang.Ast.threads p.Lang.Ast.code
        p.Lang.Ast.atomics disc config)
 
-let root world = Node.make ~world ~bit:true ~promised:TidMap.empty
+let root world = Node.make world ~bit:true ~promised:TidMap.empty
+
+let scratch_config_hash (n : Node.t) =
+  CertKey.scratch_hash
+    (CertKey.make (Ps.Machine.cur_ts n.world) n.world.Ps.Machine.mem)
+
+let config_hash (n : Node.t) =
+  match n.leaves with
+  | Some lv -> CertKey.hash (CertKey.own n.world lv)
+  | None -> scratch_config_hash n
 
 let behaviors ?(config = Config.default) ?observe disc (p : Lang.Ast.program) =
   if observe <> None && config.Config.reduction <> Config.no_reduction then
@@ -1493,8 +1554,9 @@ let iter_reachable ?(config = Config.default) disc (p : Lang.Ast.program) ~f =
               let first = prev = None in
               if first then begin
                 count_node w;
-                let ts = Ps.Machine.cur_ts n.world in
-                let committed = consistent w ts n.world.Ps.Machine.mem in
+                let committed =
+                  consistent w (CertKey.own n.world (Node.leaves n))
+                in
                 f ~committed n.Node.world
               end;
               let succs = successors w n in

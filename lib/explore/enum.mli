@@ -138,7 +138,17 @@ module Node : sig
 
   val world : t -> Ps.Machine.world
   val equal : t -> t -> bool
+
   val hash : t -> int
+  (** Memoized.  A node that {!successors} returned and that has not
+      been expanded yet carries the leaf hashes of its world
+      ({!Ps.Machine.leaves}), built from its parent's: then its hash
+      costs the leaves its step changed and a combine per leaf.
+      Expanding a node fixes its hash and drops its leaves. *)
+
+  val scratch_hash : t -> int
+  (** What {!hash} must equal: computed from the whole world, bit and
+      budget, without leaves or the memoized value. *)
 end
 
 type kind = Thread_step | Promise_step | Switch_step
@@ -171,3 +181,12 @@ val successors : stepper -> Node.t -> succ list
     order: thread steps, promise steps, reserve and cancel steps (when
     [config.reservations]), then switches in descending thread id —
     after the configured reduction's pruning and the promise bound. *)
+
+val config_hash : Node.t -> int
+(** The hash of the certification-cache key of the node's own
+    configuration (its current thread's state and the memory), taken
+    from the node's leaf hashes while it has them. *)
+
+val scratch_config_hash : Node.t -> int
+(** What {!config_hash} must equal: the same key hashed from the
+    thread state and memory themselves. *)

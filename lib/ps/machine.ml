@@ -26,7 +26,7 @@ let tids w = List.map fst (TidMap.bindings w.tp)
 let cur_ts w = TidMap.find w.cur w.tp
 let install w ts mem =
   let tp = TidMap.add w.cur ts w.tp in
-  match Memory.renumbering [ mem ] with
+  match Memory.renumbering mem with
   | None -> ({ w with tp; mem }, None)
   | Some r ->
       let f = Memory.apply r in
@@ -68,6 +68,65 @@ let hash w =
       w.tp 0x3a3a
   in
   Time.hash_combine (Time.hash_combine tp w.cur) (Memory.hash w.mem)
+
+(* The hashes [hash] combines, per thread (in tid order) and per
+   location.  A thread state physically the one [prev] hashed keeps its
+   hash. *)
+type leaves = {
+  pool : Thread.ts TidMap.t;
+  tids : int array;
+  threads : int array;
+  locs : Memory.leaves;
+}
+
+let thread_leaves p tp =
+  let n = TidMap.cardinal tp in
+  let tids = Array.make n 0 and threads = Array.make n 0 in
+  ignore
+    (TidMap.fold
+       (fun tid ts i ->
+         tids.(i) <- tid;
+         threads.(i) <-
+           (if
+              i < Array.length p.tids
+              && p.tids.(i) = tid
+              && TidMap.find tid p.pool == ts
+            then p.threads.(i)
+            else Thread.hash ts);
+         i + 1)
+       tp 0);
+  (tids, threads)
+
+let leaves ?prev w =
+  match prev with
+  | Some p when p.pool == w.tp ->
+      let locs = Memory.leaves ~prev:p.locs w.mem in
+      if locs == p.locs then p else { p with locs }
+  | Some p ->
+      let tids, threads = thread_leaves p w.tp in
+      { pool = w.tp; tids; threads; locs = Memory.leaves ~prev:p.locs w.mem }
+  | None ->
+      let locs = Memory.leaves w.mem in
+      let p = { pool = TidMap.empty; tids = [||]; threads = [||]; locs } in
+      let tids, threads = thread_leaves p w.tp in
+      { p with pool = w.tp; tids; threads }
+
+let hash_leaves w lv =
+  let h = ref 0x3a3a in
+  for i = 0 to Array.length lv.tids - 1 do
+    h := Time.hash_combine (Time.hash_combine !h lv.tids.(i)) lv.threads.(i)
+  done;
+  Time.hash_combine (Time.hash_combine !h w.cur) (Memory.hash_leaves lv.locs)
+
+let thread_hash lv tid =
+  let rec find i =
+    if i >= Array.length lv.tids then raise Not_found
+    else if lv.tids.(i) = tid then lv.threads.(i)
+    else find (i + 1)
+  in
+  find 0
+
+let memory_hash lv = Memory.hash_leaves lv.locs
 
 let pp ppf w =
   Format.fprintf ppf "@[<v>cur: t%d@ mem:@ %a" w.cur Memory.pp w.mem;

@@ -63,6 +63,32 @@ val equal : world -> world -> bool
 
 val hash : world -> int
 (** Consistent with {!equal}; the key of the hashed exploration
-    tables in {!Explore.Enum}. *)
+    tables in {!Explore.Enum}.  Combines, in order, each thread's id
+    and {!Thread.hash}, the current thread id and {!Memory.hash}. *)
+
+type leaves
+(** The parts {!hash} combines: one {!Thread.hash} per thread and the
+    memory's per-location hashes ({!Memory.leaves}). *)
+
+val leaves : ?prev:leaves -> world -> leaves
+(** [leaves ~prev w] takes from [prev] the hash of every thread state
+    and every message list of [w] that is physically the one [prev]
+    hashed at the same place, and computes the others.  {!install}
+    and {!switch} return what a step does not touch physically, so a
+    switch's world shares all of its parent's leaves and an ordinary
+    step's all but the current thread's and one location's (a
+    renumbering also those of the threads whose views it moves).
+    Without [prev], every leaf is computed: the cost of {!hash}. *)
+
+val hash_leaves : world -> leaves -> int
+(** [hash w], from the leaves of [w]: one combine per thread and per
+    location. *)
+
+val thread_hash : leaves -> int -> int
+(** [Thread.hash] of the given thread's state, from the leaves.
+    @raise Not_found when the world has no such thread. *)
+
+val memory_hash : leaves -> int
+(** [Memory.hash] of the world's memory, from the leaves. *)
 
 val pp : Format.formatter -> world -> unit

@@ -182,54 +182,59 @@ let rec union_from prev l1 h1 l2 h2 =
       &&
       if h1 then union_from v rest false l2 h2 else union_from v l1 true l2 h2
 
-(* The union of [ms]' endpoints is on the grid, location by location.
-   A single memory or a pair (the two sides of a simulation game) is
-   checked in one walk, without sorting. *)
-let on_grid = function
-  | [ a; b ] ->
-      VarMap.for_all
-        (fun x l -> union_from (-k) l false (per_loc x b) false)
-        a
-      && VarMap.for_all (fun x l -> VarMap.mem x a || canonical_from 0 l) b
-  | ms -> List.for_all canonical ms
-
-(* [x]'s endpoints across [ms] are on the grid, by the walks above: a
-   sufficient test, so that a step that moves one location sorts the
-   endpoints of that location alone. *)
-let loc_on_grid x = function
-  | [ a ] -> canonical_from 0 (per_loc x a)
-  | [ a; b ] -> union_from (-k) (per_loc x a) false (per_loc x b) false
-  | _ -> false
-
 (* Per renumbered location, its sorted distinct endpoints: the i-th
    becomes [i * K].  Locations already on the grid are absent. *)
 type renumbering = int array VarMap.t
 
-let endpoints x ms =
-  List.concat_map
-    (fun m ->
-      List.concat_map
-        (fun mg -> [ Message.from_ mg; Message.to_ mg ])
-        (per_loc x m))
-    ms
-  |> List.sort_uniq Int.compare |> Array.of_list
+(* The distinct endpoints of two message lists in ascending order,
+   folded by the merge walk of [union_from]. *)
+let rec fold_endpoints f acc prev l1 h1 l2 h2 =
+  match (l1, l2) with
+  | [], [] -> acc
+  | [], _ :: _ -> fold_endpoints f acc prev l2 h2 [] false
+  | a :: _, b :: _ when endpoint b h2 < endpoint a h1 ->
+      fold_endpoints f acc prev l2 h2 l1 h1
+  | a :: rest, _ ->
+      let v = endpoint a h1 in
+      let acc = if v = prev then acc else f v acc in
+      if h1 then fold_endpoints f acc v rest false l2 h2
+      else fold_endpoints f acc v l1 true l2 h2
 
-let renumbering ms =
-  if on_grid ms then None
+(* Adds [x]'s entry to [r] unless the union of [l1]'s and [l2]'s
+   endpoints is already on the grid. *)
+let renumber_loc x l1 l2 r =
+  if union_from (-k) l1 false l2 false then r
   else
-    let vars = List.sort_uniq String.compare (List.concat_map vars ms) in
+    let n = fold_endpoints (fun _ n -> n + 1) 0 min_int l1 false l2 false in
+    let a = Array.make n 0 in
+    ignore
+      (fold_endpoints
+         (fun v i ->
+           a.(i) <- v;
+           i + 1)
+         0 min_int l1 false l2 false);
+    VarMap.add x a r
+
+let some_unless_empty r = if VarMap.is_empty r then None else Some r
+
+let renumbering m =
+  if canonical m then None
+  else
+    some_unless_empty
+      (VarMap.fold (fun x l r -> renumber_loc x l [] r) m VarMap.empty)
+
+(* Two canonical memories have a canonical union.  A location of [b]
+   that [a] lacks is renumbered on its own. *)
+let renumbering_pair a b =
+  if canonical a && canonical b then None
+  else
     let r =
-      List.fold_left
-        (fun r x ->
-          if loc_on_grid x ms then r
-          else
-            let a = endpoints x ms in
-            let on_grid = ref true in
-            Array.iteri (fun i t -> if t <> i * k then on_grid := false) a;
-            if !on_grid then r else VarMap.add x a r)
-        VarMap.empty vars
+      VarMap.fold (fun x l r -> renumber_loc x l (per_loc x b) r) a VarMap.empty
     in
-    if VarMap.is_empty r then None else Some r
+    some_unless_empty
+      (VarMap.fold
+         (fun x l r -> if VarMap.mem x a then r else renumber_loc x l [] r)
+         b r)
 
 (* The index of the first element of the sorted [a.(lo..hi-1)] that is
    not below [t]. *)
@@ -259,14 +264,45 @@ let equal_msgs a b = Share.list_equal Message.equal a b
 let equal a b = Share.Vars.equal equal_msgs a b
 let compare a b = VarMap.compare (List.compare Message.compare) a b
 
+(* A location's hash: its name and its messages in order.  The
+   memory's hash combines these per location, so that a memory one
+   step changed can be rehashed from its parent's per-location hashes
+   (see {!leaves}). *)
+let loc_hash x l =
+  List.fold_left
+    (fun h mg -> Time.hash_combine h (Message.hash mg))
+    (Hashtbl.hash x) l
+
+let hash_seed = 0x4d454d
 let hash m =
-  VarMap.fold
-    (fun x l h ->
-      List.fold_left
-        (fun h mg -> Time.hash_combine h (Message.hash mg))
-        (Time.hash_combine h (Hashtbl.hash x))
-        l)
-    m 0x4d454d
+  VarMap.fold (fun x l h -> Time.hash_combine h (loc_hash x l)) m hash_seed
+
+(* The per-location hashes of [m], in key order, beside the lists they
+   hash.  Messages name their location, so a nonempty list physically
+   equal to [prev]'s at the same index is the same location with the
+   same messages. *)
+type leaves = { m : t; lists : Message.t list array; hashes : int array }
+
+let no_leaves = { m = VarMap.empty; lists = [||]; hashes = [||] }
+
+let leaves ?(prev = no_leaves) m =
+  if prev.m == m then prev
+  else
+    let n = VarMap.cardinal m in
+    let lists = Array.make n [] and hashes = Array.make n 0 in
+    ignore
+      (VarMap.fold
+         (fun x l i ->
+           lists.(i) <- l;
+           hashes.(i) <-
+             (if i < Array.length prev.lists && l != [] && prev.lists.(i) == l
+              then prev.hashes.(i)
+              else loc_hash x l);
+           i + 1)
+         m 0);
+    { m; lists; hashes }
+
+let hash_leaves lv = Array.fold_left Time.hash_combine hash_seed lv.hashes
 let fold f m acc = VarMap.fold (fun _ l acc -> List.fold_right f l acc) m acc
 
 let pp ppf m =

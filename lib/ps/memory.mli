@@ -96,13 +96,17 @@ val canonical : t -> bool
 type renumbering
 (** A per-location monotone map from timestamps to grid ranks. *)
 
-val renumbering : t list -> renumbering option
+val renumbering : t -> renumbering option
 (** The map that sends, per location, the [i]-th of the sorted
-    distinct endpoints of all the given memories to [i * K]; [None]
-    when that map is the identity (in particular when every memory is
-    {!canonical}).  Renumbering several memories through one map keeps
-    timestamps comparable across them (the two sides of a simulation
-    game). *)
+    distinct endpoints of the memory to [i * K]; [None] when that map
+    is the identity, in particular when the memory is {!canonical}.
+    Builds nothing unless some location is off the grid, and then an
+    array for each such location alone. *)
+
+val renumbering_pair : t -> t -> renumbering option
+(** [renumbering] over the union of both memories' endpoints, location
+    by location.  Renumbering both through one map keeps timestamps
+    comparable across them (the two sides of a simulation game). *)
 
 val apply : renumbering -> Lang.Ast.var -> Time.t -> Time.t
 (** The map itself: total, monotone, and strictly monotone on the
@@ -122,9 +126,25 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val hash : t -> int
-(** Consistent with {!equal}; folds locations and their message lists
-    in key order.  Linear in the number of messages — the basis of the
-    hashed state memoization in {!Explore}. *)
+(** Consistent with {!equal}: a combination, in key order, of one hash
+    per location (its name and its messages in order).  Linear in the
+    number of messages — the basis of the hashed state memoization in
+    {!Explore}. *)
+
+type leaves
+(** The per-location hashes of one memory: what {!hash} combines. *)
+
+val leaves : ?prev:leaves -> t -> leaves
+(** [leaves ~prev m] computes the hash of every location of [m] whose
+    message list is not physically the one at the same place in the
+    memory [prev] was taken of, and takes the others from [prev].  A
+    step moves at most a location or two and leaves the other lists
+    physically shared (so does {!renumber}), so a successor's leaves
+    cost the hash of what the step changed.  [prev] itself comes back
+    when [m] is its memory. *)
+
+val hash_leaves : leaves -> int
+(** [hash m] for the leaves of [m]: one combine per location. *)
 
 val fold : (Message.t -> 'a -> 'a) -> t -> 'a -> 'a
 val pp : Format.formatter -> t -> unit

@@ -80,7 +80,7 @@ let renumber f t =
   else { t with view; vacq; vrel; vrel_loc; prm }
 
 let canonical t mem =
-  match Memory.renumbering [ mem ] with
+  match Memory.renumbering mem with
   | None -> (t, mem)
   | Some r -> (renumber (Memory.apply r) t, Memory.renumber r mem)
 

@@ -62,7 +62,7 @@ let written_ts (ts : Ps.Thread.ts) x =
    kept, and a source step slotted into a gap the target just split
    lands on the target's new endpoints. *)
 let canonical g =
-  match Ps.Memory.renumbering [ g.mem_t; g.mem_s ] with
+  match Ps.Memory.renumbering_pair g.mem_t g.mem_s with
   | None -> g
   | Some r ->
       let f = Ps.Memory.apply r in

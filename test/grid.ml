@@ -11,7 +11,7 @@ let mk x v f to_ =
 
 (* Canonical form after a write, as the machine keeps it. *)
 let canonicalize m =
-  match Ps.Memory.renumbering [ m ] with
+  match Ps.Memory.renumbering m with
   | Some r -> Ps.Memory.renumber r m
   | None -> m
 

@@ -381,7 +381,7 @@ let test_renumber_shares () =
          (Ps.Message.msg ~var:"x" ~value:1 ~from_:2 ~to_:4 ~view:Ps.View.bot)
   in
   let r =
-    match Ps.Memory.renumbering [ mem ] with
+    match Ps.Memory.renumbering mem with
     | Some r -> r
     | None -> Alcotest.fail "expected a renumbering"
   in
@@ -406,6 +406,166 @@ let test_renumber_shares () =
   Alcotest.(check bool) "memory that does not move shared" true
     (Ps.Memory.renumber r mem_on_grid == mem_on_grid)
 
+(* ------------------------------------------------------------------ *)
+(* Incremental hashing: a successor's hash is built from the leaf
+   hashes of its parent's world.  It must equal the hash of the same
+   world, bit and budget computed from scratch, and so must the
+   certification key of its own configuration. *)
+
+module NodeTbl = Hashtbl.Make (Explore.Enum.Node)
+
+(* Every successor of every node a depth-first walk expands within
+   [config.max_steps] steps, with its parent; [f] sees a node's
+   successors before any of them is expanded.  A node is expanded
+   once, at the first depth it is met at. *)
+let walk_successors ~config disc p f =
+  match Ps.Machine.init p with
+  | Error e -> Alcotest.fail e
+  | Ok world ->
+      let st = Explore.Enum.stepper ~config disc p in
+      let seen = NodeTbl.create 1024 in
+      let rec visit n depth =
+        if depth < config.Explore.Config.max_steps && not (NodeTbl.mem seen n)
+        then begin
+          NodeTbl.add seen n ();
+          let succs = Explore.Enum.successors st n in
+          List.iter (f n) succs;
+          List.iter (fun s -> visit s.Explore.Enum.next (depth + 1)) succs
+        end
+      in
+      visit (Explore.Enum.root world) 0
+
+let check_incremental what (s : Explore.Enum.succ) =
+  let n = s.Explore.Enum.next in
+  if Explore.Enum.Node.hash n <> Explore.Enum.Node.scratch_hash n then
+    Alcotest.failf "%s: incremental node hash differs from scratch" what;
+  if Explore.Enum.config_hash n <> Explore.Enum.scratch_config_hash n then
+    Alcotest.failf "%s: certification key hash differs from scratch" what
+
+let corpus_and_seeds () =
+  List.map (fun t -> (t.Litmus.name, t.Litmus.prog)) Litmus.all
+  @ List.init 108 (fun seed ->
+        (Printf.sprintf "seed %d" seed, Explore.Stress.generate ~seed))
+
+(* The corpus and the stress seeds, both disciplines: at the default
+   configuration, with reservations (reserve and cancel steps move
+   memory too) within 6 steps, and under full reduction (its pruned
+   successor sets; the symmetry images it keys its memo with are
+   hashed from scratch). *)
+let test_incremental_everywhere () =
+  let configs =
+    [
+      ("default", Explore.Config.default);
+      ( "reservations",
+        { Explore.Config.default with reservations = true; max_steps = 6 } );
+      ( "full reduction",
+        {
+          Explore.Config.default with
+          reduction = Explore.Config.full_reduction;
+        } );
+    ]
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun (cname, config) ->
+          List.iter
+            (fun disc ->
+              let what =
+                Format.asprintf "%s, %s, %a" name cname
+                  Explore.Enum.pp_discipline disc
+              in
+              walk_successors ~config disc p (fun _ s ->
+                  incr checked;
+                  check_incremental what s))
+            [ Explore.Enum.Interleaving; Explore.Enum.Non_preemptive ])
+        configs)
+    (corpus_and_seeds ());
+  if !checked < 100_000 then
+    Alcotest.failf "only %d successors checked" !checked
+
+let default_walk p f =
+  walk_successors ~config:Explore.Config.default Explore.Enum.Interleaving p f
+
+(* A step whose renumbering moves every thread's state: no thread leaf
+   is shared with the parent. *)
+let test_nothing_shared () =
+  let found = ref 0 in
+  List.iter
+    (fun t ->
+      default_walk t.Litmus.prog (fun parent s ->
+          let pw = Explore.Enum.Node.world parent
+          and w = Explore.Enum.Node.world s.Explore.Enum.next in
+          if
+            s.Explore.Enum.renumbering <> None
+            && Ps.Machine.TidMap.for_all
+                 (fun tid ts ->
+                   ts != Ps.Machine.TidMap.find tid pw.Ps.Machine.tp)
+                 w.Ps.Machine.tp
+          then begin
+            incr found;
+            check_incremental t.Litmus.name s
+          end))
+    Litmus.all;
+  if !found = 0 then Alcotest.fail "no step renumbers every thread"
+
+(* A switch shares the whole world: only [cur] moves. *)
+let test_switch_shares_all () =
+  let found = ref 0 in
+  default_walk Litmus.iriw.Litmus.prog (fun parent s ->
+      if s.Explore.Enum.kind = Explore.Enum.Switch_step then begin
+        let pw = Explore.Enum.Node.world parent
+        and w = Explore.Enum.Node.world s.Explore.Enum.next in
+        Alcotest.(check bool)
+          "threads shared" true
+          (w.Ps.Machine.tp == pw.Ps.Machine.tp);
+        Alcotest.(check bool)
+          "memory shared" true
+          (w.Ps.Machine.mem == pw.Ps.Machine.mem);
+        incr found;
+        check_incremental "iriw switch" s
+      end);
+  if !found = 0 then Alcotest.fail "no switch"
+
+(* One world reached from two different parents hashes equal on both
+   edges, each hash built from its own parent's leaves. *)
+let test_two_parents () =
+  let first = Hashtbl.create 1024 in
+  let pairs = ref 0 in
+  default_walk Litmus.iriw.Litmus.prog (fun parent s ->
+      let n = s.Explore.Enum.next in
+      let key = Explore.Enum.Node.scratch_hash n in
+      match Hashtbl.find_opt first key with
+      | None -> Hashtbl.add first key (parent, n)
+      | Some (parent', n') ->
+          if
+            parent != parent'
+            && (not (Ps.Machine.equal (Explore.Enum.Node.world parent)
+                       (Explore.Enum.Node.world parent')))
+            && Ps.Machine.equal (Explore.Enum.Node.world n)
+                 (Explore.Enum.Node.world n')
+          then begin
+            incr pairs;
+            Alcotest.(check int) "same world, same hash"
+              (Explore.Enum.Node.hash n') (Explore.Enum.Node.hash n)
+          end);
+  if !pairs = 0 then Alcotest.fail "no world reached from two parents"
+
+(* The certification key of a successor whose current thread holds a
+   promise, the configuration the certification cache looks up. *)
+let test_cert_key_from_leaves () =
+  let found = ref 0 in
+  default_walk Litmus.lb.Litmus.prog (fun _ s ->
+      let w = Explore.Enum.Node.world s.Explore.Enum.next in
+      if Ps.Thread.concrete_promises (Ps.Machine.cur_ts w) <> [] then begin
+        incr found;
+        Alcotest.(check int) "key hash from leaves"
+          (Explore.Enum.scratch_config_hash s.Explore.Enum.next)
+          (Explore.Enum.config_hash s.Explore.Enum.next)
+      end);
+  if !found = 0 then Alcotest.fail "no promising successor"
+
 let () =
   Alcotest.run "keys"
     [
@@ -428,4 +588,17 @@ let () =
       ( "renumbering",
         [ Alcotest.test_case "shares what it does not move" `Quick
             test_renumber_shares ] );
+      ( "incremental",
+        [
+          Alcotest.test_case "every successor: corpus and stress seeds"
+            `Quick test_incremental_everywhere;
+          Alcotest.test_case "a renumbering moves every thread" `Quick
+            test_nothing_shared;
+          Alcotest.test_case "a switch shares everything" `Quick
+            test_switch_shares_all;
+          Alcotest.test_case "one world from two parents" `Quick
+            test_two_parents;
+          Alcotest.test_case "certification key from leaves" `Quick
+            test_cert_key_from_leaves;
+        ] );
     ]

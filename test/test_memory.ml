@@ -194,7 +194,7 @@ let test_normalization () =
     (Ps.Memory.canonical m);
   Alcotest.(check bool) "the write leaves the grid" false
     (Ps.Memory.canonical raw);
-  match Ps.Memory.renumbering [ raw ] with
+  match Ps.Memory.renumbering raw with
   | None -> Alcotest.fail "expected a renumbering"
   | Some r ->
       let m' = Ps.Memory.renumber r raw in
@@ -306,7 +306,7 @@ let spec_arb =
     spec_gen
 
 let renumbered m =
-  match Ps.Memory.renumbering [ m ] with
+  match Ps.Memory.renumbering m with
   | Some r -> (Ps.Memory.renumber r m, Ps.Memory.apply r)
   | None -> (m, fun _ t -> t)
 
@@ -339,7 +339,7 @@ let renumbering_props =
     QCheck.Test.make ~count:300 ~name:"renumbering: idempotent" spec_arb
       (fun spec ->
         let m', _ = renumbered (of_spec spec) in
-        Ps.Memory.canonical m' && Ps.Memory.renumbering [ m' ] = None);
+        Ps.Memory.canonical m' && Ps.Memory.renumbering m' = None);
     QCheck.Test.make ~count:200
       ~name:"renumbering: canonical input kept as is" mem_gen
       (fun m ->
@@ -355,12 +355,12 @@ let renumbering_props =
           List.sort_uniq Int.compare (endpoints x a @ endpoints x b)
         in
         let on_grid x = union x = List.mapi (fun i _ -> i * k) (union x) in
-        match Ps.Memory.renumbering [ a; b ] with
+        match Ps.Memory.renumbering_pair a b with
         | None -> List.for_all on_grid (Ps.Memory.vars a)
         | Some r ->
             let a' = Ps.Memory.renumber r a and b' = Ps.Memory.renumber r b in
             (not (List.for_all on_grid (Ps.Memory.vars a)))
-            && Ps.Memory.renumbering [ a'; b' ] = None
+            && Ps.Memory.renumbering_pair a' b' = None
             && List.for_all
                  (fun x ->
                    List.map (Ps.Memory.apply r x) (union x)

@@ -22,7 +22,7 @@ let chain ~slot =
              ~view:Ps.View.bot)
           m
       in
-      match Ps.Memory.renumbering [ m ] with
+      match Ps.Memory.renumbering m with
       | Some r ->
           go (i + 1) (Ps.Memory.renumber r m) (Ps.Memory.apply r "x" to_)
       | None -> go (i + 1) m to_
