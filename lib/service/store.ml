@@ -58,8 +58,11 @@ type t = {
 }
 
 (* 3: timestamps print as grid ranks; a cached race or verify text
-   that printed a fraction reads differently now. *)
-let record_version = 3
+   that printed a fraction reads differently now.
+   4: the simulation game no longer reuses a proof whose cycle
+   assumption was refuted, and unchanged functions take the identity
+   without a game; a cached verify verdict can read differently now. *)
+let record_version = 4
 
 (* ------------------------------------------------------------------ *)
 

@@ -42,7 +42,9 @@ let decrease d =
   in
   if !ok then Some d' else None
 
-let renumber f d = M.fold (fun (x, t) i acc -> M.add (x, f x t) i acc) d M.empty
+let renumber f d =
+  if M.for_all (fun (x, t) _ -> f x t = t) d then d
+  else M.fold (fun (x, t) i acc -> M.add (x, f x t) i acc) d M.empty
 
 let size = M.cardinal
 let equal a b = M.equal Int.equal a b

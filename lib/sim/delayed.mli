@@ -41,7 +41,8 @@ val decrease : t -> t option
 
 val size : t -> int
 val renumber : (Lang.Ast.var -> Ps.Time.t -> Ps.Time.t) -> t -> t
-(** Every key through the game's map ({!Ps.Memory.apply}). *)
+(** Every key through the game's map ({!Ps.Memory.apply}); [d] itself
+    when it moves none. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

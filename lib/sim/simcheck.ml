@@ -87,10 +87,7 @@ let is_na_event te = Ps.Event.classify te = Ps.Event.NA
 (* ------------------------------------------------------------------ *)
 (* The game *)
 
-
-
-let check ?(config = default_config) ?(scenarios = ([] : Scenario.t list))
-    ~inv ~atomics ~target ~source fname =
+let play ~config ~scenarios ~inv ~atomics ~target ~source fname =
   let vars =
     Lang.Ast.VarSet.union
       (Lang.Ast.FnameMap.fold
@@ -160,21 +157,36 @@ let check ?(config = default_config) ?(scenarios = ([] : Scenario.t list))
                   (fun ss -> wind_down (fuel - 1) (src_step g ss) k)
                   (src_na_steps g)
         in
+        (* Coinduction under Enum's taint discipline: a state met again
+           on the current path is assumed to hold, and [low] is the
+           lowest path depth such an assumption was made at in the
+           subtree being solved.  The game is monotone in those
+           assumptions, so a [false] is final and always memoized; a
+           [true] is memoized only when it rested on no state above its
+           own (a cycle head's own assumption included), since an
+           assumed state may still prove false. *)
+        let low = ref max_int in
         let rec sim (g : gstate) depth on_path =
           match GMap.find_opt g !memo with
           | Some r -> r
-          | None ->
-              if GMap.mem g on_path then true (* coinduction *)
-              else if depth >= config.max_depth then
-                raise
-                  (Explore.Errors.Error
-                     (Explore.Errors.Budget_exhausted
-                        "simulation depth budget"))
-              else
-                let on_path = GMap.add g true on_path in
-                let r = sim_body g depth on_path in
-                memo := GMap.add g r !memo;
-                r
+          | None -> (
+              match GMap.find_opt g on_path with
+              | Some d ->
+                  low := min !low d;
+                  true
+              | None ->
+                  if depth >= config.max_depth then
+                    raise
+                      (Explore.Errors.Error
+                         (Explore.Errors.Budget_exhausted
+                            "simulation depth budget"));
+                  let above = !low in
+                  low := max_int;
+                  let r = sim_body g depth (GMap.add g depth on_path) in
+                  let tainted = r && !low < depth in
+                  if not tainted then memo := GMap.add g r !memo;
+                  low := if tainted then min above !low else above;
+                  r)
         and sim_body g depth on_path =
           (* Termination clause. *)
           if Ps.Thread.is_terminal g.tst then
@@ -365,12 +377,59 @@ let check ?(config = default_config) ?(scenarios = ([] : Scenario.t list))
         in
         outcome
 
+let answered answer =
+  Obs.Metrics.counter
+    ~help:"Thread functions whose simulation was answered, by the identity rule or by a game"
+    ~labels:[ ("answer", answer) ]
+    "psopt_sim_functions_total"
+
+let by_identity = answered "identity"
+let by_game = answered "game"
+
+let check ?(config = default_config) ?(scenarios = []) ~inv ~atomics ~target
+    ~source fname =
+  Obs.Metrics.incr by_game;
+  Obs.Trace.span ~cat:"sim" ~args:[ ("fn", fname) ] "sim.game" (fun () ->
+      play ~config ~scenarios ~inv ~atomics ~target ~source fname)
+
+let thread_functions (p : Lang.Ast.program) =
+  List.sort_uniq String.compare p.Lang.Ast.threads
+
+let check_function ?config ~inv ~target ~source f =
+  let scenarios = Scenario.of_program source ~except:f in
+  check ?config ~scenarios ~inv ~atomics:target.Lang.Ast.atomics
+    ~target:target.Lang.Ast.code ~source:source.Lang.Ast.code f
+
 let check_program ?config ~inv ~target ~source () =
-  let fnames = List.sort_uniq String.compare target.Lang.Ast.threads in
+  List.map
+    (fun f -> (f, check_function ?config ~inv ~target ~source f))
+    (thread_functions target)
+
+(* Breadth-first over [call] edges from [f], comparing each function's
+   code on both sides; a function missing on either side is never the
+   same code. *)
+let identity ~(target : Lang.Ast.program) ~(source : Lang.Ast.program) f =
+  let rec same seen = function
+    | [] -> true
+    | g :: rest when List.mem g seen -> same seen rest
+    | g :: rest -> (
+        match
+          ( Lang.Ast.FnameMap.find_opt g target.Lang.Ast.code,
+            Lang.Ast.FnameMap.find_opt g source.Lang.Ast.code )
+        with
+        | Some t, Some s when t == s || Lang.Ast.equal_codeheap t s ->
+            same (g :: seen) (rest @ Lang.Cfg.callees t)
+        | _ -> false)
+  in
+  Lang.Ast.VarSet.equal target.Lang.Ast.atomics source.Lang.Ast.atomics
+  && same [] [ f ]
+
+let check_changed ?config ~inv ~target ~source () =
   List.map
     (fun f ->
-      let scenarios = Scenario.of_program source ~except:f in
-      ( f,
-        check ?config ~scenarios ~inv ~atomics:target.Lang.Ast.atomics
-          ~target:target.Lang.Ast.code ~source:source.Lang.Ast.code f ))
-    fnames
+      if identity ~target ~source f then begin
+        Obs.Metrics.incr by_identity;
+        (f, Holds)
+      end
+      else (f, check_function ?config ~inv ~target ~source f))
+    (thread_functions target)

@@ -30,9 +30,12 @@
 
     The game is solved coinductively (greatest fixpoint): a state
     revisited along the current path is assumed to satisfy the
-    simulation, proven states are memoized, and the depth budget makes
-    the whole search bounded — exhausting it yields [Unknown], never a
-    spurious verdict.
+    simulation, and the depth budget makes the whole search bounded —
+    exhausting it yields [Unknown], never a spurious verdict.  Refuted
+    states are memoized, and so are proven ones whose proof rested on
+    no assumption about a state above them on the path (the taint
+    discipline of {!Explore.Enum}): such an assumption may still prove
+    false.
 
     This is the paper's simulation with the environment instantiated
     to the empty rely (the thread runs in isolation): it exercises
@@ -67,7 +70,8 @@ val check :
 (** [check ~inv ~atomics ~target ~source f]: does
     [I, ι |= (π_t, f) ≼ (π_s, f)] hold on the bounded game?  The game
     is played once per environment {!Scenario} (plus once with no
-    interference); all must hold. *)
+    interference); all must hold.  Always plays; recorded as one
+    [sim.game] span (cat [sim]). *)
 
 val check_program :
   ?config:config ->
@@ -76,7 +80,32 @@ val check_program :
   source:Lang.Ast.program ->
   unit ->
   (Lang.Ast.fname * verdict) list
-(** Run {!check} for every thread entry function (Def. 6.1 quantifies
-    over the functions threads run). *)
+(** Play {!check} for every thread entry function (Def. 6.1
+    quantifies over the functions threads run), each against the
+    {!Scenario}s of the source's other threads.  Every function gets
+    its game, changed or not. *)
+
+val identity :
+  target:Lang.Ast.program -> source:Lang.Ast.program -> Lang.Ast.fname -> bool
+(** The identity rule: [f]'s call closure — [f] and every function
+    reachable from it through [call] — is the same code in both
+    programs, and the programs have the same atomics.  The identity is
+    then a simulation for [f] (docs/SEMANTICS.md, "Unchanged
+    functions"): the source answers every target step with the same
+    step, so both memories stay equal, [D] empties within each move
+    and [φ] stays the identity. *)
+
+val check_changed :
+  ?config:config ->
+  inv:Invariant.t ->
+  target:Lang.Ast.program ->
+  source:Lang.Ast.program ->
+  unit ->
+  (Lang.Ast.fname * verdict) list
+(** {!check_program} under the identity rule: a function {!identity}
+    answers gets [Holds] and no game (no scenarios are built for it);
+    the others play their game.  Answers are counted in
+    [psopt_sim_functions_total{answer="identity"|"game"}]; each game
+    {!check} plays is a [sim.game] span. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

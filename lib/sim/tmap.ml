@@ -59,7 +59,8 @@ let is_identity_on mem m =
     (concrete_keys mem)
 
 let renumber f m =
-  M.fold (fun (x, t) t' acc -> M.add (x, f x t) (f x t') acc) m M.empty
+  if M.for_all (fun (x, t) t' -> f x t = t && f x t' = t') m then m
+  else M.fold (fun (x, t) t' acc -> M.add (x, f x t) (f x t') acc) m M.empty
 
 let equal a b = M.equal Int.equal a b
 let compare a b = M.compare Int.compare a b

@@ -31,7 +31,7 @@ val is_identity_on : Ps.Memory.t -> t -> bool
 val renumber : (Lang.Ast.var -> Ps.Time.t -> Ps.Time.t) -> t -> t
 (** Keys and values through one map ({!Ps.Memory.apply}): the one that
     renumbers both sides of the game, so cross-side equalities such as
-    [Iid]'s [φ = id] survive. *)
+    [Iid]'s [φ = id] survive.  [m] itself when it moves nothing. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

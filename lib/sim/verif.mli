@@ -13,7 +13,9 @@
     + ww-RF of the source (premise of Theorem 6.5, checked, not
       assumed);
     + the thread-local simulation for every thread function
-      (Def. 6.1);
+      (Def. 6.1): the identity for a function whose call closure the
+      pass left as it was ({!Simcheck.identity}), a game for the
+      others;
     + whole-program refinement of the bounded behaviour sets (the
       conclusion, checked independently);
     + ww-RF of the target (Lemma 6.2's preservation conclusion).
@@ -24,7 +26,8 @@
     The stages share explorations (docs/SEMANTICS.md, "One walk per
     program"): when the pass leaves the program unchanged, refinement
     holds by reflexivity and the target's ww-RF is the source's, so
-    the source's race scan is the only walk; otherwise, without
+    the source's race scan is the only walk and no simulation game is
+    played; otherwise, without
     reduction, the target's behaviour walk also decides its ww-RF, for
     three walks in all.  With reduction on, the four stages walk
     separately.  The verdict is the same either way. *)

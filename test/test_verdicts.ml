@@ -152,6 +152,38 @@ let test_walks_races () =
   Alcotest.(check int) "check_all on lb" 2
     (fst (walks (fun () -> Race.check_all Litmus.lb.Litmus.prog)))
 
+(* ------------------------------------------------------------------ *)
+(* Simulation games per check: only the functions a pass changed play
+   one (docs/SEMANTICS.md, "Unchanged functions"). *)
+
+let games = Obs.Metrics.counter ~labels:[ ("answer", "game") ] "psopt_sim_functions_total"
+
+let check_games name pass_name prog ~want () =
+  let r = pass pass_name in
+  let tgt = r.Sim.Verif.transform prog in
+  let changed =
+    List.filter
+      (fun f ->
+        not
+          (Lang.Ast.equal_codeheap
+             (Lang.Ast.FnameMap.find f tgt.Lang.Ast.code)
+             (Lang.Ast.FnameMap.find f prog.Lang.Ast.code)))
+      (List.sort_uniq String.compare prog.Lang.Ast.threads)
+  in
+  Alcotest.(check (list string)) (name ^ ": changed functions") want changed;
+  let before = Obs.Metrics.value games in
+  let v = Sim.Verif.check r prog in
+  Alcotest.(check string) (name ^ ": verdict") "verified"
+    (Format.asprintf "%a" Sim.Verif.pp_verdict v);
+  Alcotest.(check int) (name ^ ": games") (List.length want)
+    (Obs.Metrics.value games - before)
+
+let test_games_unchanged =
+  check_games "cse on lb" "cse" Litmus.lb.Litmus.prog ~want:[]
+
+let test_games_changed () =
+  check_games "dce on deadstore" "dce" (example "deadstore") ~want:[ "t1" ] ()
+
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "print" then
     List.iter print_endline (lines ())
@@ -173,5 +205,11 @@ let () =
             Alcotest.test_case "changed target: 3" `Quick test_walks_changed;
             Alcotest.test_case "reduction on: 4" `Quick test_walks_reduced;
             Alcotest.test_case "Race.check_all: 2" `Quick test_walks_races;
+          ] );
+        ( "games",
+          [
+            Alcotest.test_case "unchanged target: 0" `Quick test_games_unchanged;
+            Alcotest.test_case "dce on deadstore: its changed functions" `Quick
+              test_games_changed;
           ] );
       ]
