@@ -1,5 +1,5 @@
-let magic = "psopt-replay/1"
-let index_magic = "psopt-replay-idx/1"
+let magic = "psopt-replay/2"
+let index_magic = "psopt-replay-idx/2"
 
 type error =
   | Missing of string
@@ -15,55 +15,15 @@ let error_to_string = function
   | Truncated off -> Printf.sprintf "trace truncated mid-record at byte %d" off
   | Corrupt_record (n, m) -> Printf.sprintf "corrupt record %d: %s" n m
 
-(* ------------------------------------------------------------------ *)
-(* Framing: "<len> <md5-hex>\n<payload>\n". *)
+module Frame = Service.Frame
+module P = Service.Proto
+module Sexp = Lang.Sexp
 
-let write_frame oc payload =
-  Printf.fprintf oc "%d %s\n%s\n" (String.length payload)
-    (Digest.to_hex (Digest.string payload))
-    payload
+let ( let* ) = Result.bind
 
-(* Reads the frame starting at the current position.  [Error None] is
-   a clean end-of-file exactly at a frame boundary; any other failure
-   is [Error (Some (offset, what))]. *)
-let read_frame ic =
-  let start = pos_in ic in
-  match input_line ic with
-  | exception End_of_file -> Error None
-  | hd -> (
-      match String.split_on_char ' ' hd with
-      | [ len; digest ] -> (
-          match int_of_string_opt len with
-          | None -> Error (Some (start, "bad length word"))
-          | Some len when len < 0 || len > 1 lsl 26 ->
-              Error (Some (start, "implausible length word"))
-          | Some len -> (
-              let buf = Bytes.create len in
-              match really_input ic buf 0 len with
-              | exception End_of_file -> Error (Some (start, "eof"))
-              | () -> (
-                  match input_char ic with
-                  | exception End_of_file -> Error (Some (start, "eof"))
-                  | '\n' ->
-                      let payload = Bytes.to_string buf in
-                      if Digest.to_hex (Digest.string payload) = digest then
-                        Ok payload
-                      else Error (Some (start, "checksum mismatch"))
-                  | _ -> Error (Some (start, "missing frame terminator")))))
-      | _ -> Error (Some (start, "bad frame header")))
-
-(* ------------------------------------------------------------------ *)
-(* Atomic publication (the Service.Store idiom): write to a temp file
-   in the destination directory, rename into place on close. *)
-
-let tmp_counter = ref 0
-
-let tmp_path path =
-  incr tmp_counter;
-  Filename.concat
-    (Filename.dirname path)
-    (Printf.sprintf ".tmp.%d.%d.%s" (Unix.getpid ()) !tmp_counter
-       (Filename.basename path))
+(* Every frame of a trace is a {!Service.Frame}; its payload is one
+   s-expression. *)
+let frame_of sexp = Frame.encode (Sexp.to_string sexp)
 
 type ix = {
   off : int;
@@ -72,130 +32,66 @@ type ix = {
   ix_loc : string option;
 }
 
-(* Index locations travel %-encoded so arbitrary location names cannot
-   break the line-oriented sidecar format. *)
-let enc_loc = function
-  | None -> "-"
-  | Some s ->
-      let b = Buffer.create (String.length s + 2) in
-      Buffer.add_char b '=';
-      String.iter
-        (fun c ->
-          match c with
-          | ' ' | '\n' | '\r' | '%' ->
-              Buffer.add_string b (Printf.sprintf "%%%02x" (Char.code c))
-          | c -> Buffer.add_char b c)
-        s;
-      Buffer.contents b
-
-let dec_loc = function
-  | "-" -> Ok None
-  | s when String.length s > 0 && s.[0] = '=' -> (
-      let s = String.sub s 1 (String.length s - 1) in
-      let b = Buffer.create (String.length s) in
-      let n = String.length s in
-      let rec go i =
-        if i >= n then Ok (Some (Buffer.contents b))
-        else if s.[i] = '%' then
-          if i + 2 >= n then Error "bad %-escape"
-          else
-            match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-            | Some c ->
-                Buffer.add_char b (Char.chr c);
-                go (i + 3)
-            | None -> Error "bad %-escape"
-        else (
-          Buffer.add_char b s.[i];
-          go (i + 1))
-      in
-      go 0)
-  | _ -> Error "bad location field"
-
-let kind_char = function
-  | Trace.Thread_step -> "T"
-  | Trace.Promise_step -> "P"
-  | Trace.Switch_step -> "S"
-
-let kind_of_char = function
-  | "T" -> Ok Trace.Thread_step
-  | "P" -> Ok Trace.Promise_step
-  | "S" -> Ok Trace.Switch_step
-  | _ -> Error "bad kind"
-
 let index_path path = path ^ ".idx"
 
+(* The sidecar is one frame too:
+   [(psopt-replay-idx/2 <data size> ((<off> <tid> <kind> <loc>) …))]. *)
 let write_index path (entries : ix list) ~data_size =
-  let tmp = tmp_path (index_path path) in
-  let oc = open_out_bin tmp in
-  (try
-     Printf.fprintf oc "%s\ndata %d %d\n" index_magic data_size
-       (List.length entries);
-     List.iteri
-       (fun num e ->
-         Printf.fprintf oc "%d %d %d %s %s\n" num e.off e.ix_tid
-           (kind_char e.ix_kind) (enc_loc e.ix_loc))
-       entries;
-     close_out oc;
-     Unix.rename tmp (index_path path)
-   with exn ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise exn)
+  let sexp_of_ix e =
+    Sexp.List
+      [
+        P.sexp_of_int e.off;
+        P.sexp_of_int e.ix_tid;
+        Trace.sexp_of_kind e.ix_kind;
+        Trace.sexp_of_opt P.atom_of_string e.ix_loc;
+      ]
+  in
+  Frame.publish (index_path path)
+    (frame_of
+       (Sexp.List
+          [
+            Sexp.Atom index_magic;
+            P.sexp_of_int data_size;
+            Sexp.List (List.map sexp_of_ix entries);
+          ]))
 
-(* [None]: the index is unusable (missing, damaged, or stale w.r.t.
-   the data file's size) — callers rebuild by scanning instead. *)
+(* [None]: the index is unusable (missing, unreadable, damaged, or
+   stale w.r.t. the data file's size) — callers rebuild by scanning
+   instead. *)
 let load_index path ~data_size =
-  let ( let* ) = Option.bind in
-  match open_in_bin (index_path path) with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let line () = try Some (input_line ic) with End_of_file -> None in
-          let* m = line () in
-          if m <> index_magic then None
-          else
-            let* data = line () in
-            match String.split_on_char ' ' data with
-            | [ "data"; size; count ] -> (
-                match (int_of_string_opt size, int_of_string_opt count) with
-                | Some size, Some count when size = data_size ->
-                    let rec entries num acc =
-                      if num = count then
-                        match line () with
-                        | None -> Some (Array.of_list (List.rev acc))
-                        | Some _ -> None
-                      else
-                        let* l = line () in
-                        match String.split_on_char ' ' l with
-                        | [ n; off; tid; k; loc ] -> (
-                            match
-                              ( int_of_string_opt n,
-                                int_of_string_opt off,
-                                int_of_string_opt tid,
-                                kind_of_char k,
-                                dec_loc loc )
-                            with
-                            | Some n, Some off, Some tid, Ok k, Ok loc
-                              when n = num ->
-                                entries (num + 1)
-                                  ({ off; ix_tid = tid; ix_kind = k; ix_loc = loc }
-                                  :: acc)
-                            | _ -> None)
-                        | _ -> None
-                    in
-                    entries 0 []
-                | _ -> None)
-            | _ -> None)
+  let ix_of_sexp acc = function
+    | Sexp.List [ off; tid; kind; loc ] ->
+        let* acc = acc in
+        let* off = P.int_of_sexp off in
+        let* ix_tid = P.int_of_sexp tid in
+        let* ix_kind = Trace.kind_of_sexp kind in
+        let* ix_loc = Trace.opt_of_sexp P.string_of_atom loc in
+        Ok ({ off; ix_tid; ix_kind; ix_loc } :: acc)
+    | _ -> Error "bad index entry"
+  in
+  let index =
+    let* text =
+      try Ok (In_channel.with_open_bin (index_path path) In_channel.input_all)
+      with Sys_error m -> Error m
+    in
+    let* payload =
+      Result.map_error Frame.damage_to_string (Frame.decode text)
+    in
+    match Sexp.parse payload with
+    | Ok (Sexp.List [ Sexp.Atom m; size; Sexp.List entries ])
+      when m = index_magic && P.int_of_sexp size = Ok data_size ->
+        let* rev = List.fold_left ix_of_sexp (Ok []) entries in
+        Ok (Array.of_list (List.rev rev))
+    | _ -> Error "not an index of this trace"
+  in
+  Result.to_option index
 
 (* ------------------------------------------------------------------ *)
 (* Writer. *)
 
 type writer = {
   w_path : string;
-  w_tmp : string;
-  w_oc : out_channel;
+  w_out : Frame.pending;
   mutable w_entries : ix list;  (* reversed *)
   mutable w_done : bool;
 }
@@ -204,25 +100,25 @@ let ix_of_record (r : Trace.record) ~off =
   { off; ix_tid = r.Trace.tid; ix_kind = r.Trace.kind; ix_loc = r.Trace.loc }
 
 let create path header =
-  let tmp = tmp_path path in
-  match open_out_bin tmp with
+  match Frame.create path with
   | exception Sys_error m -> Error m
-  | oc -> (
+  | out -> (
       try
-        Printf.fprintf oc "%s\n" magic;
-        write_frame oc (Lang.Sexp.to_string (Trace.sexp_of_header header));
-        Ok { w_path = path; w_tmp = tmp; w_oc = oc; w_entries = []; w_done = false }
+        let oc = Frame.channel out in
+        output_string oc (magic ^ "\n");
+        output_string oc (frame_of (Trace.sexp_of_header header));
+        Ok { w_path = path; w_out = out; w_entries = []; w_done = false }
       with Sys_error m ->
-        close_out_noerr oc;
-        (try Sys.remove tmp with Sys_error _ -> ());
+        Frame.abort out;
         Error m)
 
 let append w (r : Trace.record) =
   if w.w_done then Error "writer already closed"
   else
     try
-      let off = pos_out w.w_oc in
-      write_frame w.w_oc (Lang.Sexp.to_string (Trace.sexp_of_record r));
+      let oc = Frame.channel w.w_out in
+      let off = pos_out oc in
+      output_string oc (frame_of (Trace.sexp_of_record r));
       w.w_entries <- ix_of_record r ~off :: w.w_entries;
       Ok ()
     with Sys_error m -> Error m
@@ -230,31 +126,27 @@ let append w (r : Trace.record) =
 let abort w =
   if not w.w_done then begin
     w.w_done <- true;
-    close_out_noerr w.w_oc;
-    try Sys.remove w.w_tmp with Sys_error _ -> ()
+    Frame.abort w.w_out
   end
 
 let close w =
   if w.w_done then Error "writer already closed"
   else begin
     w.w_done <- true;
-    try
-      close_out w.w_oc;
-      let data_size = (Unix.stat w.w_tmp).Unix.st_size in
-      Unix.rename w.w_tmp w.w_path;
-      write_index w.w_path (List.rev w.w_entries) ~data_size;
-      Ok ()
-    with
-    | Sys_error m ->
-        (try Sys.remove w.w_tmp with Sys_error _ -> ());
-        Error m
-    | Unix.Unix_error (e, _, _) ->
-        (try Sys.remove w.w_tmp with Sys_error _ -> ());
-        Error (Unix.error_message e)
+    let data_size = pos_out (Frame.channel w.w_out) in
+    match Frame.commit w.w_out with
+    | exception Sys_error m -> Error m
+    | () ->
+        (* The trace is in place.  The sidecar is advisory: if it
+           cannot be written, an older one must not outlive the data
+           it described, and the next [open_] rebuilds by scanning. *)
+        (try write_index w.w_path (List.rev w.w_entries) ~data_size
+         with Sys_error _ -> (
+           try Sys.remove (index_path w.w_path) with Sys_error _ -> ()));
+        Ok ()
   end
 
 let write_all path header records =
-  let ( let* ) = Result.bind in
   let* w = create path header in
   let rec go = function
     | [] -> close w
@@ -271,7 +163,6 @@ let write_all path header records =
 (* Reader. *)
 
 type reader = {
-  r_path : string;
   r_ic : in_channel;
   r_header : Trace.header;
   r_ix : ix array;
@@ -283,110 +174,84 @@ let length r = Array.length r.r_ix
 let index_rebuilt r = r.r_rebuilt
 let close_reader r = close_in_noerr r.r_ic
 
+(* The frame at the channel's position, decoded as record [n];
+   [None] at a clean end of the data. *)
+let input_record ic n =
+  Frame.input ic
+  |> Option.map (function
+       | Error (Frame.Truncated off) -> Error (Truncated off)
+       | Error d -> Error (Corrupt_record (n, Frame.damage_to_string d))
+       | Ok payload -> (
+           match Result.bind (Sexp.parse payload) Trace.record_of_sexp with
+           | Error m -> Error (Corrupt_record (n, m))
+           | Ok r when r.Trace.num <> n ->
+               Error
+                 (Corrupt_record
+                    (n, Printf.sprintf "record numbered %d" r.Trace.num))
+           | Ok r -> Ok r))
+
 (* Scan every record frame from the current position, collecting index
    entries; decodes each record (a scan is also a full validation). *)
 let scan_entries ic =
   let rec go n acc =
     let off = pos_in ic in
-    match read_frame ic with
-    | Error None -> Ok (Array.of_list (List.rev acc))
-    | Error (Some (off, "eof")) -> Error (Truncated off)
-    | Error (Some (_, msg)) -> Error (Corrupt_record (n, msg))
-    | Ok payload -> (
-        match Lang.Sexp.parse payload with
-        | Error m -> Error (Corrupt_record (n, m))
-        | Ok sx -> (
-            match Trace.record_of_sexp sx with
-            | Error m -> Error (Corrupt_record (n, m))
-            | Ok r ->
-                if r.Trace.num <> n then
-                  Error
-                    (Corrupt_record
-                       (n, Printf.sprintf "record numbered %d" r.Trace.num))
-                else go (n + 1) (ix_of_record r ~off :: acc)))
+    match input_record ic n with
+    | None -> Ok (Array.of_list (List.rev acc))
+    | Some (Error e) -> Error e
+    | Some (Ok r) -> go (n + 1) (ix_of_record r ~off :: acc)
   in
   go 0 []
+
+let read_header path ic =
+  let* () =
+    match really_input_string ic (String.length magic + 1) with
+    | m when m = magic ^ "\n" -> Ok ()
+    | _ | (exception End_of_file) -> Error (Bad_magic path)
+  in
+  match Frame.input ic with
+  | None -> Error (Bad_header "empty trace")
+  | Some (Error d) -> Error (Bad_header (Frame.damage_to_string d))
+  | Some (Ok payload) ->
+      Result.map_error
+        (fun m -> Bad_header m)
+        (Result.bind (Sexp.parse payload) Trace.header_of_sexp)
 
 let open_ path =
   if not (Sys.file_exists path) then Error (Missing path)
   else
     match open_in_bin path with
     | exception Sys_error m -> Error (Bad_header m)
-    | ic -> (
-        let fail e =
-          close_in_noerr ic;
-          Error e
+    | ic ->
+        let opened () =
+          let* r_header = read_header path ic in
+          let body_start = pos_in ic in
+          match load_index path ~data_size:(in_channel_length ic) with
+          | Some r_ix -> Ok { r_ic = ic; r_header; r_ix; r_rebuilt = false }
+          | None ->
+              seek_in ic body_start;
+              let* r_ix = scan_entries ic in
+              Ok { r_ic = ic; r_header; r_ix; r_rebuilt = true }
         in
-        match input_line ic with
-        | exception End_of_file -> fail (Bad_magic path)
-        | m when m <> magic -> fail (Bad_magic path)
-        | _ -> (
-            match read_frame ic with
-            | Error None -> fail (Bad_header "empty trace")
-            | Error (Some (_, msg)) -> fail (Bad_header msg)
-            | Ok payload -> (
-                match Lang.Sexp.parse payload with
-                | Error m -> fail (Bad_header m)
-                | Ok sx -> (
-                    match Trace.header_of_sexp sx with
-                    | Error m -> fail (Bad_header m)
-                    | Ok header -> (
-                        let body_start = pos_in ic in
-                        let data_size = in_channel_length ic in
-                        match load_index path ~data_size with
-                        | Some ix ->
-                            Ok
-                              {
-                                r_path = path;
-                                r_ic = ic;
-                                r_header = header;
-                                r_ix = ix;
-                                r_rebuilt = false;
-                              }
-                        | None -> (
-                            seek_in ic body_start;
-                            match scan_entries ic with
-                            | Error e -> fail e
-                            | Ok ix ->
-                                Ok
-                                  {
-                                    r_path = path;
-                                    r_ic = ic;
-                                    r_header = header;
-                                    r_ix = ix;
-                                    r_rebuilt = true;
-                                  }))))))
+        let opened = try opened () with Sys_error m -> Error (Bad_header m) in
+        if Result.is_error opened then close_in_noerr ic;
+        opened
 
 let read r n =
   if n < 0 || n >= Array.length r.r_ix then
     Error (Corrupt_record (n, "record number out of range"))
   else begin
     seek_in r.r_ic r.r_ix.(n).off;
-    match read_frame r.r_ic with
-    | Error None -> Error (Truncated r.r_ix.(n).off)
-    | Error (Some (off, "eof")) -> Error (Truncated off)
-    | Error (Some (_, msg)) -> Error (Corrupt_record (n, msg))
-    | Ok payload -> (
-        match Lang.Sexp.parse payload with
-        | Error m -> Error (Corrupt_record (n, m))
-        | Ok sx -> (
-            match Trace.record_of_sexp sx with
-            | Error m -> Error (Corrupt_record (n, m))
-            | Ok rec_ ->
-                if rec_.Trace.num <> n then
-                  Error
-                    (Corrupt_record
-                       (n, Printf.sprintf "record numbered %d" rec_.Trace.num))
-                else Ok rec_))
+    match input_record r.r_ic n with
+    | None -> Error (Truncated r.r_ix.(n).off)
+    | Some res -> res
   end
 
 let read_all r =
   let rec go n acc =
-    if n = Array.length r.r_ix then Ok (List.rev acc)
+    if n = length r then Ok (List.rev acc)
     else
-      match read r n with
-      | Error e -> Error e
-      | Ok rec_ -> go (n + 1) (rec_ :: acc)
+      let* rec_ = read r n in
+      go (n + 1) (rec_ :: acc)
   in
   go 0 []
 

@@ -1,22 +1,22 @@
 (** The on-disk trace store: a magic line, then the header and each
-    step record as a length-plus-MD5-framed s-expression, with a
-    sidecar index mapping step number, thread id, step kind and
-    location to file offsets (docs/REPLAY.md).
+    step record as one {!Service.Frame} (a 20-byte binary header — the
+    payload's 4-byte big-endian length and 16-byte MD5 — then the
+    payload, an s-expression), with a sidecar index mapping step
+    number, thread id, step kind and location to file offsets
+    (docs/REPLAY.md).
 
     {v
-    psopt-replay/1
-    <len> <md5-hex>
-    <header sexp>
-    <len> <md5-hex>
-    <step-0 sexp>
+    psopt-replay/2
+    <frame: header sexp>
+    <frame: step-0 sexp>
     …
     v}
 
-    Writers stream into a temp file in the destination directory and
-    publish with an atomic rename on {!close} (the {!Service.Store}
-    idiom) — a crash mid-record never leaves a half-written trace
-    under the final name.  The index ([<path>.idx]) is advisory: it
-    records the data file's byte size, so a stale or damaged index is
+    Writers stream into a temp file and publish on {!close}
+    ({!Service.Frame.publish}'s streaming form) — a crash mid-record
+    never leaves a half-written trace under the final name.  The index
+    ([<path>.idx], one frame) is advisory: it records the data file's
+    byte size, so a missing, unreadable, stale or damaged index is
     detected and silently rebuilt by scanning (flagged via
     {!index_rebuilt}); damage to the {e data} file itself surfaces as
     a typed {!error}, never as a silently different execution (every
@@ -44,8 +44,10 @@ val create : string -> Trace.header -> (writer, string) result
 
 val append : writer -> Trace.record -> (unit, string) result
 val close : writer -> (unit, string) result
-(** Finalize: flush, atomically rename the data file into place, then
-    write the sidecar index. *)
+(** Finalize: publish the data file, then write the sidecar index.
+    [Ok] once the data file is in place: a sidecar that cannot be
+    written is dropped (no temp file, no stale index left), and the
+    next {!open_} rebuilds it. *)
 
 val abort : writer -> unit
 (** Drop the temp files; [path] is untouched. *)

@@ -55,6 +55,15 @@ type header = {
 
 val current_version : int
 
+val sexp_of_kind : kind -> Lang.Sexp.t
+val kind_of_sexp : Lang.Sexp.t -> (kind, string) result
+val sexp_of_opt : ('a -> Lang.Sexp.t) -> 'a option -> Lang.Sexp.t
+
+val opt_of_sexp :
+  (Lang.Sexp.t -> ('a, string) result) ->
+  Lang.Sexp.t ->
+  ('a option, string) result
+
 val sexp_of_te : Ps.Event.te -> Lang.Sexp.t
 val te_of_sexp : Lang.Sexp.t -> (Ps.Event.te, string) result
 val sexp_of_record : record -> Lang.Sexp.t

@@ -1,7 +1,6 @@
 (* The wire protocol of the verification service: typed requests and
    responses serialized as s-expressions (reusing Lang.Sexp's minimal
-   tree), framed with a 4-byte big-endian length prefix over a
-   Unix-domain socket.
+   tree), one {!Frame} per message over a Unix-domain socket.
 
    Lang.Sexp atoms carry no quoting, so arbitrary strings (rendered
    reports, error messages) travel percent-encoded behind an "s:"
@@ -476,188 +475,33 @@ let response_of_sexp = function
   | s -> Error ("bad response " ^ to_string s)
 
 (* ------------------------------------------------------------------ *)
-(* Transport errors: every way a frame can fail to cross the wire, as
-   a closed type so both sides can pick a policy per class instead of
-   string-matching (retry on [Closed], evict on [Timed_out], drop the
-   connection on [Corrupt]). *)
+(* Transport: one {!Frame} per message. *)
 
-type phase = Idle | Header | Payload | Write
+type phase = Frame.phase = Idle | Header | Payload | Write
+type error = Frame.error =
+  | Closed
+  | Timed_out of phase
+  | Corrupt of string
+  | Io of string
 
-let phase_to_string = function
-  | Idle -> "idle"
-  | Header -> "header"
-  | Payload -> "payload"
-  | Write -> "write"
-
-type error =
-  | Closed  (** EOF or reset from the peer *)
-  | Timed_out of phase  (** an I/O deadline expired mid-frame (or idle) *)
-  | Corrupt of string  (** bad length, checksum mismatch, undecodable *)
-  | Io of string  (** any other [Unix] error *)
-
-let error_to_string = function
-  | Closed -> "connection closed"
-  | Timed_out p -> Printf.sprintf "i/o timeout (%s)" (phase_to_string p)
-  | Corrupt msg -> "corrupt frame: " ^ msg
-  | Io msg -> "i/o error: " ^ msg
-
-(* ------------------------------------------------------------------ *)
-(* Framing: a 20-byte header — 4-byte big-endian payload length plus
-   the 16-byte MD5 of the payload — then the payload itself.
-   [max_frame] bounds a hostile or corrupted length word so a bad
-   client cannot make the daemon allocate unboundedly; the digest
-   turns any in-flight byte corruption into a typed [Corrupt] error
-   instead of a silently different (and possibly still decodable)
-   message — the "never a wrong cached verdict" line of the chaos
-   suite.
-
-   All reads and writes take optional wall-clock deadlines, enforced
-   with [select] before every blocking call.  [read_frame]
-   distinguishes the {e idle} deadline (waiting for the first header
-   byte of the next frame — a keep-alive connection may sit here for
-   minutes) from the {e I/O} deadline (once a frame has started,
-   every subsequent byte must arrive promptly — the slowloris
-   defence). *)
-
-let max_frame = 64 * 1024 * 1024
-let header_len = 20
-
-let deadline_of_timeout = function
-  | None -> None
-  | Some s -> Some (Unix.gettimeofday () +. s)
-
-(* Wait until [fd] is ready in direction [dir], or the deadline
-   passes.  EINTR is an early wakeup, not an error. *)
-let wait_ready dir fd deadline =
-  match deadline with
-  | None -> Ok ()
-  | Some d ->
-      let rec go () =
-        let remaining = d -. Unix.gettimeofday () in
-        if remaining <= 0.0 then Error `Timeout
-        else
-          let r, w =
-            match dir with `Read -> ([ fd ], []) | `Write -> ([], [ fd ])
-          in
-          match Unix.select r w [] remaining with
-          | [], [], _ -> Error `Timeout
-          | _ -> Ok ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      in
-      go ()
-
-(* A deadline needs the fd in non-blocking mode: [select] only
-   promises that {e some} progress is possible, and on Linux a
-   blocking [write] of a large buffer keeps blocking after filling
-   the socket buffer — past any deadline.  Non-blocking turns that
-   into EAGAIN, which loops back to [select] where the deadline is
-   enforced. *)
-let with_nonblock deadline fd f =
-  match deadline with
-  | None -> f ()
-  | Some _ ->
-      (match Unix.set_nonblock fd with
-      | () -> ()
-      | exception Unix.Unix_error _ -> ());
-      Fun.protect
-        ~finally:(fun () ->
-          try Unix.clear_nonblock fd with Unix.Unix_error _ -> ())
-        f
-
-let read_exact ?deadline ~phase fd len =
-  let buf = Bytes.create len in
-  let rec go pos =
-    if pos >= len then Ok (Bytes.unsafe_to_string buf)
-    else
-      match wait_ready `Read fd deadline with
-      | Error `Timeout -> Error (Timed_out phase)
-      | Ok () -> (
-          match Unix.read fd buf pos (len - pos) with
-          | 0 -> Error Closed
-          | n -> go (pos + n)
-          | exception
-              Unix.Unix_error
-                ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              go pos
-          | exception
-              Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-              Error Closed
-          | exception Unix.Unix_error (e, _, _) ->
-              Error (Io (Unix.error_message e)))
-  in
-  with_nonblock deadline fd (fun () -> go 0)
-
-let write_all ?deadline fd buf pos len =
-  let rec go pos len =
-    if len <= 0 then Ok ()
-    else
-      match wait_ready `Write fd deadline with
-      | Error `Timeout -> Error (Timed_out Write)
-      | Ok () -> (
-          match Unix.write_substring fd buf pos len with
-          | n -> go (pos + n) (len - n)
-          | exception
-              Unix.Unix_error
-                ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              go pos len
-          | exception
-              Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-              Error Closed
-          | exception Unix.Unix_error (e, _, _) ->
-              Error (Io (Unix.error_message e)))
-  in
-  with_nonblock deadline fd (fun () -> go pos len)
-
-let write_frame ?timeout_s fd payload =
-  let n = String.length payload in
-  if n > max_frame then invalid_arg "Proto.write_frame: frame too large";
-  let deadline = deadline_of_timeout timeout_s in
-  let hdr = Bytes.create header_len in
-  Bytes.set_int32_be hdr 0 (Int32.of_int n);
-  Bytes.blit_string (Digest.string payload) 0 hdr 4 16;
-  let* () = write_all ?deadline fd (Bytes.to_string hdr) 0 header_len in
-  write_all ?deadline fd payload 0 n
-
-let read_frame ?idle_timeout_s ?io_timeout_s fd =
-  (* the gap between frames may be long (keep-alive); once the first
-     byte of a header has arrived, the rest of the frame is on the
-     short I/O clock *)
-  let* first =
-    read_exact
-      ?deadline:(deadline_of_timeout idle_timeout_s)
-      ~phase:Idle fd 1
-  in
-  let deadline = deadline_of_timeout io_timeout_s in
-  let* rest = read_exact ?deadline ~phase:Header fd (header_len - 1) in
-  let hdr = first ^ rest in
-  let n = Int32.to_int (String.get_int32_be hdr 0) in
-  if n < 0 || n > max_frame then
-    Error (Corrupt (Printf.sprintf "bad frame length %d" n))
-  else
-    let sum = String.sub hdr 4 16 in
-    let* payload = read_exact ?deadline ~phase:Payload fd n in
-    if not (String.equal (Digest.string payload) sum) then
-      Error (Corrupt "frame checksum mismatch")
-    else Ok payload
+let phase_to_string = Frame.phase_to_string
+let error_to_string = Frame.error_to_string
 
 let send_request ?timeout_s fd r =
-  write_frame ?timeout_s fd (to_string (sexp_of_request r))
+  Frame.write ?timeout_s fd (to_string (sexp_of_request r))
 
 let send_response ?timeout_s fd r =
-  write_frame ?timeout_s fd (to_string (sexp_of_response r))
+  Frame.write ?timeout_s fd (to_string (sexp_of_response r))
 
 let decode of_sexp payload =
   match Sexp.parse payload with
   | Error msg -> Error (Corrupt ("undecodable payload: " ^ msg))
-  | Ok s -> (
-      match of_sexp s with
-      | Error msg -> Error (Corrupt msg)
-      | Ok v -> Ok v)
+  | Ok s -> Result.map_error (fun msg -> Corrupt msg) (of_sexp s)
 
 let recv_request ?idle_timeout_s ?io_timeout_s fd =
-  let* payload = read_frame ?idle_timeout_s ?io_timeout_s fd in
+  let* payload = Frame.read ?idle_timeout_s ?io_timeout_s fd in
   decode request_of_sexp payload
 
 let recv_response ?idle_timeout_s ?io_timeout_s fd =
-  let* payload = read_frame ?idle_timeout_s ?io_timeout_s fd in
+  let* payload = Frame.read ?idle_timeout_s ?io_timeout_s fd in
   decode response_of_sexp payload

@@ -1,6 +1,6 @@
 (** The verification service's wire protocol: typed requests and
-    responses serialized as {!Lang.Sexp} trees, framed with a 4-byte
-    big-endian length prefix over a Unix-domain socket.
+    responses serialized as {!Lang.Sexp} trees, one {!Frame} per
+    message over a Unix-domain socket.
 
     One connection carries any number of request/response pairs in
     lock step (the client library is blocking; the server handles each
@@ -119,56 +119,19 @@ val request_of_sexp : Lang.Sexp.t -> (request, string) result
 val sexp_of_response : response -> Lang.Sexp.t
 val response_of_sexp : Lang.Sexp.t -> (response, string) result
 
-(** {1 Transport errors} *)
+(** {1 Transport} — one {!Frame} per message; the transport errors
+    are {!Frame}'s. *)
 
-(** Where in a frame an I/O deadline expired.  [Idle] is the
-    between-frames wait (a keep-alive connection may sit there for
-    minutes); [Header]/[Payload]/[Write] are mid-frame — the slowloris
-    signature. *)
-type phase = Idle | Header | Payload | Write
+type phase = Frame.phase = Idle | Header | Payload | Write
+
+type error = Frame.error =
+  | Closed
+  | Timed_out of phase
+  | Corrupt of string
+  | Io of string
 
 val phase_to_string : phase -> string
-
-(** The closed taxonomy of transport failures, so callers pick a
-    policy per class instead of string-matching: retry/reconnect on
-    [Closed], evict on [Timed_out], drop the connection on [Corrupt]
-    (the stream cannot be resynchronized after a bad frame). *)
-type error =
-  | Closed  (** EOF or reset from the peer *)
-  | Timed_out of phase  (** an I/O deadline expired *)
-  | Corrupt of string
-      (** bad length word, checksum mismatch, or undecodable payload *)
-  | Io of string  (** any other [Unix] error *)
-
 val error_to_string : error -> string
-
-(** {1 Framing}
-
-    A 20-byte header — 4-byte big-endian payload length plus the
-    16-byte MD5 of the payload — then the payload.  The digest turns
-    in-flight byte corruption into a typed {!Corrupt} error instead of
-    a silently different message (the chaos suite's "never a wrong
-    cached verdict" property).  All I/O takes optional wall-clock
-    deadlines enforced with [select]; no call can block forever when a
-    timeout is supplied. *)
-
-val max_frame : int
-(** Upper bound (64 MiB) on one frame's payload: a corrupted length
-    word is rejected instead of driving allocation. *)
-
-val header_len : int
-(** Bytes of framing overhead per message (20). *)
-
-val write_frame :
-  ?timeout_s:float -> Unix.file_descr -> string -> (unit, error) result
-
-val read_frame :
-  ?idle_timeout_s:float ->
-  ?io_timeout_s:float ->
-  Unix.file_descr ->
-  (string, error) result
-(** [idle_timeout_s] bounds the wait for the first header byte;
-    [io_timeout_s] bounds every subsequent byte of the same frame. *)
 
 val send_request :
   ?timeout_s:float -> Unix.file_descr -> request -> (unit, error) result

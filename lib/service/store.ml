@@ -1,17 +1,14 @@
-(* The content-addressed on-disk result store.
+(* The content-addressed on-disk result store (see store.mli).
 
    Layout: one record per file under [root]/<k0k1>/<key>.sexp, where
    [key] is the hex MD5 of (program digest, subcommand tag, semantic
    config fingerprint) and <k0k1> are its first two characters (a
    256-way fan-out so directories stay small under millions of
-   entries).
-
-   Records are versioned s-expressions written atomically (tmp file in
-   the same directory, then rename), so a reader never observes a
-   half-written record and a crashed writer leaves at worst an orphan
-   tmp file.  Any failure to read or decode a record — missing file,
-   truncated or garbled bytes, wrong version — is a cache miss, never
-   an error: the store is an accelerator, the engine is the truth. *)
+   entries).  Any failure to read or decode a record is a cache miss,
+   never an error: the store is an accelerator, the engine is the
+   truth.  The frame's digest is what makes a damaged record that
+   still parses (an exit code or a letter of the output changed) a
+   miss rather than a different verdict. *)
 
 type budget = {
   steps : int;
@@ -51,9 +48,9 @@ type entry = {
 
 type t = {
   root : string;
-  (* damaged-record misses: the file was there and readable but failed
-     to parse or decode.  A missing file is an ordinary miss and does
-     not count. *)
+  (* damaged-record misses: the file was there and readable but was
+     not one intact frame, or its payload failed to parse or decode.
+     A missing file is an ordinary miss and does not count. *)
   corrupt : int Atomic.t;
 }
 
@@ -61,8 +58,9 @@ type t = {
    that printed a fraction reads differently now.
    4: the simulation game no longer reuses a proof whose cycle
    assumption was refuted, and unchanged functions take the identity
-   without a game; a cached verify verdict can read differently now. *)
-let record_version = 4
+   without a game; a cached verify verdict can read differently now.
+   5: a record file is a digest-checked frame. *)
+let record_version = 5
 
 (* ------------------------------------------------------------------ *)
 
@@ -158,19 +156,19 @@ let entry_of_sexp key s =
 
 (* ------------------------------------------------------------------ *)
 
-let read_file p =
-  let ic = open_in_bin p in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let decode_record k contents =
+  let* payload =
+    Result.map_error Frame.damage_to_string (Frame.decode contents)
+  in
+  Result.bind (parse payload) (entry_of_sexp k)
 
 (* Corruption-tolerant: every failure mode is [None] (a miss). *)
 let peek t k =
   Obs.Metrics.time lookup_hist @@ fun () ->
-  match read_file (path t k) with
+  match In_channel.with_open_bin (path t k) In_channel.input_all with
   | exception _ -> None
   | contents -> (
-      match Result.bind (parse contents) (entry_of_sexp k) with
+      match decode_record k contents with
       | Ok e -> Some e
       | Error _ ->
           Atomic.incr t.corrupt;
@@ -188,46 +186,18 @@ let find t ~key:k ~budget =
       Some e
   | _ -> None
 
-let tmp_counter = Atomic.make 0
-
 let put t ~key:k e =
-  let dir = shard_dir t k in
-  ensure_dir dir;
-  let tmp =
-    Filename.concat dir
-      (Printf.sprintf ".tmp.%d.%d" (Unix.getpid ())
-         (Atomic.fetch_and_add tmp_counter 1))
-  in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc (to_string (sexp_of_entry k e));
-     output_char oc '\n';
-     close_out oc
-   with exn ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise exn);
-  (* rename within one directory is atomic: readers see the old record
-     or the new one, never a prefix *)
-  Unix.rename tmp (path t k)
+  ensure_dir (shard_dir t k);
+  Frame.publish (path t k) (Frame.encode (to_string (sexp_of_entry k e)))
 
 let entries t =
-  match Sys.readdir t.root with
-  | exception Sys_error _ -> 0
-  | shards ->
-      Array.fold_left
-        (fun acc shard ->
-          if String.length shard <> 2 then acc
-          else
-            match Sys.readdir (Filename.concat t.root shard) with
-            | exception Sys_error _ -> acc
-            | files ->
-                acc
-                + Array.fold_left
-                    (fun n f ->
-                      if Filename.check_suffix f ".sexp" then n + 1 else n)
-                    0 files)
-        0 shards
+  let files dir = try Sys.readdir dir with Sys_error _ -> [||] in
+  let count n f = if Filename.check_suffix f ".sexp" then n + 1 else n in
+  Array.fold_left
+    (fun acc shard ->
+      if String.length shard <> 2 then acc
+      else Array.fold_left count acc (files (Filename.concat t.root shard)))
+    0 (files t.root)
 
 (* Writes are synchronous and atomic, so there is no dirty in-memory
    state to lose; flushing asks the kernel to push the root directory

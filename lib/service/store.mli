@@ -2,11 +2,12 @@
 
     Results are keyed by [(program digest, subcommand tag, semantic
     config fingerprint)] — see {!Explore.Config.fingerprint} for what
-    the fingerprint covers — and stored one versioned s-expression
-    record per file under a 256-way sharded directory tree.  Writes
-    are atomic (tmp file + rename in one directory); reads are
-    corruption-tolerant (a missing, truncated, garbled or
-    version-mismatched record is a miss, never an error).
+    the fingerprint covers — and stored one record per file under a
+    256-way sharded directory tree: a {!Frame} whose payload is a
+    versioned s-expression.  Writes are atomic ({!Frame.publish});
+    reads are corruption-tolerant (a missing, truncated, garbled,
+    digest-failing or version-mismatched record is a miss, never an
+    error).
 
     Reuse is completeness-aware: a {e conclusive} verdict (exit code 0
     or 1 — verified or refuted) holds under every budget and is served
@@ -58,14 +59,15 @@ val peek : t -> string -> entry option
 (** Raw lookup without the budget rule (tests, inspection). *)
 
 val put : t -> key:string -> entry -> unit
-(** Atomic record write (tmp + rename). *)
+(** Atomic record write ({!Frame.publish}). *)
 
 val entries : t -> int
 (** Number of records on disk (walks the shard directories). *)
 
 val corrupt_misses : t -> int
-(** Lookups (since [open_]) that found a record on disk but could not
-    parse or decode it — each one was served as a clean miss.  A
+(** Lookups (since [open_]) that found a record on disk that was not
+    one intact frame (truncated, bad length, digest mismatch) or whose
+    payload did not decode — each one was served as a clean miss.  A
     missing file does not count.  Surfaced in the daemon's [Stats]
     payload and the [psopt batch] report. *)
 

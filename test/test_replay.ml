@@ -145,7 +145,7 @@ let test_index_vs_scan () =
    the advisory sidecar), mirroring the service store's discipline. *)
 let test_corruption_modes () =
   let p = fresh "victim.trace" in
-  ignore (record_lb p);
+  let steps = record_lb p in
   let data = slurp p in
   let expect what pred = function
     | Error e ->
@@ -222,11 +222,42 @@ let test_corruption_modes () =
   let stale = fresh "stale-idx.trace" in
   spit stale data;
   spit (stale ^ ".idx") "psopt-replay-idx/1\ndata 1 0\n";
-  match Store.open_ stale with
+  (match Store.open_ stale with
   | Error e -> Alcotest.fail (Store.error_to_string e)
   | Ok r ->
       Alcotest.(check bool) "stale index rebuilt" true (Store.index_rebuilt r);
+      Store.close_reader r);
+  (* 7: an unreadable sidecar (a directory in its place) is rebuilt
+     too, never an exception *)
+  let unreadable = fresh "dir-idx.trace" in
+  spit unreadable data;
+  Unix.mkdir (unreadable ^ ".idx") 0o755;
+  match Store.open_ unreadable with
+  | Error e -> Alcotest.fail (Store.error_to_string e)
+  | Ok r ->
+      Alcotest.(check bool) "unreadable index rebuilt" true
+        (Store.index_rebuilt r);
+      Alcotest.(check int) "every record found by the scan" steps
+        (Store.length r);
       Store.close_reader r
+
+(* The trace is published before its sidecar, and the sidecar is
+   advisory: when it cannot be written, recording still succeeds,
+   leaves no temp file, and the next open rebuilds the index. *)
+let test_sidecar_failure () =
+  let p = fresh "no-sidecar.trace" in
+  Unix.mkdir (p ^ ".idx") 0o755;
+  let n = record_lb p in
+  Alcotest.(check bool) "the trace is in place" true (Sys.file_exists p);
+  Alcotest.(check (list string)) "no temp file left behind" []
+    (List.filter
+       (fun f -> Filename.check_suffix f ".tmp")
+       (Array.to_list (Sys.readdir tmp_dir)));
+  let r = open_exn p in
+  Alcotest.(check bool) "the index is rebuilt" true (Store.index_rebuilt r);
+  Alcotest.(check int) "every record read back" n
+    (List.length (read_all_exn r));
+  Store.close_reader r
 
 (* --------------------------------------------------------------- *)
 (* Session: state reconstruction *)
@@ -719,6 +750,8 @@ let () =
             test_index_vs_scan;
           Alcotest.test_case "damage modes are typed errors" `Quick
             test_corruption_modes;
+          Alcotest.test_case "a sidecar that cannot be written" `Quick
+            test_sidecar_failure;
         ] );
       ( "session",
         [

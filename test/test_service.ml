@@ -5,6 +5,7 @@
    end-to-end daemon exchange over a real Unix-domain socket. *)
 
 module Proto = Service.Proto
+module Frame = Service.Frame
 module Store = Service.Store
 module Config = Explore.Config
 
@@ -156,27 +157,76 @@ let test_framing () =
     (fun () ->
       List.iter
         (fun payload ->
-          (match Proto.write_frame a payload with
+          (match Frame.write a payload with
           | Ok () -> ()
-          | Error e -> Alcotest.fail (Proto.error_to_string e));
+          | Error e -> Alcotest.fail (Frame.error_to_string e));
           Alcotest.(check bool)
             (Printf.sprintf "frame of %d bytes round-trips"
                (String.length payload))
             true
-            (Proto.read_frame b = Ok payload))
+            (Frame.read b = Ok payload))
         [ ""; "x"; String.make 70_000 'q'; "(a (b c))" ];
       (* a full header claiming an absurd length is rejected as
          Corrupt, not allocated *)
-      let lie = Bytes.make Proto.header_len '\000' in
-      Bytes.set_int32_be lie 0 (Int32.of_int (Proto.max_frame + 1));
-      let _ = Unix.write a lie 0 Proto.header_len in
-      (match Proto.read_frame b with
-      | Error (Proto.Corrupt _) -> ()
+      let lie = Bytes.make Frame.header_len '\000' in
+      Bytes.set_int32_be lie 0 (Int32.of_int (Frame.max_frame + 1));
+      let _ = Unix.write a lie 0 Frame.header_len in
+      (match Frame.read b with
+      | Error (Frame.Corrupt _) -> ()
       | other ->
           Alcotest.failf "oversized length word: expected Corrupt, got %s"
             (match other with
             | Ok _ -> "Ok"
-            | Error e -> Proto.error_to_string e)))
+            | Error e -> Frame.error_to_string e)));
+  (* the file and channel readers: a record file is exactly one frame,
+     a stream ends cleanly only between frames, and each kind of
+     damage is told apart, at the offset of the frame it hit *)
+  let f = Frame.encode "(a (b c))" in
+  let n = String.length f in
+  let damaged i =
+    String.mapi
+      (fun j c -> if j = i then Char.chr (Char.code c lxor 0x40) else c)
+      f
+  in
+  List.iter
+    (fun (name, input, expect) ->
+      Alcotest.(check bool) ("decode: " ^ name) true
+        (Frame.decode input = expect))
+    [
+      ("one frame", f, Ok "(a (b c))");
+      ("empty", "", Error (Frame.Truncated 0));
+      ("cut payload", String.sub f 0 (n - 1), Error (Frame.Truncated 0));
+      ("trailing byte", f ^ "x", Error (Frame.Bad_length 0));
+      ("length word", damaged 0, Error (Frame.Bad_length 0));
+      ("digest", damaged 4, Error (Frame.Bad_digest 0));
+      ("payload byte", damaged (n - 1), Error (Frame.Bad_digest 0));
+    ];
+  let frames_of contents =
+    let p = Filename.temp_file "psopt-frame" ".bin" in
+    Out_channel.with_open_bin p (fun oc ->
+        Out_channel.output_string oc contents);
+    let ic = open_in_bin p in
+    let rec go acc =
+      match Frame.input ic with
+      | None -> List.rev acc
+      | Some (Ok _ as r) -> go (r :: acc)
+      | Some (Error _ as r) -> List.rev (r :: acc)
+    in
+    let frames = go [] in
+    close_in ic;
+    Sys.remove p;
+    frames
+  in
+  Alcotest.(check bool) "input: clean end between frames" true
+    (frames_of (f ^ f) = [ Ok "(a (b c))"; Ok "(a (b c))" ]);
+  Alcotest.(check bool) "input: truncation at the frame's offset" true
+    (frames_of (f ^ String.sub f 0 (n - 1))
+    = [ Ok "(a (b c))"; Error (Frame.Truncated n) ]);
+  Alcotest.(check bool) "input: cut inside the header" true
+    (frames_of (f ^ "\000") = [ Ok "(a (b c))"; Error (Frame.Truncated n) ]);
+  Alcotest.(check bool) "input: bad digest at the frame's offset" true
+    (frames_of (f ^ damaged (n - 1))
+    = [ Ok "(a (b c))"; Error (Frame.Bad_digest n) ])
 
 (* Satellite: the framing fault matrix — peers that close mid-header,
    close mid-payload, stall silently, or corrupt bytes in flight all
@@ -197,10 +247,10 @@ let test_framing_faults () =
     Fun.protect
       ~finally:(fun () -> Unix.close c; Unix.close d)
       (fun () ->
-        (match Proto.write_frame c payload with
+        (match Frame.write c payload with
         | Ok () -> ()
-        | Error e -> Alcotest.fail (Proto.error_to_string e));
-        let n = Proto.header_len + String.length payload in
+        | Error e -> Alcotest.fail (Frame.error_to_string e));
+        let n = Frame.header_len + String.length payload in
         let buf = Bytes.create n in
         let rec fill off =
           if off < n then fill (off + Unix.read d buf off (n - off))
@@ -213,43 +263,43 @@ let test_framing_faults () =
   with_pair (fun a b ->
       let _ = Unix.write a whole 0 2 in
       Unix.close a;
-      match Proto.read_frame b with
-      | Error Proto.Closed -> ()
+      match Frame.read b with
+      | Error Frame.Closed -> ()
       | _ -> Alcotest.fail "mid-header close must be Closed");
   (* peer closes mid-payload *)
   with_pair (fun a b ->
-      let _ = Unix.write a whole 0 (Proto.header_len + 2) in
+      let _ = Unix.write a whole 0 (Frame.header_len + 2) in
       Unix.close a;
-      match Proto.read_frame b with
-      | Error Proto.Closed -> ()
+      match Frame.read b with
+      | Error Frame.Closed -> ()
       | _ -> Alcotest.fail "mid-payload close must be Closed");
   (* peer goes silent mid-header: the slowloris shape, caught by the
      io deadline with the phase that names it *)
   with_pair (fun a b ->
       let _ = Unix.write a whole 0 2 in
-      match Proto.read_frame ~idle_timeout_s:5.0 ~io_timeout_s:0.05 b with
-      | Error (Proto.Timed_out Proto.Header) -> ()
+      match Frame.read ~idle_timeout_s:5.0 ~io_timeout_s:0.05 b with
+      | Error (Frame.Timed_out Frame.Header) -> ()
       | _ -> Alcotest.fail "mid-header stall must be Timed_out Header");
   (* peer goes silent mid-payload *)
   with_pair (fun a b ->
-      let _ = Unix.write a whole 0 (Proto.header_len + 2) in
-      match Proto.read_frame ~idle_timeout_s:5.0 ~io_timeout_s:0.05 b with
-      | Error (Proto.Timed_out Proto.Payload) -> ()
+      let _ = Unix.write a whole 0 (Frame.header_len + 2) in
+      match Frame.read ~idle_timeout_s:5.0 ~io_timeout_s:0.05 b with
+      | Error (Frame.Timed_out Frame.Payload) -> ()
       | _ -> Alcotest.fail "mid-payload stall must be Timed_out Payload");
   (* peer never starts a frame: the idle deadline, distinguishable
      from slowloris *)
   with_pair (fun _ b ->
-      match Proto.read_frame ~idle_timeout_s:0.05 ~io_timeout_s:5.0 b with
-      | Error (Proto.Timed_out Proto.Idle) -> ()
+      match Frame.read ~idle_timeout_s:0.05 ~io_timeout_s:5.0 b with
+      | Error (Frame.Timed_out Frame.Idle) -> ()
       | _ -> Alcotest.fail "idle peer must be Timed_out Idle");
   (* one payload byte flipped in flight: the checksum catches it *)
   with_pair (fun a b ->
       let mauled = Bytes.copy whole in
-      let i = Proto.header_len + 1 in
+      let i = Frame.header_len + 1 in
       Bytes.set mauled i (Char.chr (Char.code (Bytes.get mauled i) lxor 0x40));
       let _ = Unix.write a mauled 0 (Bytes.length mauled) in
-      match Proto.read_frame b with
-      | Error (Proto.Corrupt _) -> ()
+      match Frame.read b with
+      | Error (Frame.Corrupt _) -> ()
       | _ -> Alcotest.fail "flipped payload byte must be Corrupt");
   (* send path: peer already gone — a typed error, not SIGPIPE/exn.
      The payload exceeds the socket buffer so the write must block on
@@ -258,20 +308,20 @@ let test_framing_faults () =
    with Invalid_argument _ -> ());
   with_pair (fun a b ->
       Unix.close b;
-      match Proto.write_frame a (String.make 1_000_000 'x') with
-      | Error (Proto.Closed | Proto.Io _) -> ()
+      match Frame.write a (String.make 1_000_000 'x') with
+      | Error (Frame.Closed | Frame.Io _) -> ()
       | Ok () -> Alcotest.fail "write to closed peer must fail"
       | Error e ->
           Alcotest.failf "write to closed peer: unexpected %s"
-            (Proto.error_to_string e));
+            (Frame.error_to_string e));
   (* send path: peer stops reading — the write deadline fires *)
   with_pair (fun a _ ->
-      match Proto.write_frame ~timeout_s:0.05 a (String.make 4_000_000 'x') with
-      | Error (Proto.Timed_out Proto.Write) -> ()
+      match Frame.write ~timeout_s:0.05 a (String.make 4_000_000 'x') with
+      | Error (Frame.Timed_out Frame.Write) -> ()
       | Ok () -> Alcotest.fail "unread 4MB write unexpectedly completed"
       | Error e ->
           Alcotest.failf "stalled write: unexpected %s"
-            (Proto.error_to_string e))
+            (Frame.error_to_string e))
 
 (* --------------------------------------------------------------- *)
 (* Store *)
@@ -411,6 +461,27 @@ let test_store_corruption () =
           Out_channel.output_string oc (String.sub s j (String.length s - j))));
   damage "empty file" (fun p ->
       Out_channel.with_open_bin p (fun oc -> ignore oc));
+  (* damage that still parses as a record: only the digest tells *)
+  let edit_after needle change p =
+    let s = In_channel.with_open_bin p In_channel.input_all in
+    let rec find i =
+      if i + String.length needle > String.length s then
+        Alcotest.failf "record has no %S" needle
+      else if String.sub s i (String.length needle) = needle then
+        i + String.length needle
+      else find (i + 1)
+    in
+    let at = find 0 in
+    Out_channel.with_open_bin p (fun oc ->
+        Out_channel.output_string oc
+          (String.mapi (fun j c -> if j = at then change c else c) s))
+  in
+  damage "exit code 0 -> 1"
+    (edit_after "(exit " (function '0' -> '1' | c -> c));
+  damage "output letter case flipped"
+    (edit_after "(output s:" (fun c ->
+         if Char.lowercase_ascii c = c then Char.uppercase_ascii c
+         else Char.lowercase_ascii c));
   damage ~counts:false "record deleted" Sys.remove;
   (* a key echo mismatch (record copied to the wrong address) misses *)
   Store.put store ~key e;
