@@ -232,6 +232,16 @@ type search = {
       (* called at every committed state [successors] expands *)
 }
 
+(* A closed member of a switch run, waiting for a frame below it to
+   close (see the engine's comment): its first result's traces, the
+   lowest open stack index it reaches, and the depth of its run's head. *)
+type parked = {
+  pn : Node.t;
+  ptraces : Traceset.t;
+  mutable ptaint : int;
+  prun : int;
+}
+
 (* Per-domain state.  Everything the DFS hot path touches is
    unsynchronized: the caches, the on-stack table, this worker's own
    counters ([ls], summed into [s.stats] after the join) and the
@@ -246,6 +256,7 @@ type worker = {
   cert_cache : bool CertTbl.t;
   cand_cache : (Lang.Ast.var * Lang.Ast.value) list CertTbl.t;
   on_stack : int NodeTbl.t;  (* node -> entry depth (= stack index) *)
+  parked : parked NodeTbl.t;  (* raw node -> its parking, while it waits *)
   mutable tick : int;
   mutable pub_pending : int;
   mutable pub_cert : (CertKey.t * bool) list;
@@ -481,6 +492,7 @@ let make_worker ?(id = 0) ~parallel s =
     cert_cache = CertTbl.create 1024;
     cand_cache = CertTbl.create 256;
     on_stack = NodeTbl.create 256;
+    parked = NodeTbl.create 64;
     tick = 0;
     pub_pending = 0;
     pub_cert = [];
@@ -1091,6 +1103,28 @@ let successors w (n : Node.t) : succ list =
    state, and hence of how the engine splits the search across domains
    (docs/PARALLEL.md).
 
+   Switch runs (docs/SEMANTICS.md, "Switch-run memo"): a switch
+   changes only [cur], so a chain of stack frames joined by switch
+   edges — a run; its first frame is the run's head — holds nodes of
+   one thread pool, memory and promise budget.  Switching away and
+   straight back taints every member but the lowest, so the taint
+   rule alone would expand each member again on every path.  A member
+   is pure when every non-switch child came back untainted and every
+   switch child is a back-edge into the run or a pure member itself;
+   a pure member that closes tainted is parked on the frame below it,
+   and a frame that closes tainted passes its parked members down the
+   run.  When a pure frame closes memoizable, the members parked on it
+   are its strongly connected component: each reaches it by silent
+   switches and back, so each has its traceset, and each is memoized
+   with it.  Anything impure drops the parked members.  While a member
+   waits, a switch from a frame of its run answers with its first
+   result: the frame that will close over both already holds
+   everything a second expansion would add.  The peak such an answer
+   and such an entry carry bounds a fresh expansion: switches lead to
+   unfinished threads only, so a chain of distinct members is one
+   shorter than their number at most, and [freach] bounds the reach of
+   what hangs off each.
+
    Scheduling: every worker runs the same walk.  A busy worker checks,
    before starting each child, whether some other worker is hungry
    while its own deque is empty; if so it {e converts}: every stack
@@ -1130,16 +1164,25 @@ and jframe = {
 
 and task = { tn : Node.t; tdepth : int; ttarget : target }
 
-(* An in-progress (worker-local) stack frame. *)
+(* An in-progress (worker-local) stack frame.  [fswitch] to [fparked]
+   are the switch-run memo's: [frun] is the depth of the run's head
+   (the frame's own depth when it was not entered by a switch), and
+   [freach] the largest depth beyond a node of the run that hangs off
+   it untainted, over the run's frames so far. *)
 type sframe = {
   fn : Node.t;
   fdepth : int;
   fevent : Ps.Event.te option;  (* edge label from the parent frame *)
+  fswitch : bool;
+  frun : int;
   fsuccs : succ array;
   mutable fnext : int;
   mutable facc : Traceset.t;
   mutable ftaint : int;
   mutable fpeak : int;
+  mutable fpure : bool;
+  mutable freach : int;
+  mutable fparked : parked list;
 }
 
 (* Set once, when the root task's result is delivered: the scheduler's
@@ -1183,7 +1226,39 @@ type entered =
   | Done of (Traceset.t * int * int)
   | Expand of succ array * Traceset.t
 
-let enter w (n : Node.t) depth : entered =
+(* Push [n]: count it, enumerate its successors. *)
+let expand w (n : Node.t) depth : entered =
+  let ls = w.ls in
+  count_node w;
+  NodeTbl.add w.on_stack n depth;
+  let base =
+    if Ps.Machine.terminal n.world then
+      Traceset.singleton (Ps.Event.trace_done [])
+    else Traceset.empty
+  in
+  let succs = visit_order w (Array.of_list (successors w n)) in
+  ls.Stats.transitions <- ls.Stats.transitions + Array.length succs;
+  let base =
+    if Traceset.is_empty base && Array.length succs = 0 then
+      (* Stuck without terminating: an execution that cannot commit
+         further; its observable behaviour is the open prefix. *)
+      open_traces
+    else base
+  in
+  Expand (succs, base)
+
+(* How far beyond a node of [f]'s run a fresh expansion of one of its
+   members can reach (see the engine's comment). *)
+let run_reach (f : sframe) =
+  let unfinished =
+    TidMap.fold
+      (fun _ ts k -> if Ps.Local.is_finished ts.Ps.Thread.local then k else k + 1)
+      f.fn.world.Ps.Machine.tp 0
+  in
+  unfinished - 1 + max 1 f.freach
+
+(* [switch_from] is the frame a switch child is entered from. *)
+let enter w ?switch_from (n : Node.t) depth : entered =
   let s = w.s in
   let ls = w.ls in
   if depth > ls.Stats.peak_depth then ls.Stats.peak_depth <- depth;
@@ -1218,25 +1293,25 @@ let enter w (n : Node.t) depth : entered =
                [Open] ending. *)
             ls.Stats.cycles <- ls.Stats.cycles + 1;
             Done (open_traces, ix, depth)
-        | None ->
-            count_node w;
-            NodeTbl.add w.on_stack n depth;
-            let base =
-              if Ps.Machine.terminal n.world then
-                Traceset.singleton (Ps.Event.trace_done [])
-              else Traceset.empty
+        | None -> (
+            (* A parked member met again from its own run. *)
+            let reuse =
+              match switch_from with
+              | Some f -> (
+                  match NodeTbl.find_opt w.parked n with
+                  | Some p when p.prun = f.frun ->
+                      let reach = run_reach f in
+                      if depth + reach < s.cfg.Config.max_steps then
+                        Some (p, reach)
+                      else None
+                  | _ -> None)
+              | None -> None
             in
-            let succs = visit_order w (Array.of_list (successors w n)) in
-            ls.Stats.transitions <- ls.Stats.transitions + Array.length succs;
-            let base =
-              if Traceset.is_empty base && Array.length succs = 0 then
-                (* Stuck without terminating: an execution that cannot
-                   commit further; its observable behaviour is the
-                   open prefix. *)
-                open_traces
-              else base
-            in
-            Expand (succs, base))
+            match reuse with
+            | Some (p, reach) ->
+                ls.Stats.memo_hits <- ls.Stats.memo_hits + 1;
+                Done (p.ptraces, p.ptaint, depth + reach)
+            | None -> expand w n depth))
 
 (* Deliver a subtree result to its target; fold and propagate when a
    frame completes.  Tail-recursive: converted chains can be as deep
@@ -1277,6 +1352,7 @@ let rec deliver w (result : delivered) (t : target) (r : Traceset.t * int * int)
    sequential walk would carry here. *)
 let exec w (h : task Pool.worker) result (task : task) =
   NodeTbl.reset w.on_stack;
+  NodeTbl.reset w.parked;
   let rec seed = function
     | Root -> ()
     | Slot (f, _) ->
@@ -1284,29 +1360,98 @@ let exec w (h : task Pool.worker) result (task : task) =
         seed f.jparent
   in
   seed task.ttarget;
+  let memoize = w.s.cfg.Config.memoize in
   let stack : sframe Stack.t = Stack.create () in
-  let start n depth event =
-    match enter w n depth with
+  let start ?switch_from n depth event =
+    match enter w ?switch_from n depth with
     | Done r -> Some r
     | Expand (succs, base) ->
+        let frun, freach =
+          match switch_from with
+          | Some p -> (p.frun, p.freach)
+          | None -> (depth, 0)
+        in
         Stack.push
           {
             fn = n;
             fdepth = depth;
             fevent = event;
+            fswitch = switch_from <> None;
+            frun;
             fsuccs = succs;
             fnext = 0;
             facc = base;
             ftaint = max_taint;
             fpeak = depth;
+            fpure = true;
+            freach;
+            fparked = [];
           }
           stack;
         None
   in
-  let merge (f : sframe) ((tr, t, pk) : Traceset.t * int * int) event =
+  (* Fold a child's result into [f].  An untainted child adds its
+     reach; a tainted one keeps [f] pure only when it is a switch
+     child that stays inside the run and is pure itself ([pure]);
+     [extra] is the reach the child adds beyond its own peak. *)
+  let merge (f : sframe) ((tr, t, pk) : Traceset.t * int * int) event ~switch
+      ~pure ~extra =
     f.facc <- Traceset.union f.facc (label event tr);
     f.ftaint <- min f.ftaint t;
-    f.fpeak <- max f.fpeak pk
+    f.fpeak <- max f.fpeak pk;
+    if t = max_taint then f.freach <- max f.freach (pk - f.fdepth)
+    else if not (pure && switch && t >= f.frun) then f.fpure <- false;
+    f.freach <- max f.freach extra
+  in
+  let unpark (p : parked) =
+    match NodeTbl.find_opt w.parked p.pn with
+    | Some q when q == p -> NodeTbl.remove w.parked p.pn
+    | _ -> ()
+  in
+  (* Close the top frame: memoize it (and the members parked on it),
+     or park it on the frame below, or drop what it carried. *)
+  let close (f : sframe) =
+    NodeTbl.remove w.on_stack f.fn;
+    ignore (Stack.pop stack);
+    let below = if Stack.is_empty stack then None else Some (Stack.top stack) in
+    let r, pure, extra =
+      if memoize && f.ftaint >= f.fdepth && f.ftaint >= 0 then begin
+        (* No dependency below this node on the stack (cycle heads
+           close here) and no cut anywhere in the subtree: safe to
+           memoize, with the peak made depth-relative. *)
+        memo_store w f.fn (f.facc, f.fpeak - f.fdepth);
+        let extra =
+          if f.fpure && f.fparked <> [] then begin
+            let rel = run_reach f in
+            List.iter
+              (fun p ->
+                unpark p;
+                memo_store w p.pn (f.facc, rel))
+              f.fparked;
+            1 + rel
+          end
+          else begin
+            List.iter unpark f.fparked;
+            0
+          end
+        in
+        ((f.facc, max_taint, f.fpeak), true, extra)
+      end
+      else begin
+        let r = (f.facc, f.ftaint, f.fpeak) in
+        (match below with
+        | Some b when memoize && f.fswitch && f.fpure && f.ftaint >= f.frun ->
+            let p =
+              { pn = f.fn; ptraces = f.facc; ptaint = f.ftaint; prun = f.frun }
+            in
+            NodeTbl.replace w.parked f.fn p;
+            List.iter (fun q -> q.ptaint <- min q.ptaint f.ftaint) f.fparked;
+            b.fparked <- (p :: f.fparked) @ b.fparked
+        | _ -> List.iter unpark f.fparked);
+        (r, f.fpure, if f.fswitch then f.freach else 0)
+      end
+    in
+    (r, below, pure, extra)
   in
   (* Convert the whole stack into join frames, bottom (task root)
      first so each frame's parent target exists before the frame.
@@ -1314,10 +1459,12 @@ let exec w (h : task Pool.worker) result (task : task) =
      next frame — wired into its slot 0; unstarted children become
      tasks, pushed shallowest-first so thieves (who take the top of
      the deque) get the biggest remaining subtrees while this worker
-     continues with the deepest. *)
+     continues with the deepest.  Join frames keep the taint rule
+     alone, so the parked members are dropped. *)
   let convert () =
     let frames = Array.of_list (Stack.fold (fun acc f -> f :: acc) [] stack) in
     Stack.clear stack;
+    NodeTbl.reset w.parked;
     let nf = Array.length frames in
     let tasks = ref [] in
     let parent = ref task.ttarget in
@@ -1377,34 +1524,23 @@ let exec w (h : task Pool.worker) result (task : task) =
           if f.fnext < Array.length f.fsuccs then
             if want_split () then convert ()
             else begin
-              let { event; next; _ } = f.fsuccs.(f.fnext) in
+              let { kind; event; next; _ } = f.fsuccs.(f.fnext) in
               f.fnext <- f.fnext + 1;
-              (match start next (f.fdepth + 1) event with
-              | Some r -> merge f r event
+              let switch_from = if kind = Switch_step then Some f else None in
+              (match start ?switch_from next (f.fdepth + 1) event with
+              | Some r ->
+                  merge f r event ~switch:(switch_from <> None) ~pure:true
+                    ~extra:0
               | None -> ());
               loop ()
             end
           else begin
-            (* close the top frame *)
-            NodeTbl.remove w.on_stack f.fn;
-            let r =
-              if w.s.cfg.Config.memoize && f.ftaint >= f.fdepth && f.ftaint >= 0
-              then begin
-                (* No dependency below this node on the stack (cycle
-                   heads close here) and no cut anywhere in the
-                   subtree: safe to memoize, with the peak made
-                   depth-relative. *)
-                memo_store w f.fn (f.facc, f.fpeak - f.fdepth);
-                (f.facc, max_taint, f.fpeak)
-              end
-              else (f.facc, f.ftaint, f.fpeak)
-            in
-            ignore (Stack.pop stack);
-            if Stack.is_empty stack then deliver w result task.ttarget r
-            else begin
-              merge (Stack.top stack) r f.fevent;
-              loop ()
-            end
+            let r, below, pure, extra = close f in
+            match below with
+            | None -> deliver w result task.ttarget r
+            | Some b ->
+                merge b r f.fevent ~switch:f.fswitch ~pure ~extra;
+                loop ()
           end
         end
       in

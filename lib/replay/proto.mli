@@ -32,7 +32,5 @@ val parse_command : string -> (request, string) result
 (** One interactive line to a request ([Error] explains the syntax,
     listing the commands). *)
 
-val help : string
-
 val handle : Session.t -> request -> reply
 (** Execute a request against a session (mutating its position). *)

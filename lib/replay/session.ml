@@ -18,7 +18,6 @@ let length t = Array.length t.records
 let pos t = t.pos
 let state t = t.cur
 let world t = Stepper.world t.cur
-let keyframe_every t = t.kf
 let replayed_steps t = t.replayed
 
 let record_at t n =

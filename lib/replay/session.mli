@@ -19,13 +19,6 @@ val load : ?keyframe_every:int -> Store.reader -> (t, Store.error) result
     does not decode, does not apply from its pre-state, or applies to
     a different event than recorded. *)
 
-val of_records :
-  ?keyframe_every:int ->
-  Trace.header ->
-  Trace.record list ->
-  (t, string) result
-(** The same construction from in-memory parts (tests, shrinking). *)
-
 val header : t -> Trace.header
 val length : t -> int
 (** Number of steps; positions run from [0] (initial state) to
@@ -50,8 +43,6 @@ val back : t -> (Trace.record option, string) result
 val replayed_steps : t -> int
 (** Total steps re-executed since load (excluding the validation
     pass): the measured cost of all navigation so far. *)
-
-val keyframe_every : t -> int
 
 val find_from : t -> from:int -> f:(Trace.record -> bool) -> int option
 (** First record number [>= from] satisfying [f]. *)

@@ -77,9 +77,6 @@ val index_rebuilt : reader -> bool
 (** The sidecar index was missing, stale or damaged and the reader
     fell back to a full scan of the data file. *)
 
-val read : reader -> int -> (Trace.record, error) result
-(** Record [n], seek-read via the index, digest re-checked. *)
-
 val read_all : reader -> (Trace.record list, error) result
 
 val find_ix : reader -> from:int -> f:(ix -> bool) -> int option

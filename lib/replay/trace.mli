@@ -64,8 +64,6 @@ val opt_of_sexp :
   Lang.Sexp.t ->
   ('a option, string) result
 
-val sexp_of_te : Ps.Event.te -> Lang.Sexp.t
-val te_of_sexp : Lang.Sexp.t -> (Ps.Event.te, string) result
 val sexp_of_record : record -> Lang.Sexp.t
 val record_of_sexp : Lang.Sexp.t -> (record, string) result
 val sexp_of_header : header -> Lang.Sexp.t

@@ -139,7 +139,6 @@ type saturation = {
 }
 
 val shed_pct : report -> float
-val slo_passes : slo -> report -> bool
 
 val saturation : config -> slo:slo -> rates:float list -> (saturation, string) result
 (** Rerun [cfg] open-loop at each offered rate in order until the SLO

@@ -316,15 +316,56 @@ let run_work (w : Proto.work) (config : Explore.Config.t) :
    inconclusive ones (exit 2) are cached with their budget so only a
    no-larger-budget request can reuse them; errors (exit 3) are never
    cached. *)
-(* Work request service time.  Recorded here in [serve_work] — the one
-   path every work request funnels through, whether it arrives via the
-   daemon, the batch client or a direct embedding like the bench — so
-   the histogram is never empty when work was actually served.  The
-   daemon's cached-only fast path (which answers without entering
-   [serve_work]) records into the same histogram separately. *)
+(* Work request service time, one sample per work request.  Recorded
+   in [serve_work] — the path the batch client and direct embeddings
+   like the bench take — and, by the daemon, around its store hits and
+   around the misses it serves after its own lookup. *)
 let request_hist =
   Obs.Metrics.histogram ~help:"Work request service time (store hit or full run)"
     "psopt_service_request_duration_ns"
+
+(* The store key of a work request's program under [config]. *)
+let work_key w prog config =
+  Store.key
+    ~program_digest:(Store.program_digest prog)
+    ~kind:(Proto.kind_tag w)
+    ~fingerprint:(Explore.Config.fingerprint config)
+
+let lookup store ~key config =
+  Obs.Trace.span ~cat:"service" "store.lookup" (fun () ->
+      Store.find store ~key ~budget:(Store.budget_of_config config))
+
+let cached_reply (e : Store.entry) =
+  Proto.Reply
+    {
+      exit_code = e.Store.exit_code;
+      output = e.Store.output;
+      cached = true;
+      conclusive = e.Store.conclusive;
+    }
+
+(* A store miss: compute, and record what may be cached under [key]. *)
+let serve_miss ?store ~(stats : Explore.Stats.Service.t) ~key w config =
+  match run_work w config with
+  | Error msg ->
+      Atomic.incr stats.errors;
+      Proto.Refused msg
+  | Ok (output, exit_code) ->
+      Atomic.incr stats.store_misses;
+      Atomic.incr stats.served;
+      let conclusive = exit_code < Render.exit_inconclusive in
+      if exit_code <> Render.exit_error then
+        Option.iter
+          (fun st ->
+            Store.put st ~key
+              {
+                Store.exit_code;
+                output;
+                conclusive;
+                budget = Store.budget_of_config config;
+              })
+          store;
+      Proto.Reply { exit_code; output; cached = false; conclusive }
 
 let serve_work ?store ~(stats : Explore.Stats.Service.t) (w : Proto.work)
     (config : Explore.Config.t) : Proto.response =
@@ -334,43 +375,13 @@ let serve_work ?store ~(stats : Explore.Stats.Service.t) (w : Proto.work)
       Atomic.incr stats.errors;
       Proto.Refused msg
   | Ok prog -> (
-      let key =
-        Store.key
-          ~program_digest:(Store.program_digest prog)
-          ~kind:(Proto.kind_tag w)
-          ~fingerprint:(Explore.Config.fingerprint config)
-      in
-      let budget = Store.budget_of_config config in
-      match
-        Obs.Trace.span ~cat:"service" "store.lookup" (fun () ->
-            Option.bind store (fun st -> Store.find st ~key ~budget))
-      with
+      let key = work_key w prog config in
+      match Option.bind store (fun st -> lookup st ~key config) with
       | Some e ->
           Atomic.incr stats.store_hits;
           Atomic.incr stats.served;
-          Proto.Reply
-            {
-              exit_code = e.Store.exit_code;
-              output = e.Store.output;
-              cached = true;
-              conclusive = e.Store.conclusive;
-            }
-      | None -> (
-          match run_work w config with
-          | Error msg ->
-              Atomic.incr stats.errors;
-              Proto.Refused msg
-          | Ok (output, exit_code) ->
-              Atomic.incr stats.store_misses;
-              Atomic.incr stats.served;
-              let conclusive = exit_code < Render.exit_inconclusive in
-              if exit_code <> Render.exit_error then
-                Option.iter
-                  (fun st ->
-                    Store.put st ~key
-                      { Store.exit_code; output; conclusive; budget })
-                  store;
-              Proto.Reply { exit_code; output; cached = false; conclusive }))
+          cached_reply e
+      | None -> serve_miss ?store ~stats ~key w config)
 
 (* ------------------------------------------------------------------ *)
 (* The daemon proper *)
@@ -498,37 +509,33 @@ let handle_request st = function
            one timeline. *)
         Obs.Trace.with_ctx tctx @@ fun () -> begin
         (* Cached answers bypass the gate entirely: a hit is a disk
-           read, not a search.  The fast path records its service time
-           here only when it actually answers; the slow path
-           self-times inside [serve_work] — exactly one histogram
-           sample per work request either way. *)
+           read, not a search.  This is the request's one store lookup:
+           a miss goes through the gate with its key and is not looked
+           up again.  The hit records its service time here, the miss
+           around its run — one histogram sample per work request
+           either way. *)
         let t0 = Obs.Clock.now_ns () in
-        let cached_only =
+        let looked_up =
           match (st.store, Proto.program_of_work w) with
           | Some store, Ok prog ->
-              let key =
-                Store.key
-                  ~program_digest:(Store.program_digest prog)
-                  ~kind:(Proto.kind_tag w)
-                  ~fingerprint:(Explore.Config.fingerprint config)
-              in
-              Obs.Trace.span ~cat:"service" "store.lookup" (fun () ->
-                  Store.find store ~key ~budget:(Store.budget_of_config config))
+              let key = work_key w prog config in
+              Some (key, lookup store ~key config)
           | _ -> None
         in
-        match cached_only with
-        | Some e ->
+        match looked_up with
+        | Some (_, Some e) ->
             Atomic.incr st.stats.store_hits;
             Atomic.incr st.stats.served;
             Obs.Metrics.observe_ns request_hist (Obs.Clock.now_ns () - t0);
-            Proto.Reply
-              {
-                exit_code = e.Store.exit_code;
-                output = e.Store.output;
-                cached = true;
-                conclusive = e.Store.conclusive;
-              }
-        | None -> (
+            cached_reply e
+        | _ -> (
+            let serve config =
+              match looked_up with
+              | Some (key, _) ->
+                  Obs.Metrics.time request_hist (fun () ->
+                      serve_miss ?store:st.store ~stats:st.stats ~key w config)
+              | None -> serve_work ?store:st.store ~stats:st.stats w config
+            in
             (* The effective request deadline: the client's wall-clock
                budget, capped by the server's own limit.  The queue
                deadline additionally folds in the queue TTL, so even
@@ -573,13 +580,12 @@ let handle_request st = function
                       if waited > ms_to_ns 1 then
                         Obs.Metrics.incr m_deadline_shrunk;
                       `Reply
-                        (serve_work ?store:st.store ~stats:st.stats w
+                        (serve
                            {
                              config with
                              Explore.Config.deadline_ms = Some remaining_ms;
                            })
-                  | None ->
-                      `Reply (serve_work ?store:st.store ~stats:st.stats w config))
+                  | None -> `Reply (serve config))
             with
             | `Done (`Reply r) -> r
             | `Done `Expired | `Expired ->

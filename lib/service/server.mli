@@ -100,11 +100,6 @@ module Admission : sig
       themselves out. *)
 end
 
-val priority_of_work : Proto.work -> Admission.priority
-(** [Litmus] (small, corpus-bounded) is [High]; [Explore], [Verify]
-    and [Races] (arbitrary programs, possibly hour-long) are
-    [Normal]. *)
-
 val run_work :
   Proto.work -> Explore.Config.t -> (string * int, string) result
 (** Execute one work item with no store and no queue: compute, render

@@ -572,6 +572,128 @@ let test_machine_init () =
       Alcotest.(check bool) "not finished" false (Ps.Machine.all_finished w);
       Alcotest.(check bool) "not terminal" false (Ps.Machine.terminal w)
 
+(* ---- the switch-run memo (docs/SEMANTICS.md) ---- *)
+
+let j1 =
+  { Explore.Config.default with Explore.Config.domains = 1; oversubscribe = false }
+
+(* Call-free with an acyclic block graph in every function: the only
+   cycles of such a program's state space are switch cycles. *)
+let loop_free (p : Lang.Ast.program) =
+  Lang.Ast.FnameMap.for_all
+    (fun _ (ch : Lang.Ast.codeheap) ->
+      let blocks = ch.Lang.Ast.blocks in
+      let color = Hashtbl.create 16 in
+      let rec dag l =
+        match Hashtbl.find_opt color l with
+        | Some done_ -> done_
+        | None -> (
+            match Lang.Ast.LabelMap.find_opt l blocks with
+            | None -> true
+            | Some (b : Lang.Ast.block) ->
+                Hashtbl.add color l false;
+                let ok =
+                  match b.Lang.Ast.term with
+                  | Lang.Ast.Jmp l -> dag l
+                  | Lang.Ast.Be (_, l1, l2) -> dag l1 && dag l2
+                  | Lang.Ast.Call _ -> false
+                  | Lang.Ast.Return -> true
+                in
+                Hashtbl.replace color l ok;
+                ok)
+      in
+      Lang.Ast.LabelMap.for_all (fun l _ -> dag l) blocks)
+    p.Lang.Ast.code
+
+(* On a loop-free program the memoized walk expands every reachable
+   state exactly once: as many expansions as the reachability scan
+   counts distinct states. *)
+let test_each_state_once () =
+  let programs =
+    List.map (fun t -> (t.Litmus.name, t.Litmus.prog)) Litmus.all
+    @ List.init 200 (fun seed ->
+          (Printf.sprintf "seed %d" seed, Explore.Stress.generate ~seed))
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (name, p) ->
+      if loop_free p then
+        List.iter
+          (fun disc ->
+            incr checked;
+            let walk = Explore.Enum.behaviors_exn ~config:j1 disc p in
+            match
+              Explore.Enum.iter_reachable ~config:j1 disc p
+                ~f:(fun ~committed:_ _ -> ())
+            with
+            | Error e -> Alcotest.fail e
+            | Ok st ->
+                Alcotest.(check int)
+                  (Format.asprintf "%s (%a) expansions" name
+                     Explore.Enum.pp_discipline disc)
+                  st.Explore.Stats.nodes
+                  walk.Explore.Enum.stats.Explore.Stats.nodes)
+          [ Explore.Enum.Interleaving; Explore.Enum.Non_preemptive ])
+    programs;
+  Alcotest.(check bool) "most programs are loop-free" true (!checked > 300)
+
+let same_as_memo_free ~what config disc p =
+  let memo = Explore.Enum.behaviors_exn ~config disc p in
+  let free =
+    Explore.Enum.behaviors_exn
+      ~config:{ config with Explore.Config.memoize = false }
+      disc p
+  in
+  Alcotest.(check bool)
+    (what ^ " completeness") true
+    (memo.Explore.Enum.completeness = free.Explore.Enum.completeness);
+  Alcotest.(check bool)
+    (what ^ " traceset") true
+    (Explore.Traceset.equal memo.Explore.Enum.traces free.Explore.Enum.traces)
+
+(* t1 prints in an endless loop and t2 spins; t0's one step first
+   leads to their switch run's head, whose members' loops run back
+   through frames below them by thread steps.  Such a member is not
+   pure, so it is not memoized with its head's traceset: met again from
+   t0's side, it is expanded afresh. *)
+let loop_through_head =
+  Lang.Build.(
+    program ~atomics:[ "x" ]
+      [
+        proc "t0" [ blk "A0" [ store "x" ~mode:Lang.Modes.WRlx (i 1) ] ret ];
+        proc "t1" [ blk "L0" [ print (i 1) ] (jmp "L0") ];
+        proc "t2" [ blk "M0" [ skip ] (jmp "M0") ];
+      ]
+      ~threads:[ "t0"; "t1"; "t2" ])
+
+let test_loop_through_head () =
+  List.iter
+    (fun steps ->
+      same_as_memo_free
+        ~what:(Printf.sprintf "at %d steps" steps)
+        { j1 with Explore.Config.max_steps = steps }
+        Explore.Enum.Interleaving loop_through_head)
+    [ 10; 11; 12; 13 ]
+
+(* Under every budget up to 30 some run's head sits near [max_steps]:
+   members and their reuse answer only when a fresh expansion would
+   not be cut either, so the tracesets are the memo-free ones. *)
+let test_near_budget () =
+  List.iter
+    (fun (t : Litmus.t) ->
+      List.iter
+        (fun disc ->
+          for steps = 1 to 30 do
+            same_as_memo_free
+              ~what:
+                (Format.asprintf "%s (%a) at %d steps" t.Litmus.name
+                   Explore.Enum.pp_discipline disc steps)
+              { j1 with Explore.Config.max_steps = steps }
+              disc t.Litmus.prog
+          done)
+        [ Explore.Enum.Interleaving; Explore.Enum.Non_preemptive ])
+    [ Litmus.cas_exclusive; Litmus.mp_rel_acq; Litmus.sb ]
+
 let () =
   Alcotest.run "explore"
     [
@@ -642,5 +764,12 @@ let () =
           Alcotest.test_case "iter_reachable against the re-expanding walk"
             `Quick test_iter_reachable_reference;
           Alcotest.test_case "init" `Quick test_machine_init;
+        ] );
+      ( "switch memo",
+        [
+          Alcotest.test_case "each state once" `Quick test_each_state_once;
+          Alcotest.test_case "loop through the head" `Quick
+            test_loop_through_head;
+          Alcotest.test_case "near the budget" `Quick test_near_budget;
         ] );
     ]
