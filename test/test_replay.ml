@@ -100,6 +100,46 @@ let test_store_roundtrip () =
   Alcotest.(check bool) "records round-trip" true
     (List.for_all2 Trace.equal_record records records2)
 
+(* The [psopt-replay/2] bytes of one fixed witness — sb's weak
+   outcome on one domain, under any PSOPT_J — pinned by digest, data
+   file and sidecar both; rewriting its records reproduces both. *)
+let test_format_pinned () =
+  let config =
+    { config with Explore.Config.domains = 1; oversubscribe = false }
+  in
+  let p = fresh "sb.trace" in
+  (match
+     Replay.Record.record_witness ~config ~outs:[ 0; 0 ] ~path:p
+       Litmus.sb.Litmus.prog
+   with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("record sb: " ^ m));
+  let md5 path = Digest.to_hex (Digest.file path) in
+  let data = "c202af3e3b28ef5a4dc1e5eae7a17f19" and idx = "490b4ccb2fac11f4b0f079b3e3c84b78" in
+  Alcotest.(check string) "data file" data (md5 p);
+  Alcotest.(check string) "sidecar" idx (md5 (p ^ ".idx"));
+  let r = open_exn p in
+  let h = Store.header r and records = read_all_exn r in
+  Store.close_reader r;
+  let p2 = fresh "sb-rewrite.trace" in
+  (match Store.write_all p2 h records with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check string) "rewritten data file" data (md5 p2);
+  Alcotest.(check string) "rewritten sidecar" idx (md5 (p2 ^ ".idx"));
+  (* a destination that cannot be created: an error, and no temporary
+     file anywhere *)
+  let dir = fresh "missing" in
+  let tmps () =
+    Sys.readdir tmp_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".tmp")
+  in
+  (match Store.write_all (Filename.concat dir "x.trace") h records with
+  | Ok () -> Alcotest.fail "wrote into a missing directory"
+  | Error _ -> ());
+  Alcotest.(check bool) "directory still missing" false (Sys.file_exists dir);
+  Alcotest.(check (list string)) "no temporary file" [] (tmps ())
+
 let test_index_vs_scan () =
   let p = fresh "lb-eager.trace" in
   let n = record_lb ~eager:true p in
@@ -746,6 +786,8 @@ let () =
         [
           Alcotest.test_case "record → reopen → rewrite round-trip" `Quick
             test_store_roundtrip;
+          Alcotest.test_case "psopt-replay/2 bytes pinned" `Quick
+            test_format_pinned;
           Alcotest.test_case "index agrees with scan (incl. rebuild)" `Quick
             test_index_vs_scan;
           Alcotest.test_case "damage modes are typed errors" `Quick
