@@ -212,7 +212,7 @@ let sim_fails_on f inv t s =
 
 let nodes disc prog =
   let o = Explore.Enum.behaviors_exn ~config:(seq_config ()) disc prog in
-  o.Explore.Enum.stats.Explore.Stats.nodes
+  Explore.Stats.(get o.Explore.Enum.stats nodes)
 
 let rows =
   [
@@ -547,7 +547,7 @@ let cert_cache () =
       Explore.Traceset.equal cached.Explore.Enum.traces
         (Option.get !uncached).Explore.Enum.traces
     in
-    let n = cached.Explore.Enum.stats.Explore.Stats.nodes in
+    let n = Explore.Stats.get cached.Explore.Enum.stats Explore.Stats.nodes in
     let speedup = t_off.median /. t_on.median in
     speedups := speedup :: !speedups;
     ( (name, equal),
@@ -661,19 +661,19 @@ let reduction () =
   let row (name, prog, config, floor) =
     let equal, base, red = reduced_pair config prog in
     let rs = red.Explore.Enum.stats in
-    let nb = base.Explore.Enum.stats.Explore.Stats.nodes in
+    let nb = Explore.Stats.get base.Explore.Enum.stats Explore.Stats.nodes in
     let states =
       match
         Explore.Enum.iter_reachable ~config Explore.Enum.Interleaving prog
           ~f:(fun ~committed:_ _ -> ())
       with
-      | Ok st -> st.Explore.Stats.nodes
+      | Ok st -> Explore.Stats.get st Explore.Stats.nodes
       | Error e -> failwith e
     in
-    let nr = rs.Explore.Stats.nodes in
-    let sleep = rs.Explore.Stats.sleep_prunes in
-    let pers = rs.Explore.Stats.persistent_prunes in
-    let folds = rs.Explore.Stats.symmetry_folds in
+    let nr = Explore.Stats.get rs Explore.Stats.nodes in
+    let sleep = Explore.Stats.get rs Explore.Stats.sleep_prunes in
+    let pers = Explore.Stats.get rs Explore.Stats.persistent_prunes in
+    let folds = Explore.Stats.get rs Explore.Stats.symmetry_folds in
     let counters_ok = nb - nr >= sleep + folds in
     let factor = float_of_int states /. float_of_int (max 1 nr) in
     let row_ok = factor >= floor in
@@ -760,7 +760,9 @@ let trace_ablation () =
       (Option.get !traced).Explore.Enum.traces
   in
   let ok = equal && n_spans > 0 in
-  let nodes = float_of_int untraced.Explore.Enum.stats.Explore.Stats.nodes in
+  let nodes =
+    float_of_int Explore.Stats.(get untraced.Explore.Enum.stats nodes)
+  in
   let overhead = (t_on.median -. t_off.median) /. t_off.median *. 100. in
   {
     checks = [ (name, ok) ];
@@ -804,9 +806,10 @@ let truncation () =
     in
     ( (name, ok),
       Format.asprintf "%-24s %8d %6d %9d %9d %7d %7d  %a  %s" name
-        st.Explore.Stats.nodes st.Explore.Stats.cuts
-        st.Explore.Stats.deadline_hits st.Explore.Stats.node_budget_hits
-        st.Explore.Stats.oom_hits st.Explore.Stats.faults_injected
+        Explore.Stats.(get st nodes) Explore.Stats.(get st cuts)
+        Explore.Stats.(get st deadline_hits)
+        Explore.Stats.(get st node_budget_hits)
+        Explore.Stats.(get st oom_hits) Explore.Stats.(get st faults_injected)
         Explore.Enum.pp_completeness o.Explore.Enum.completeness (status ok) )
   in
   let rs =
@@ -961,7 +964,7 @@ let scaling () =
 
 let service () =
   with_temp_dir "psopt-bench-store" @@ fun root ->
-  let stats = Explore.Stats.Service.create () in
+  let stats = Service.Server.Counters.create () in
   let config = bench_config () in
   let pass store =
     List.map

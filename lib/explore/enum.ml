@@ -648,17 +648,17 @@ let budget_stop w : Errors.reason option =
     | _ -> ()
   end;
   if Atomic.get s.out_of_time then begin
-    ls.Stats.deadline_hits <- ls.Stats.deadline_hits + 1;
+    Stats.incr ls Stats.deadline_hits;
     Some Errors.Deadline
   end
   else if Atomic.get s.out_of_mem then begin
-    ls.Stats.oom_hits <- ls.Stats.oom_hits + 1;
+    Stats.incr ls Stats.oom_hits;
     Some Errors.Oom
   end
   else
     match (s.cfg.Config.max_nodes, s.node_count) with
     | Some n, Some c when Atomic.get c >= n ->
-        ls.Stats.node_budget_hits <- ls.Stats.node_budget_hits + 1;
+        Stats.incr ls Stats.node_budget_hits;
         Some Errors.Node_budget
     | _ -> None
 
@@ -683,7 +683,7 @@ let fault_fires s site salt =
 
 let node_fault_fires w n =
   let fire = fault_fires w.s (Node.hash n) salt_cut in
-  if fire then w.ls.Stats.faults_injected <- w.ls.Stats.faults_injected + 1;
+  if fire then Stats.incr w.ls Stats.faults_injected;
   fire
 
 (* Certification is the engine's dominant cost, so its run time is
@@ -720,15 +720,15 @@ let cached w tbl key =
 let consistent w (key : CertKey.t) =
   let s = w.s in
   let ls = w.ls in
-  ls.Stats.cert_checks <- ls.Stats.cert_checks + 1;
+  Stats.incr ls Stats.cert_checks;
   (* An injected fault answers "inconsistent" without consulting the
      cache, so the cache stays pure; the decision is a pure function
      of the configuration, so it is the same on every path and every
      domain that reaches it.  The configuration hash (the fault site)
      is only computed when fault injection is armed. *)
   if s.fault <> None && fault_fires s (CertKey.hash key) salt_cert then begin
-    ls.Stats.cert_faults <- ls.Stats.cert_faults + 1;
-    ls.Stats.faults_injected <- ls.Stats.faults_injected + 1;
+    Stats.incr ls Stats.cert_faults;
+    Stats.incr ls Stats.faults_injected;
     false
   end
   else if
@@ -736,20 +736,20 @@ let consistent w (key : CertKey.t) =
        spend a hash of the whole configuration on them. *)
     Ps.Thread.concrete_promises key.ts = []
   then begin
-    ls.Stats.cert_trivial <- ls.Stats.cert_trivial + 1;
+    Stats.incr ls Stats.cert_trivial;
     true
   end
   else if not s.cfg.Config.cert_cache then begin
-    ls.Stats.cert_runs <- ls.Stats.cert_runs + 1;
+    Stats.incr ls Stats.cert_runs;
     run_cert s key
   end
   else
     match cached w w.cert_cache key with
     | Some verdict ->
-        ls.Stats.cert_cache_hits <- ls.Stats.cert_cache_hits + 1;
+        Stats.incr ls Stats.cert_cache_hits;
         verdict
     | None ->
-        ls.Stats.cert_runs <- ls.Stats.cert_runs + 1;
+        Stats.incr ls Stats.cert_runs;
         let verdict = run_cert s key in
         CertTbl.replace w.cert_cache key verdict;
         if w.parallel then begin
@@ -766,7 +766,7 @@ let promise_candidates w (key : CertKey.t) =
       if s.fault <> None && fault_fires s (CertKey.hash key) salt_cand then begin
         (* Candidate discovery killed by an injected fault: no promise
            successors from here — behaviours shrink, never grow. *)
-        w.ls.Stats.faults_injected <- w.ls.Stats.faults_injected + 1;
+        Stats.incr w.ls Stats.faults_injected;
         []
       end
       else
@@ -789,7 +789,7 @@ let promise_candidates w (key : CertKey.t) =
             else
               match cached w w.cand_cache key with
               | Some cands ->
-                  w.ls.Stats.cand_cache_hits <- w.ls.Stats.cand_cache_hits + 1;
+                  Stats.incr w.ls Stats.cand_cache_hits;
                   cands
               | None ->
                   let cands = compute () in
@@ -880,9 +880,9 @@ let successors w (n : Node.t) : succ list =
       let strict = s.cfg.Config.strict_promises || bound <> None in
       if strict && sched_ok && not budget_left then
         if promise_candidates w own <> [] then begin
-          w.ls.Stats.promise_budget_hits <- w.ls.Stats.promise_budget_hits + 1;
+          Stats.incr w.ls Stats.promise_budget_hits;
           if bound <> None then
-            w.ls.Stats.promise_bound_hits <- w.ls.Stats.promise_bound_hits + 1
+            Stats.incr w.ls Stats.promise_bound_hits
         end;
       []
     end
@@ -902,7 +902,7 @@ let successors w (n : Node.t) : succ list =
            τ machine step must end consistent. *)
         if consistent w (CertKey.make step.Ps.Thread.ts step.Ps.Thread.mem)
         then begin
-          w.ls.Stats.promises <- w.ls.Stats.promises + 1;
+          Stats.incr w.ls Stats.promises;
           Some (make Promise_step i ~bit:n.Node.bit ~promised step)
         end
         else None)
@@ -986,7 +986,7 @@ let successors w (n : Node.t) : succ list =
               else k)
             wd.Ps.Machine.tp 0
         in
-        w.ls.Stats.persistent_prunes <- w.ls.Stats.persistent_prunes + k
+        Stats.bump w.ls Stats.persistent_prunes k
       end;
       []
     end
@@ -1071,7 +1071,7 @@ let successors w (n : Node.t) : succ list =
                 out := sw :: !out
               end)
             all;
-          w.ls.Stats.sleep_prunes <- w.ls.Stats.sleep_prunes + !dropped;
+          Stats.bump w.ls Stats.sleep_prunes !dropped;
           List.rev !out
         end
   in
@@ -1190,7 +1190,7 @@ type sframe = {
 type delivered = (Traceset.t * int * int) option Atomic.t
 
 let count_node w =
-  w.ls.Stats.nodes <- w.ls.Stats.nodes + 1;
+  Stats.incr w.ls Stats.nodes;
   match w.s.node_count with Some c -> Atomic.incr c | None -> ()
 
 let memo_store w n entry =
@@ -1237,7 +1237,7 @@ let expand w (n : Node.t) depth : entered =
     else Traceset.empty
   in
   let succs = visit_order w (Array.of_list (successors w n)) in
-  ls.Stats.transitions <- ls.Stats.transitions + Array.length succs;
+  Stats.bump ls Stats.transitions (Array.length succs);
   let base =
     if Traceset.is_empty base && Array.length succs = 0 then
       (* Stuck without terminating: an execution that cannot commit
@@ -1261,9 +1261,10 @@ let run_reach (f : sframe) =
 let enter w ?switch_from (n : Node.t) depth : entered =
   let s = w.s in
   let ls = w.ls in
-  if depth > ls.Stats.peak_depth then ls.Stats.peak_depth <- depth;
+  if depth > Stats.get ls Stats.peak_depth then
+    Stats.set ls Stats.peak_depth depth;
   if depth >= s.cfg.Config.max_steps then begin
-    ls.Stats.cuts <- ls.Stats.cuts + 1;
+    Stats.incr ls Stats.cuts;
     Done (cut_traces, -1, depth)
   end
   else if budget_stop w <> None then
@@ -1281,9 +1282,9 @@ let enter w ?switch_from (n : Node.t) depth : entered =
     let key = canon s n in
     match NodeTbl.find_opt w.memo key with
     | Some (traces, rel_peak) when depth + rel_peak < s.cfg.Config.max_steps ->
-        ls.Stats.memo_hits <- ls.Stats.memo_hits + 1;
+        Stats.incr ls Stats.memo_hits;
         if key != n then
-          ls.Stats.symmetry_folds <- ls.Stats.symmetry_folds + 1;
+          Stats.incr ls Stats.symmetry_folds;
         Done (traces, max_taint, depth + rel_peak)
     | _ -> (
         match NodeTbl.find_opt w.on_stack n with
@@ -1291,7 +1292,7 @@ let enter w ?switch_from (n : Node.t) depth : entered =
             (* Back-edge: divergence.  The honest behaviour is the
                prefix observed so far, i.e. the empty suffix with an
                [Open] ending. *)
-            ls.Stats.cycles <- ls.Stats.cycles + 1;
+            Stats.incr ls Stats.cycles;
             Done (open_traces, ix, depth)
         | None -> (
             (* A parked member met again from its own run. *)
@@ -1309,7 +1310,7 @@ let enter w ?switch_from (n : Node.t) depth : entered =
             in
             match reuse with
             | Some (p, reach) ->
-                ls.Stats.memo_hits <- ls.Stats.memo_hits + 1;
+                Stats.incr ls Stats.memo_hits;
                 Done (p.ptraces, p.ptaint, depth + reach)
             | None -> expand w n depth))
 
@@ -1568,9 +1569,9 @@ let traces_of s root j =
   in
   if j > 1 then absorb ws.(0);
   Array.iter (fun w -> Stats.add ~into:s.stats w.ls) ws;
-  s.stats.Stats.memo_size <- NodeTbl.length ws.(0).memo;
-  s.stats.Stats.cert_cache_size <-
-    CertTbl.length ws.(0).cert_cache + CertTbl.length ws.(0).cand_cache;
+  Stats.set s.stats Stats.memo_size (NodeTbl.length ws.(0).memo);
+  Stats.set s.stats Stats.cert_cache_size
+    (CertTbl.length ws.(0).cert_cache + CertTbl.length ws.(0).cand_cache);
   match Atomic.get result with
   | Some (traces, _, _) -> traces
   | None -> assert false
@@ -1620,7 +1621,7 @@ let behaviors ?(config = Config.default) ?observe disc (p : Lang.Ast.program) =
       (* An observer sees states in DFS order, which only the
          single-domain walk has. *)
       let j = if observe = None then effective_domains config else 1 in
-      s.stats.Stats.domains_used <- j;
+      Stats.set s.stats Stats.domains_used j;
       let traces =
         Obs.Trace.span ~cat:"explore" "enumerate" (fun () -> traces_of s root j)
       in
@@ -1675,17 +1676,18 @@ let iter_reachable ?(config = Config.default) disc (p : Lang.Ast.program) ~f =
       let rec visit (n : Node.t) depth =
         let prev = NodeTbl.find_opt best n in
         match prev with
-        | Some d when d <= depth || w.ls.Stats.cuts = 0 -> ()
+        | Some d when d <= depth || Stats.get w.ls Stats.cuts = 0 -> ()
         | _ ->
             if depth >= s.cfg.Config.max_steps then
-              w.ls.Stats.cuts <- w.ls.Stats.cuts + 1
+              Stats.incr w.ls Stats.cuts
             else if budget_stop w <> None || node_fault_fires w n then
               (* Budget or fault: skip the subtree.  The stats counters
                  record the reason, so callers recover completeness via
                  [Stats.truncation_reasons]. *)
               ()
             else begin
-              if depth > w.ls.Stats.peak_depth then w.ls.Stats.peak_depth <- depth;
+              if depth > Stats.get w.ls Stats.peak_depth then
+                Stats.set w.ls Stats.peak_depth depth;
               NodeTbl.replace best n depth;
               let first = prev = None in
               if first then begin
@@ -1697,15 +1699,15 @@ let iter_reachable ?(config = Config.default) disc (p : Lang.Ast.program) ~f =
               end;
               let succs = successors w n in
               if first then
-                w.ls.Stats.transitions <- w.ls.Stats.transitions + List.length succs;
+                Stats.bump w.ls Stats.transitions (List.length succs);
               List.iter (fun { next; _ } -> visit next (depth + 1)) succs
             end
       in
       Obs.Trace.span ~cat:"explore" "enumerate" (fun () ->
           visit (root world) 0);
       Stats.add ~into:s.stats w.ls;
-      s.stats.Stats.memo_size <- NodeTbl.length best;
-      s.stats.Stats.cert_cache_size <-
-        CertTbl.length w.cert_cache + CertTbl.length w.cand_cache;
+      Stats.set s.stats Stats.memo_size (NodeTbl.length best);
+      Stats.set s.stats Stats.cert_cache_size
+        (CertTbl.length w.cert_cache + CertTbl.length w.cand_cache);
       Stats.finish s.stats;
       Ok s.stats

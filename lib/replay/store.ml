@@ -87,77 +87,34 @@ let load_index path ~data_size =
   Result.to_option index
 
 (* ------------------------------------------------------------------ *)
-(* Writer. *)
-
-type writer = {
-  w_path : string;
-  w_out : Frame.pending;
-  mutable w_entries : ix list;  (* reversed *)
-  mutable w_done : bool;
-}
+(* Writer: the whole trace is built in memory, each index offset read
+   off the buffer's length, and published in one shot. *)
 
 let ix_of_record (r : Trace.record) ~off =
   { off; ix_tid = r.Trace.tid; ix_kind = r.Trace.kind; ix_loc = r.Trace.loc }
 
-let create path header =
-  match Frame.create path with
-  | exception Sys_error m -> Error m
-  | out -> (
-      try
-        let oc = Frame.channel out in
-        output_string oc (magic ^ "\n");
-        output_string oc (frame_of (Trace.sexp_of_header header));
-        Ok { w_path = path; w_out = out; w_entries = []; w_done = false }
-      with Sys_error m ->
-        Frame.abort out;
-        Error m)
-
-let append w (r : Trace.record) =
-  if w.w_done then Error "writer already closed"
-  else
-    try
-      let oc = Frame.channel w.w_out in
-      let off = pos_out oc in
-      output_string oc (frame_of (Trace.sexp_of_record r));
-      w.w_entries <- ix_of_record r ~off :: w.w_entries;
-      Ok ()
-    with Sys_error m -> Error m
-
-let abort w =
-  if not w.w_done then begin
-    w.w_done <- true;
-    Frame.abort w.w_out
-  end
-
-let close w =
-  if w.w_done then Error "writer already closed"
-  else begin
-    w.w_done <- true;
-    let data_size = pos_out (Frame.channel w.w_out) in
-    match Frame.commit w.w_out with
-    | exception Sys_error m -> Error m
-    | () ->
-        (* The trace is in place.  The sidecar is advisory: if it
-           cannot be written, an older one must not outlive the data
-           it described, and the next [open_] rebuilds by scanning. *)
-        (try write_index w.w_path (List.rev w.w_entries) ~data_size
-         with Sys_error _ -> (
-           try Sys.remove (index_path w.w_path) with Sys_error _ -> ()));
-        Ok ()
-  end
-
 let write_all path header records =
-  let* w = create path header in
-  let rec go = function
-    | [] -> close w
-    | r :: rest -> (
-        match append w r with
-        | Ok () -> go rest
-        | Error _ as e ->
-            abort w;
-            e)
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (magic ^ "\n");
+  Buffer.add_string b (frame_of (Trace.sexp_of_header header));
+  let entries =
+    List.fold_left
+      (fun acc r ->
+        let off = Buffer.length b in
+        Buffer.add_string b (frame_of (Trace.sexp_of_record r));
+        ix_of_record r ~off :: acc)
+      [] records
   in
-  go records
+  match Frame.publish path (Buffer.contents b) with
+  | exception Sys_error m -> Error m
+  | () ->
+      (* The trace is in place.  The sidecar is advisory: if it cannot
+         be written, an older one must not outlive the data it
+         described, and the next [open_] rebuilds by scanning. *)
+      (try write_index path (List.rev entries) ~data_size:(Buffer.length b)
+       with Sys_error _ -> (
+         try Sys.remove (index_path path) with Sys_error _ -> ()));
+      Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Reader. *)

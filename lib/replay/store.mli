@@ -12,9 +12,9 @@
     …
     v}
 
-    Writers stream into a temp file and publish on {!close}
-    ({!Service.Frame.publish}'s streaming form) — a crash mid-record
-    never leaves a half-written trace under the final name.  The index
+    {!write_all} builds the file in memory and publishes it in one
+    shot ({!Service.Frame.publish}) — a crash mid-write never leaves a
+    half-written trace under the final name.  The index
     ([<path>.idx], one frame) is advisory: it records the data file's
     byte size, so a missing, unreadable, stale or damaged index is
     detected and silently rebuilt by scanning (flagged via
@@ -36,24 +36,13 @@ val error_to_string : error -> string
 
 (** {1 Writing} *)
 
-type writer
-
-val create : string -> Trace.header -> (writer, string) result
-(** Start a trace at [path] (written via a temp file; nothing appears
-    at [path] until {!close}). *)
-
-val append : writer -> Trace.record -> (unit, string) result
-val close : writer -> (unit, string) result
-(** Finalize: publish the data file, then write the sidecar index.
-    [Ok] once the data file is in place: a sidecar that cannot be
-    written is dropped (no temp file, no stale index left), and the
-    next {!open_} rebuilds it. *)
-
-val abort : writer -> unit
-(** Drop the temp files; [path] is untouched. *)
-
 val write_all :
   string -> Trace.header -> Trace.record list -> (unit, string) result
+(** Write a trace at the given path in one {!Service.Frame.publish}
+    (nothing appears at the path unless the whole file does), then
+    its sidecar index.  [Ok] once the data file is in place: a sidecar
+    that cannot be written is dropped (no temp file, no stale index
+    left), and the next {!open_} rebuilds it. *)
 
 (** {1 Reading} *)
 

@@ -196,41 +196,23 @@ let read ?idle_timeout_s ?io_timeout_s fd =
    then rename it into place — rename within one directory is atomic.
    The counter is shared by every domain of the process. *)
 
-type pending = { dest : string; tmp : string; oc : out_channel }
-
 let tmp_counter = Atomic.make 0
 
-let create dest =
+let publish dest contents =
   let tmp =
     Filename.concat (Filename.dirname dest)
       (Printf.sprintf ".%s.%d.%d.tmp" (Filename.basename dest)
          (Unix.getpid ())
          (Atomic.fetch_and_add tmp_counter 1))
   in
-  { dest; tmp; oc = open_out_bin tmp }
-
-let channel p = p.oc
-
-let abort p =
-  close_out_noerr p.oc;
-  try Sys.remove p.tmp with Sys_error _ -> ()
-
-let commit p =
+  let oc = open_out_bin tmp in
   try
-    close_out p.oc;
-    Unix.rename p.tmp p.dest
-  with
-  | Sys_error _ as exn ->
-      abort p;
-      raise exn
-  | Unix.Unix_error (e, _, _) ->
-      abort p;
-      raise (Sys_error (Unix.error_message e))
-
-let publish dest contents =
-  let p = create dest in
-  (try output_string p.oc contents
-   with exn ->
-     abort p;
-     raise exn);
-  commit p
+    output_string oc contents;
+    close_out oc;
+    Unix.rename tmp dest
+  with exn -> (
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    match exn with
+    | Unix.Unix_error (e, _, _) -> raise (Sys_error (Unix.error_message e))
+    | exn -> raise exn)

@@ -78,27 +78,13 @@ val read :
 (** [idle_timeout_s] bounds the wait for the first header byte;
     [io_timeout_s] bounds every subsequent byte of the same frame. *)
 
-(** {1 Publication}
-
-    A file is written under a temporary name in its destination
-    directory, then renamed into place, so a reader sees the old file
-    or the new one, never a prefix, and a crashed writer leaves at
-    worst an orphan [.*.tmp] file.  Every failure is a [Sys_error]
-    and leaves no temporary file behind. *)
-
-type pending
-
-val create : string -> pending
-(** Start writing the file that {!commit} will publish at the given
-    path. *)
-
-val channel : pending -> out_channel
-
-val commit : pending -> unit
-(** Close the channel and rename the file into place. *)
-
-val abort : pending -> unit
-(** Drop the temporary file; the destination is untouched. *)
+(** {1 Publication} *)
 
 val publish : string -> string -> unit
-(** [publish path contents] in one shot. *)
+(** [publish path contents] writes [contents] to a temporary file in
+    [path]'s directory, then renames it to [path] — rename within one
+    directory is atomic, so a reader sees the old file or the new one,
+    never a prefix, and a crashed writer leaves at worst an orphan
+    [.*.tmp] file.  Callers build the whole file first: each store
+    record, each replay trace and its sidecar is one call.  Every
+    failure is a [Sys_error] and leaves no temporary file behind. *)

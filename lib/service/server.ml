@@ -344,8 +344,44 @@ let cached_reply (e : Store.entry) =
       conclusive = e.Store.conclusive;
     }
 
+(* The daemon's counters: atomics, because one handler thread per
+   connection bumps them and the [Stats] request reads them
+   lock-free. *)
+module Counters = struct
+  type t = {
+    served : int Atomic.t;
+    store_hits : int Atomic.t;
+    store_misses : int Atomic.t;
+    busy : int Atomic.t;
+    errors : int Atomic.t;
+    sheds : int Atomic.t;
+    expired : int Atomic.t;
+    evictions : int Atomic.t;
+  }
+
+  let create () =
+    {
+      served = Atomic.make 0;
+      store_hits = Atomic.make 0;
+      store_misses = Atomic.make 0;
+      busy = Atomic.make 0;
+      errors = Atomic.make 0;
+      sheds = Atomic.make 0;
+      expired = Atomic.make 0;
+      evictions = Atomic.make 0;
+    }
+
+  let pp ppf s =
+    let ( ! ) = Atomic.get in
+    Format.fprintf ppf
+      "served=%d hits=%d misses=%d busy=%d errors=%d sheds=%d expired=%d \
+       evictions=%d"
+      !(s.served) !(s.store_hits) !(s.store_misses) !(s.busy) !(s.errors)
+      !(s.sheds) !(s.expired) !(s.evictions)
+end
+
 (* A store miss: compute, and record what may be cached under [key]. *)
-let serve_miss ?store ~(stats : Explore.Stats.Service.t) ~key w config =
+let serve_miss ?store ~(stats : Counters.t) ~key w config =
   match run_work w config with
   | Error msg ->
       Atomic.incr stats.errors;
@@ -367,7 +403,7 @@ let serve_miss ?store ~(stats : Explore.Stats.Service.t) ~key w config =
           store;
       Proto.Reply { exit_code; output; cached = false; conclusive }
 
-let serve_work ?store ~(stats : Explore.Stats.Service.t) (w : Proto.work)
+let serve_work ?store ~(stats : Counters.t) (w : Proto.work)
     (config : Explore.Config.t) : Proto.response =
   Obs.Metrics.time request_hist @@ fun () ->
   match Proto.program_of_work w with
@@ -389,7 +425,7 @@ let serve_work ?store ~(stats : Explore.Stats.Service.t) (w : Proto.work)
 type state = {
   cfg : config;
   store : Store.t option;
-  stats : Explore.Stats.Service.t;
+  stats : Counters.t;
   gate : Admission.t;
   stop : bool Atomic.t;
   conns : (Unix.file_descr list ref * Mutex.t);
@@ -678,7 +714,7 @@ let run ?(on_ready = fun () -> ()) cfg =
     {
       cfg;
       store;
-      stats = Explore.Stats.Service.create ();
+      stats = Counters.create ();
       gate = Admission.create ~capacity:cfg.capacity;
       stop = Atomic.make false;
       conns = (ref [], Mutex.create ());
@@ -798,7 +834,7 @@ let run ?(on_ready = fun () -> ()) cfg =
       (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
       log st "bye"
         ~fields:
-          [ ("stats", Format.asprintf "%a" Explore.Stats.Service.pp st.stats) ];
+          [ ("stats", Format.asprintf "%a" Counters.pp st.stats) ];
       Ok ()
     with exn ->
       Atomic.set watchdog_stop true;

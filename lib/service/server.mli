@@ -108,9 +108,35 @@ val run_work :
     is reserved for internal failures and unknown pass/litmus names —
     the classes that must not be cached. *)
 
+(** The daemon's counters: requests served, store hits and misses,
+    admission-queue rejections and internal errors.  Atomics: one
+    handler thread per connection bumps them, and the [Stats] request
+    reads them lock-free (docs/SERVICE.md). *)
+module Counters : sig
+  type t = {
+    served : int Atomic.t;  (** work requests answered with a result *)
+    store_hits : int Atomic.t;  (** answered straight from the store *)
+    store_misses : int Atomic.t;  (** computed (and recorded) fresh *)
+    busy : int Atomic.t;  (** rejected with [Busy] by admission control *)
+    errors : int Atomic.t;  (** protocol or internal failures *)
+    sheds : int Atomic.t;
+        (** queued requests preempted out of a full queue by a
+            higher-priority arrival ([Shed Overload]) *)
+    expired : int Atomic.t;
+        (** queued requests dropped because their wall-clock deadline
+            or the queue TTL passed while waiting ([Shed Expired]) *)
+    evictions : int Atomic.t;
+        (** connections closed by the server's I/O deadlines —
+            slowloris or idle peers *)
+  }
+
+  val create : unit -> t
+  val pp : Format.formatter -> t -> unit
+end
+
 val serve_work :
   ?store:Store.t ->
-  stats:Explore.Stats.Service.t ->
+  stats:Counters.t ->
   Proto.work ->
   Explore.Config.t ->
   Proto.response

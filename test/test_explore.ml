@@ -83,8 +83,8 @@ let test_np_never_larger () =
       Alcotest.(check bool)
         (t.Litmus.name ^ " np state count <= interleaving")
         true
-        (onp.Explore.Enum.stats.Explore.Stats.nodes
-        <= oi.Explore.Enum.stats.Explore.Stats.nodes))
+        Explore.Stats.(
+          get onp.Explore.Enum.stats nodes <= get oi.Explore.Enum.stats nodes))
     Litmus.all
 
 let test_closure () =
@@ -315,7 +315,8 @@ let test_iter_reachable () =
          if c then incr committed)
    with
   | Ok stats ->
-      Alcotest.(check int) "visits every node once" stats.Explore.Stats.nodes
+      Alcotest.(check int) "visits every node once"
+        Explore.Stats.(get stats nodes)
         !count;
       Alcotest.(check bool) "some committed" true (!committed > 0);
       Alcotest.(check bool) "committed <= all" true (!committed <= !count)
@@ -356,7 +357,7 @@ let test_iter_reachable_budget_complete () =
       Explore.Enum.iter_reachable ~config:cfg Explore.Enum.Interleaving p
         ~f:(fun ~committed:_ _ -> ())
     with
-    | Ok st -> (st.Explore.Stats.nodes, st.Explore.Stats.transitions)
+    | Ok st -> Explore.Stats.(get st nodes, get st transitions)
     | Error e -> Alcotest.fail e
   in
   let full = count 40 in
@@ -382,7 +383,7 @@ let test_iter_reachable_no_spurious_cut () =
             "exhaustive" "exhaustive"
             (Format.asprintf "%a" Explore.Enum.pp_completeness
                (Explore.Enum.completeness_of st));
-          Alcotest.(check int) "nodes" 4852 st.Explore.Stats.nodes
+          Alcotest.(check int) "nodes" 4852 Explore.Stats.(get st nodes)
       | Error e -> Alcotest.fail e)
     [ Explore.Enum.Interleaving; Explore.Enum.Non_preemptive ]
 
@@ -441,7 +442,8 @@ let test_iter_reachable_reference () =
       List.iter
         (fun disc ->
           let at b = { Explore.Config.default with max_steps = b } in
-          let full = (snd (scan (at 400) disc p)).Explore.Stats.nodes in
+          let nodes_of st = Explore.Stats.(get st nodes) in
+          let full = nodes_of (snd (scan (at 400) disc p)) in
           List.iter
             (fun b ->
               let what = Printf.sprintf "%s at %d" name b in
@@ -454,10 +456,9 @@ let test_iter_reachable_reference () =
                 (List.equal Ps.Machine.equal worlds ref_worlds);
               Alcotest.(check (pair int int))
                 (what ^ " nodes, transitions") (nodes, transitions)
-                (st.Explore.Stats.nodes, st.Explore.Stats.transitions);
+                (nodes_of st, Explore.Stats.(get st transitions));
               if Explore.Enum.completeness_of st = Explore.Enum.Exhaustive then
-                Alcotest.(check int) (what ^ " exhaustive") full
-                  st.Explore.Stats.nodes)
+                Alcotest.(check int) (what ^ " exhaustive") full (nodes_of st))
             [ 6; 10; 14; 20; 400 ])
         [ Explore.Enum.Interleaving; Explore.Enum.Non_preemptive ])
     programs
@@ -631,8 +632,8 @@ let test_each_state_once () =
                 Alcotest.(check int)
                   (Format.asprintf "%s (%a) expansions" name
                      Explore.Enum.pp_discipline disc)
-                  st.Explore.Stats.nodes
-                  walk.Explore.Enum.stats.Explore.Stats.nodes)
+                  Explore.Stats.(get st nodes)
+                  Explore.Stats.(get walk.Explore.Enum.stats nodes))
           [ Explore.Enum.Interleaving; Explore.Enum.Non_preemptive ])
     programs;
   Alcotest.(check bool) "most programs are loop-free" true (!checked > 300)

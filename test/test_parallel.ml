@@ -129,15 +129,14 @@ let test_cert_accounting () =
   let check name (st : Explore.Stats.t) =
     Alcotest.(check int)
       (name ^ ": cert_checks = hits + runs + trivial + faults")
-      st.Explore.Stats.cert_checks
-      (st.Explore.Stats.cert_cache_hits
-      + st.Explore.Stats.cert_runs
-      + st.Explore.Stats.cert_trivial
-      + st.Explore.Stats.cert_faults);
+      Explore.Stats.(get st cert_checks)
+      Explore.Stats.(
+        get st cert_cache_hits + get st cert_runs + get st cert_trivial
+        + get st cert_faults);
     Alcotest.(check bool)
       (name ^ ": cert faults never exceed injected faults")
       true
-      (st.Explore.Stats.cert_faults <= st.Explore.Stats.faults_injected)
+      Explore.Stats.(get st cert_faults <= get st faults_injected)
   in
   List.iter
     (fun (name, fault) ->
@@ -170,7 +169,7 @@ let test_cert_accounting () =
 let test_domain_reporting () =
   let used j =
     let o = run ~j Explore.Enum.Interleaving Litmus.sb.Litmus.prog in
-    o.Explore.Enum.stats.Explore.Stats.domains_used
+    Explore.Stats.(get o.Explore.Enum.stats domains_used)
   in
   Alcotest.(check int) "j=1 reports 1 domain" 1 (used 1);
   Alcotest.(check int) "j=4 reports 4 domains" 4 (used 4);

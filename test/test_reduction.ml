@@ -164,12 +164,12 @@ let check_symmetry_n n =
       Alcotest.(check bool)
         (name ^ ": symmetry folds fired")
         true
-        (sym.Enum.stats.Stats.symmetry_folds > 0);
+        (Stats.get sym.Enum.stats Stats.symmetry_folds > 0);
       Alcotest.(check bool)
         (name ^ ": fewer nodes than unreduced")
         true
-        (sym.Enum.stats.Stats.nodes
-        <= base.Enum.stats.Stats.nodes))
+        (Stats.get sym.Enum.stats Stats.nodes
+        <= Stats.get base.Enum.stats Stats.nodes))
     disciplines
 
 let test_symmetry_suite () = List.iter check_symmetry_n [ 2; 3 ]
@@ -184,8 +184,8 @@ let test_symmetry_factor () =
   let config = { Config.default with Config.max_promises = 0 } in
   let base = run ~config Enum.Interleaving (sym_prog n) in
   let sym = run ~config:(reduced sym_only config) Enum.Interleaving (sym_prog n) in
-  let nb = base.Enum.stats.Stats.nodes in
-  let ns = sym.Enum.stats.Stats.nodes in
+  let nb = Stats.get base.Enum.stats Stats.nodes in
+  let ns = Stats.get sym.Enum.stats Stats.nodes in
   Alcotest.(check bool)
     (Printf.sprintf "orbit fold >= 3 on 3 writers (%d -> %d)" nb ns)
     true
@@ -245,7 +245,7 @@ let test_symmetry_shared_fname () =
   check_equal "shared fname = distinct fnames" a.Enum.traces b.Enum.traces;
   Alcotest.(check bool)
     "shared-fname orbit folds" true
-    (b.Enum.stats.Stats.symmetry_folds > 0)
+    (Stats.get b.Enum.stats Stats.symmetry_folds > 0)
 
 (* 5. Orbit expansion is the identity: traces carry no thread ids, so
    a symmetry-reduced traceset is already fully expanded. *)
@@ -281,10 +281,10 @@ let test_por_counters () =
   let por = run ~config:(reduced por_only Config.default) Enum.Interleaving padded_prog in
   check_behaviour "padded" base.Enum.traces por.Enum.traces;
   check_comp "padded" base por;
-  let nodes o = o.Enum.stats.Stats.nodes in
+  let nodes o = Stats.get o.Enum.stats Stats.nodes in
   Alcotest.(check bool)
     "ample rule fired" true
-    (por.Enum.stats.Stats.persistent_prunes > 0);
+    (Stats.get por.Enum.stats Stats.persistent_prunes > 0);
   Alcotest.(check bool)
     (Printf.sprintf "node count shrank (%d -> %d)" (nodes base) (nodes por))
     true
@@ -336,7 +336,7 @@ let test_bounded_promises () =
   | Enum.Exhaustive -> Alcotest.fail "K=0 on lb claimed exhaustive");
   Alcotest.(check bool)
     "K=0 counts promise_bound_hits" true
-    (outcome0.Enum.stats.Stats.promise_bound_hits > 0);
+    (Stats.get outcome0.Enum.stats Stats.promise_bound_hits > 0);
   (* the bound overrides max_promises in both directions *)
   let unbounded =
     run

@@ -66,7 +66,7 @@ let test_node_budget () =
   | Explore.Enum.Exhaustive -> Alcotest.fail "expected Truncated");
   Alcotest.(check bool)
     "counter incremented" true
-    (o.Explore.Enum.stats.Explore.Stats.node_budget_hits > 0)
+    (Explore.Stats.(get o.Explore.Enum.stats node_budget_hits) > 0)
 
 let test_deadline_budget () =
   (* A deadline of 0 ms is already past when the first wall-clock
@@ -86,7 +86,7 @@ let test_deadline_budget () =
   in
   Alcotest.(check bool)
     "deadline tripped" true
-    (o.Explore.Enum.stats.Explore.Stats.deadline_hits > 0);
+    (Explore.Stats.(get o.Explore.Enum.stats deadline_hits) > 0);
   match o.Explore.Enum.completeness with
   | Explore.Enum.Truncated reasons ->
       Alcotest.(check bool)
@@ -100,15 +100,15 @@ let test_deadline_budget () =
    configs that trip none.  This pins the derivation [Stats.
    truncation_reasons] against counter renames or forgotten reasons. *)
 
-let counter_for stats = function
-  | Explore.Errors.Step_budget -> stats.Explore.Stats.cuts
-  | Explore.Errors.Promise_budget ->
-      stats.Explore.Stats.promise_budget_hits
-  | Explore.Errors.Deadline -> stats.Explore.Stats.deadline_hits
-  | Explore.Errors.Node_budget ->
-      stats.Explore.Stats.node_budget_hits
-  | Explore.Errors.Oom -> stats.Explore.Stats.oom_hits
-  | Explore.Errors.Fault -> stats.Explore.Stats.faults_injected
+let counter_for stats r =
+  Explore.Stats.get stats
+    (match r with
+    | Explore.Errors.Step_budget -> Explore.Stats.cuts
+    | Explore.Errors.Promise_budget -> Explore.Stats.promise_budget_hits
+    | Explore.Errors.Deadline -> Explore.Stats.deadline_hits
+    | Explore.Errors.Node_budget -> Explore.Stats.node_budget_hits
+    | Explore.Errors.Oom -> Explore.Stats.oom_hits
+    | Explore.Errors.Fault -> Explore.Stats.faults_injected)
 
 let all_reasons =
   [ Explore.Errors.Step_budget; Explore.Errors.Promise_budget;
@@ -217,7 +217,7 @@ let test_fault_subset () =
               true (List.mem out base_outs))
           outs;
         (* A schedule that fired must surface as truncation. *)
-        if o.Explore.Enum.stats.Explore.Stats.faults_injected > 0 then
+        if Explore.Stats.(get o.Explore.Enum.stats faults_injected) > 0 then
           match o.Explore.Enum.completeness with
           | Explore.Enum.Truncated reasons ->
               Alcotest.(check bool)

@@ -718,7 +718,7 @@ let test_admission_priority () =
 
 let test_serve_work () =
   let store = Store.open_ (fresh_dir ()) in
-  let stats = Explore.Stats.Service.create () in
+  let stats = Service.Server.Counters.create () in
   let w = Proto.Litmus Litmus.sb.Litmus.name in
   let ask () = Service.Server.serve_work ~store ~stats w Config.default in
   let direct =
@@ -741,9 +741,9 @@ let test_serve_work () =
         r.Proto.output
   | _ -> Alcotest.fail "expected a Reply");
   Alcotest.(check int) "one miss counted" 1
-    (Atomic.get stats.Explore.Stats.Service.store_misses);
+    (Atomic.get stats.Service.Server.Counters.store_misses);
   Alcotest.(check int) "one hit counted" 1
-    (Atomic.get stats.Explore.Stats.Service.store_hits);
+    (Atomic.get stats.Service.Server.Counters.store_hits);
   (* errors are refused, not cached *)
   (match
      Service.Server.serve_work ~store ~stats (Proto.Litmus "no-such-litmus")

@@ -268,7 +268,8 @@ let witness_agrees ~name ~at ~next =
           (Explore.Stats.truncation_reasons o.Explore.Enum.stats)
       in
       let d = done_outs o in
-      (o.Explore.Enum.stats.Explore.Stats.cuts > 0 || List.for_all witnessed d)
+      (Explore.Stats.(get o.Explore.Enum.stats cuts) > 0
+      || List.for_all witnessed d)
       && ((not complete)
          || List.for_all
               (fun outs -> List.mem outs d || not (witnessed outs))
