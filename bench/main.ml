@@ -262,7 +262,8 @@ let rows =
         List.for_all
           (fun (t : Litmus.t) ->
             Explore.Refine.equivalent_disciplines ~config:(bench_config ())
-              t.Litmus.prog)
+              t.Litmus.prog
+            = Explore.Refine.Refines)
           Litmus.all );
     ( "E10", "Lm 5.1: ww-RF = ww-NPRF (whole corpus)",
       fun () ->
@@ -1053,14 +1054,9 @@ let replay () =
     | Error m -> failwith ("bench replay: record: " ^ m)
   in
   let load () =
-    match Replay.Store.open_ path with
+    match Replay.Session.load ~keyframe_every:kf path with
+    | Ok s -> s
     | Error e -> failwith (Replay.Store.error_to_string e)
-    | Ok r -> (
-        let s = Replay.Session.load ~keyframe_every:kf r in
-        Replay.Store.close_reader r;
-        match s with
-        | Ok s -> s
-        | Error e -> failwith (Replay.Store.error_to_string e))
   in
   let steps = record () in
   let session = load () in

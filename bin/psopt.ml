@@ -332,21 +332,13 @@ let explore_cmd =
           included).  Exits 2 when the exploration was truncated.")
     term
 
-let passes_assoc =
-  [
-    ("constprop", Opt.Constprop.pass);
-    ("dce", Opt.Dce.pass);
-    ("cse", Opt.Cse.pass);
-    ("copyprop", Opt.Copyprop.pass);
-    ("linv", Opt.Linv.pass);
-    ("licm", Opt.Licm.pass);
-    ("cleanup", Opt.Cleanup.pass);
-  ]
-
 let opt_cmd =
   let passes =
     let doc =
-      "Comma-separated passes: constprop, dce, cse, copyprop, linv, licm, cleanup."
+      "Comma-separated passes: "
+      ^ String.concat ", "
+          (List.map (fun r -> r.Sim.Verif.name) Sim.Verif.registry)
+      ^ "."
     in
     Arg.(value & opt string "constprop,cse,dce,cleanup" & info [ "passes" ] ~doc)
   in
@@ -356,8 +348,8 @@ let opt_cmd =
         let rec build = function
           | [] -> Ok []
           | n :: rest -> (
-              match List.assoc_opt (String.trim n) passes_assoc with
-              | Some pass -> Result.map (fun l -> pass :: l) (build rest)
+              match Sim.Verif.find (String.trim n) with
+              | Some r -> Result.map (fun l -> r :: l) (build rest)
               | None -> Error ("unknown pass: " ^ n))
         in
         match build names with
@@ -366,7 +358,7 @@ let opt_cmd =
             exit_error
         | Ok ps ->
             let out =
-              List.fold_left (fun p pass -> Opt.Pass.apply pass p) p ps
+              List.fold_left (fun p r -> r.Sim.Verif.transform p) p ps
             in
             print_string (Lang.Pp.program_to_string out);
             exit_ok)
@@ -862,8 +854,8 @@ let record_cmd =
        ~doc:
          "Find an execution producing the given outputs and record its \
           full machine-step trace — events, memory and view deltas, \
-          certification effort, promise bookkeeping — into an indexed \
-          replay store for `psopt replay` and `psopt shrink` \
+          certification effort, promise bookkeeping — into a replay \
+          store for `psopt replay` and `psopt shrink` \
           (docs/REPLAY.md).  Exits 1 when no witness exists within \
           bounds.")
     term
@@ -890,66 +882,55 @@ let replay_cmd =
     Arg.(value & opt_all string [] & info [ "c"; "command" ] ~doc ~docv:"CMD")
   in
   let run file keyframe commands =
-    match Replay.Store.open_ file with
+    match Replay.Session.load ~keyframe_every:keyframe file with
     | Error e ->
         Printf.eprintf "psopt replay: %s: %s\n" file
           (Replay.Store.error_to_string e);
         exit_error
-    | Ok r -> (
-        if Replay.Store.index_rebuilt r then
-          Obs.Log.warn ~src:"replay" "sidecar index was stale or damaged; rebuilt by scan"
-            ~fields:[ ("file", file) ];
-        let session = Replay.Session.load ~keyframe_every:keyframe r in
-        Replay.Store.close_reader r;
-        match session with
-        | Error e ->
-            Printf.eprintf "psopt replay: %s: %s\n" file
-              (Replay.Store.error_to_string e);
-            exit_error
-        | Ok s ->
-            let interactive = commands = [] in
-            let eval line =
-              match Replay.Proto.parse_command line with
-              | Error msg ->
-                  print_endline msg;
+    | Ok s ->
+        let interactive = commands = [] in
+        let eval line =
+          match Replay.Proto.parse_command line with
+          | Error msg ->
+              print_endline msg;
+              `Continue
+          | Ok req -> (
+              match Replay.Proto.handle s req with
+              | Replay.Proto.Bye -> `Quit
+              | Replay.Proto.Err m ->
+                  Printf.printf "error: %s\n" m;
                   `Continue
-              | Ok req -> (
-                  match Replay.Proto.handle s req with
-                  | Replay.Proto.Bye -> `Quit
-                  | Replay.Proto.Err m ->
-                      Printf.printf "error: %s\n" m;
-                      `Continue
-                  | Replay.Proto.Ok { text; _ } ->
-                      print_endline text;
-                      `Continue)
-            in
-            if interactive then begin
-              (match Replay.Proto.handle s Replay.Proto.Info with
-              | Replay.Proto.Ok { text; _ } -> print_endline text
-              | _ -> ());
-              print_endline "(h for help)";
-              let rec loop () =
-                print_string "(psopt) ";
-                flush stdout;
-                match In_channel.input_line stdin with
-                | None -> exit_ok
-                | Some line ->
-                    if String.trim line = "" then loop ()
-                    else
-                      match eval line with
-                      | `Quit -> exit_ok
-                      | `Continue -> loop ()
-              in
-              loop ()
-            end
-            else begin
-              let rec go = function
-                | [] -> exit_ok
-                | c :: rest -> (
-                    match eval c with `Quit -> exit_ok | `Continue -> go rest)
-              in
-              go commands
-            end)
+              | Replay.Proto.Ok { text; _ } ->
+                  print_endline text;
+                  `Continue)
+        in
+        if interactive then begin
+          (match Replay.Proto.handle s Replay.Proto.Info with
+          | Replay.Proto.Ok { text; _ } -> print_endline text
+          | _ -> ());
+          print_endline "(h for help)";
+          let rec loop () =
+            print_string "(psopt) ";
+            flush stdout;
+            match In_channel.input_line stdin with
+            | None -> exit_ok
+            | Some line ->
+                if String.trim line = "" then loop ()
+                else
+                  match eval line with
+                  | `Quit -> exit_ok
+                  | `Continue -> loop ()
+          in
+          loop ()
+        end
+        else begin
+          let rec go = function
+            | [] -> exit_ok
+            | c :: rest -> (
+                match eval c with `Quit -> exit_ok | `Continue -> go rest)
+          in
+          go commands
+        end
   in
   let term = Term.(const run $ file $ keyframe $ command) in
   Cmd.v
@@ -979,81 +960,72 @@ let shrink_cmd =
     Arg.(value & flag & info [ "program" ] ~doc)
   in
   let run file out do_program =
-    match Replay.Store.open_ file with
+    match Replay.Store.read file with
     | Error e ->
         Printf.eprintf "psopt shrink: %s: %s\n" file
           (Replay.Store.error_to_string e);
         exit_error
-    | Ok r -> (
-        let records = Replay.Store.read_all r in
-        let h = Replay.Store.header r in
-        Replay.Store.close_reader r;
-        match records with
-        | Error e ->
-            Printf.eprintf "psopt shrink: %s: %s\n" file
-              (Replay.Store.error_to_string e);
+    | Ok (h, records) -> (
+        let config = h.Replay.Trace.config in
+        let discipline = h.Replay.Trace.discipline in
+        let outs = h.Replay.Trace.outs in
+        let program = h.Replay.Trace.program in
+        let w =
+          List.filter_map
+            (fun (r : Replay.Trace.record) ->
+              match r.Replay.Trace.event with
+              | Some e ->
+                  Some { Explore.Witness.tid = r.Replay.Trace.tid; event = e }
+              | None -> None)
+            records
+        in
+        match Replay.Shrink.schedule ~config ~discipline program w with
+        | Error msg ->
+            Printf.eprintf "psopt shrink: %s\n" msg;
             exit_error
-        | Ok records -> (
-            let config = h.Replay.Trace.config in
-            let discipline = h.Replay.Trace.discipline in
-            let outs = h.Replay.Trace.outs in
-            let program = h.Replay.Trace.program in
-            let w =
-              List.filter_map
-                (fun (r : Replay.Trace.record) ->
-                  match r.Replay.Trace.event with
-                  | Some e ->
-                      Some { Explore.Witness.tid = r.Replay.Trace.tid; event = e }
-                  | None -> None)
-                records
+        | Ok res -> (
+            Printf.printf "switch points: %d -> %d (%d candidates tried)\n"
+              res.Replay.Shrink.switches_before
+              res.Replay.Shrink.switches_after
+              res.Replay.Shrink.candidates_tried;
+            let note =
+              Printf.sprintf "shrunk from %s: %s" (Filename.basename file)
+                h.Replay.Trace.note
             in
-            match Replay.Shrink.schedule ~config ~discipline program w with
-            | Error msg ->
-                Printf.eprintf "psopt shrink: %s\n" msg;
-                exit_error
-            | Ok res -> (
-                Printf.printf "switch points: %d -> %d (%d candidates tried)\n"
-                  res.Replay.Shrink.switches_before
-                  res.Replay.Shrink.switches_after
-                  res.Replay.Shrink.candidates_tried;
-                let note =
-                  Printf.sprintf "shrunk from %s: %s" (Filename.basename file)
-                    h.Replay.Trace.note
-                in
-                let finish result =
-                  match result with
-                  | Ok n ->
-                      Printf.printf "recorded %d steps to %s\n" n out;
-                      exit_ok
-                  | Error msg ->
-                      Printf.eprintf "psopt shrink: %s\n" msg;
-                      exit_error
-                in
-                if not do_program then
-                  finish
-                    (Replay.Record.record_schedule ~config ~discipline ~note
-                       ~outs ~path:out program res.Replay.Shrink.witness)
-                else begin
-                  let keep p =
-                    Option.is_some
-                      (Explore.Witness.find ~config ~discipline ~outs p)
-                  in
-                  let p', tried = Replay.Shrink.program ~keep program in
-                  Printf.printf
-                    "program: %d -> %d instructions, %d -> %d threads (%d \
-                     candidates tried)\n"
-                    (count_instrs program) (count_instrs p')
-                    (List.length program.Lang.Ast.threads)
-                    (List.length p'.Lang.Ast.threads)
-                    tried;
-                  print_string (Lang.Pp.program_to_string p');
-                  (* the shrunk schedule belongs to the original
-                     program; record a fresh minimal witness of the
-                     reduced one *)
-                  finish
-                    (Replay.Record.record_witness ~config ~discipline ~note
-                       ~outs ~path:out p')
-                end)))
+            let finish result =
+              match result with
+              | Ok n ->
+                  Printf.printf "recorded %d steps to %s\n" n out;
+                  exit_ok
+              | Error msg ->
+                  Printf.eprintf "psopt shrink: %s\n" msg;
+                  exit_error
+            in
+            if not do_program then
+              finish
+                (Replay.Record.record_schedule ~config ~discipline ~note
+                   ~outs ~path:out program res.Replay.Shrink.witness)
+            else begin
+              let keep p =
+                Option.is_some
+                  (Explore.Witness.find ~config ~discipline ~outs p)
+              in
+              let p', tried = Replay.Shrink.program ~keep program in
+              Printf.printf
+                "program: %d -> %d instructions, %d -> %d threads (%d \
+                 candidates tried)\n"
+                (count_instrs program) (count_instrs p')
+                (List.length program.Lang.Ast.threads)
+                (List.length p'.Lang.Ast.threads)
+                tried;
+              print_string (Lang.Pp.program_to_string p');
+              (* the shrunk schedule belongs to the original
+                 program; record a fresh minimal witness of the
+                 reduced one *)
+              finish
+                (Replay.Record.record_witness ~config ~discipline ~note
+                   ~outs ~path:out p')
+            end))
   in
   let term = Term.(const run $ file $ store_output_term $ do_program) in
   Cmd.v

@@ -72,12 +72,3 @@ let dominates t a b =
   | None -> true (* unreachable: vacuous *)
 
 let idom t l = match Hashtbl.find_opt t.idom l with Some d -> d | None -> None
-
-let dominators_of t l =
-  match Hashtbl.find_opt t.dom l with
-  | None -> []
-  | Some s ->
-      List.sort
-        (fun a b ->
-          if dominates t a b then -1 else if dominates t b a then 1 else 0)
-        (VarSet.elements s)

@@ -14,6 +14,3 @@ val dominates : t -> Lang.Ast.label -> Lang.Ast.label -> bool
 val idom : t -> Lang.Ast.label -> Lang.Ast.label option
 (** Immediate dominator ([None] for the entry and unreachable
     blocks). *)
-
-val dominators_of : t -> Lang.Ast.label -> Lang.Ast.label list
-(** All dominators of a label, entry first. *)

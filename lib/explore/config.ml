@@ -94,8 +94,6 @@ let with_promises n t =
 
 let with_deadline_ms ms t = { t with deadline_ms = Some ms }
 
-let with_domains j t = { t with domains = max 1 j }
-
 let with_reduction r t = { t with reduction = r }
 
 let full_reduction = { por = true; symmetry = true; bound_promises = None }

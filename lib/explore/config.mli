@@ -166,6 +166,5 @@ val fingerprint : t -> string
 
 val with_promises : int -> t -> t
 val with_deadline_ms : int -> t -> t
-val with_domains : int -> t -> t
 val with_reduction : reduction -> t -> t
 val pp : Format.formatter -> t -> unit

@@ -176,6 +176,11 @@ let label event traces =
   | Some (Ps.Event.Out v) -> Traceset.prepend v traces
   | _ -> traces
 
+(* Outputs on the path after an edge with this label, from [outs]
+   before it. *)
+let count_out event outs =
+  match event with Some (Ps.Event.Out _) -> outs + 1 | _ -> outs
+
 (* State shared by every worker domain of one search.
 
    The hot-path caches (cert verdicts, promise candidates, memoized
@@ -227,6 +232,7 @@ type search = {
   fault : (int * int) option;  (* seed, threshold in [0, 2^30] *)
   out_of_time : bool Atomic.t;
   out_of_mem : bool Atomic.t;
+  output_cycle : bool Atomic.t;
   node_count : int Atomic.t option;  (* Some iff max_nodes is set *)
   observe : (Ps.Machine.world -> unit) option;
       (* called at every committed state [successors] expands *)
@@ -255,7 +261,8 @@ type worker = {
   memo : (Traceset.t * int) NodeTbl.t;
   cert_cache : bool CertTbl.t;
   cand_cache : (Lang.Ast.var * Lang.Ast.value) list CertTbl.t;
-  on_stack : int NodeTbl.t;  (* node -> entry depth (= stack index) *)
+  on_stack : (int * int) NodeTbl.t;
+      (* node -> entry depth (= stack index), outputs on the path to it *)
   parked : parked NodeTbl.t;  (* raw node -> its parking, while it waits *)
   mutable tick : int;
   mutable pub_pending : int;
@@ -475,6 +482,7 @@ let make_search ?observe ~threads code atomics disc cfg =
         cfg.Config.fault;
     out_of_time = Atomic.make false;
     out_of_mem = Atomic.make false;
+    output_cycle = Atomic.make false;
     node_count =
       (match cfg.Config.max_nodes with
       | Some _ -> Some (Atomic.make 0)
@@ -647,7 +655,11 @@ let budget_stop w : Errors.reason option =
         Atomic.set s.out_of_mem true
     | _ -> ()
   end;
-  if Atomic.get s.out_of_time then begin
+  if Atomic.get s.output_cycle then begin
+    Stats.incr ls Stats.output_cycles;
+    Some Errors.Output_cycle
+  end
+  else if Atomic.get s.out_of_time then begin
     Stats.incr ls Stats.deadline_hits;
     Some Errors.Deadline
   end
@@ -1092,6 +1104,12 @@ let successors w (n : Node.t) : succ list =
    it closes over its own subtree — cycle heads included, inner cycle
    members excluded — and never when the depth budget truncated it.
 
+   Output cycles: every frame knows how many outputs lie on the path
+   from the root to it.  A back-edge to a frame with fewer is a cycle
+   that prints, whose behaviour set is infinite: the walk would keep
+   its outputs up to the first revisit only, so the whole search stops
+   there, like at a deadline, and reports [Output_cycle].
+
    Depth honesty: the result also carries the deepest entry depth
    reached in the subtree (virtual for memo hits), and the memo stores
    it relative to the memoizing depth.  An entry is reused at depth
@@ -1153,6 +1171,7 @@ type target =
 and jframe = {
   jn : Node.t;
   jdepth : int;
+  jouts : int;
   jparent : target;
   jbase : Traceset.t;
   jtaint : int;
@@ -1162,7 +1181,7 @@ and jframe = {
   jpending : int Atomic.t;
 }
 
-and task = { tn : Node.t; tdepth : int; ttarget : target }
+and task = { tn : Node.t; tdepth : int; touts : int; ttarget : target }
 
 (* An in-progress (worker-local) stack frame.  [fswitch] to [fparked]
    are the switch-run memo's: [frun] is the depth of the run's head
@@ -1172,6 +1191,7 @@ and task = { tn : Node.t; tdepth : int; ttarget : target }
 type sframe = {
   fn : Node.t;
   fdepth : int;
+  fouts : int;  (* outputs on the path from the root *)
   fevent : Ps.Event.te option;  (* edge label from the parent frame *)
   fswitch : bool;
   frun : int;
@@ -1227,10 +1247,10 @@ type entered =
   | Expand of succ array * Traceset.t
 
 (* Push [n]: count it, enumerate its successors. *)
-let expand w (n : Node.t) depth : entered =
+let expand w (n : Node.t) depth outs : entered =
   let ls = w.ls in
   count_node w;
-  NodeTbl.add w.on_stack n depth;
+  NodeTbl.add w.on_stack n (depth, outs);
   let base =
     if Ps.Machine.terminal n.world then
       Traceset.singleton (Ps.Event.trace_done [])
@@ -1258,7 +1278,7 @@ let run_reach (f : sframe) =
   unfinished - 1 + max 1 f.freach
 
 (* [switch_from] is the frame a switch child is entered from. *)
-let enter w ?switch_from (n : Node.t) depth : entered =
+let enter w ?switch_from (n : Node.t) depth outs : entered =
   let s = w.s in
   let ls = w.ls in
   if depth > Stats.get ls Stats.peak_depth then
@@ -1288,7 +1308,12 @@ let enter w ?switch_from (n : Node.t) depth : entered =
         Done (traces, max_taint, depth + rel_peak)
     | _ -> (
         match NodeTbl.find_opt w.on_stack n with
-        | Some ix ->
+        | Some (_, before) when outs > before ->
+            (* A cycle that prints: stop the search (see above). *)
+            Atomic.set s.output_cycle true;
+            Stats.incr ls Stats.output_cycles;
+            Done (cut_traces, -1, depth)
+        | Some (ix, _) ->
             (* Back-edge: divergence.  The honest behaviour is the
                prefix observed so far, i.e. the empty suffix with an
                [Open] ending. *)
@@ -1312,7 +1337,7 @@ let enter w ?switch_from (n : Node.t) depth : entered =
             | Some (p, reach) ->
                 Stats.incr ls Stats.memo_hits;
                 Done (p.ptraces, p.ptaint, depth + reach)
-            | None -> expand w n depth))
+            | None -> expand w n depth outs))
 
 (* Deliver a subtree result to its target; fold and propagate when a
    frame completes.  Tail-recursive: converted chains can be as deep
@@ -1357,14 +1382,14 @@ let exec w (h : task Pool.worker) result (task : task) =
   let rec seed = function
     | Root -> ()
     | Slot (f, _) ->
-        NodeTbl.replace w.on_stack f.jn f.jdepth;
+        NodeTbl.replace w.on_stack f.jn (f.jdepth, f.jouts);
         seed f.jparent
   in
   seed task.ttarget;
   let memoize = w.s.cfg.Config.memoize in
   let stack : sframe Stack.t = Stack.create () in
-  let start ?switch_from n depth event =
-    match enter w ?switch_from n depth with
+  let start ?switch_from n depth outs event =
+    match enter w ?switch_from n depth outs with
     | Done r -> Some r
     | Expand (succs, base) ->
         let frun, freach =
@@ -1376,6 +1401,7 @@ let exec w (h : task Pool.worker) result (task : task) =
           {
             fn = n;
             fdepth = depth;
+            fouts = outs;
             fevent = event;
             fswitch = switch_from <> None;
             frun;
@@ -1484,6 +1510,7 @@ let exec w (h : task Pool.worker) result (task : task) =
           {
             jn = f.fn;
             jdepth = f.fdepth;
+            jouts = f.fouts;
             jparent = !parent;
             jbase = f.facc;
             jtaint = f.ftaint;
@@ -1494,10 +1521,12 @@ let exec w (h : task Pool.worker) result (task : task) =
           }
         in
         for r = 0 to rem - 1 do
+          let succ = f.fsuccs.(f.fnext + r) in
           tasks :=
             {
-              tn = f.fsuccs.(f.fnext + r).next;
+              tn = succ.next;
               tdepth = f.fdepth + 1;
+              touts = count_out succ.event f.fouts;
               ttarget = Slot (jf, child + r);
             }
             :: !tasks
@@ -1516,7 +1545,7 @@ let exec w (h : task Pool.worker) result (task : task) =
     Stack.fold (fun acc f -> acc + Array.length f.fsuccs - f.fnext) 0 stack
   in
   let want_split () = w.parallel && Pool.wanted h && shareable () >= 2 in
-  match start task.tn task.tdepth None with
+  match start task.tn task.tdepth task.touts None with
   | Some r -> deliver w result task.ttarget r
   | None ->
       let rec loop () =
@@ -1528,7 +1557,10 @@ let exec w (h : task Pool.worker) result (task : task) =
               let { kind; event; next; _ } = f.fsuccs.(f.fnext) in
               f.fnext <- f.fnext + 1;
               let switch_from = if kind = Switch_step then Some f else None in
-              (match start ?switch_from next (f.fdepth + 1) event with
+              (match
+                 start ?switch_from next (f.fdepth + 1)
+                   (count_out event f.fouts) event
+               with
               | Some r ->
                   merge f r event ~switch:(switch_from <> None) ~pure:true
                     ~extra:0
@@ -1564,7 +1596,7 @@ let traces_of s root j =
       ~idle:(fun (w, _) -> if w.parallel then absorb w)
       ~stop:(fun () -> Atomic.get result <> None)
       (fun (w, h) t -> exec w h result t)
-      [ { tn = root; tdepth = 0; ttarget = Root } ]
+      [ { tn = root; tdepth = 0; touts = 0; ttarget = Root } ]
     |> Array.map fst
   in
   if j > 1 then absorb ws.(0);

@@ -5,6 +5,7 @@ type reason =
   | Node_budget
   | Oom
   | Fault
+  | Output_cycle
 
 let reason_to_string = function
   | Step_budget -> "step-budget"
@@ -13,6 +14,7 @@ let reason_to_string = function
   | Node_budget -> "node-budget"
   | Oom -> "oom"
   | Fault -> "fault-injection"
+  | Output_cycle -> "output-cycle"
 
 let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)
 

@@ -20,9 +20,11 @@ type reason =
   | Node_budget  (** [Config.max_nodes] distinct states were expanded *)
   | Oom  (** the live-word budget [Config.max_live_words] was exceeded *)
   | Fault  (** a fault-injection schedule fired ([Config.fault]) *)
+  | Output_cycle
+      (** the walk met a cycle that prints, whose behaviour set is
+          infinite; the search stops at the first one *)
 
 val reason_to_string : reason -> string
-val pp_reason : Format.formatter -> reason -> unit
 val pp_reasons : Format.formatter -> reason list -> unit
 
 type pos = { line : int; col : int }

@@ -4,58 +4,43 @@ type run_result = {
   final : Ps.Machine.world;
 }
 
+(* Promise-free: with no promise steps the current thread is always
+   consistent, so every thread step and switch is enabled. *)
+let config = Config.with_promises 0 Config.default
+
 let run ?(seed = 0) ?(max_steps = 10_000) (p : Lang.Ast.program) =
-  match Ps.Machine.init p with
+  match Stepper.init p with
   | Error e -> Error e
-  | Ok world ->
+  | Ok st0 ->
+      let stepper = Stepper.create ~config ~discipline:Enum.Interleaving p in
       let rng = Random.State.make [| seed |] in
-      let code = p.Lang.Ast.code in
-      let outs = ref [] in
-      let world = ref world in
-      let steps = ref 0 in
-      let ending = ref Ps.Event.Cut in
-      (try
-         while !steps < max_steps do
-           incr steps;
-           let w = !world in
-           if Ps.Machine.terminal w then (
-             ending := Ps.Event.Done;
-             raise Exit);
-           let ts = Ps.Machine.cur_ts w in
-           let thread_steps =
-             Ps.Thread.steps ~code ts w.Ps.Machine.mem
-             |> List.map (fun (s : Ps.Thread.step) -> `Step s)
-           in
-           let switches =
-             Ps.Machine.TidMap.fold
-               (fun tid ts' acc ->
-                 if
-                   tid <> w.Ps.Machine.cur
-                   && not (Ps.Local.is_finished ts'.Ps.Thread.local)
-                 then `Switch tid :: acc
-                 else acc)
-               w.Ps.Machine.tp []
-           in
-           let choices = thread_steps @ switches in
-           if choices = [] then (
-             ending := Ps.Event.Open;
-             raise Exit);
-           match List.nth choices (Random.State.int rng (List.length choices))
-           with
-           | `Switch tid -> world := Ps.Machine.switch w tid
-           | `Step s ->
-               (match s.Ps.Thread.event with
-               | Ps.Event.Out v -> outs := v :: !outs
-               | _ -> ());
-               world := fst (Ps.Machine.install w s.Ps.Thread.ts s.Ps.Thread.mem)
-         done
-       with Exit -> ());
-      Ok
-        {
-          trace = { Ps.Event.outs = List.rev !outs; ending = !ending };
-          steps = !steps;
-          final = !world;
-        }
+      let rec go st outs steps =
+        let finish ending steps =
+          Ok
+            {
+              trace = { Ps.Event.outs = List.rev outs; ending };
+              steps;
+              final = Stepper.world st;
+            }
+        in
+        if steps >= max_steps then finish Ps.Event.Cut steps
+        else if Ps.Machine.terminal (Stepper.world st) then
+          finish Ps.Event.Done (steps + 1)
+        else
+          match Stepper.successors stepper st with
+          | [] -> finish Ps.Event.Open (steps + 1)
+          | succs ->
+              let s =
+                List.nth succs (Random.State.int rng (List.length succs))
+              in
+              let outs =
+                match s.Stepper.event with
+                | Some (Ps.Event.Out v) -> v :: outs
+                | _ -> outs
+              in
+              go s.Stepper.next outs (steps + 1)
+      in
+      go st0 [] 0
 
 let run_exn ?seed ?max_steps p =
   match run ?seed ?max_steps p with

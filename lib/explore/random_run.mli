@@ -1,9 +1,9 @@
 (** A single-execution interpreter with a pseudo-random scheduler.
 
     Unlike {!Enum}, which computes the full behaviour set, this module
-    runs one execution, picking uniformly among enabled micro-steps
-    (promise-free: promises only matter when hunting for weak
-    behaviours exhaustively).  It is the workhorse of the smoke-test
+    runs one execution, picking uniformly among the successors
+    {!Stepper.successors} enumerates (promise-free: promises only
+    matter when hunting for weak behaviours exhaustively).  It is the workhorse of the smoke-test
     examples and of throughput benches, and doubles as a quick sanity
     sampler: every trace it produces must be in the enumerated set —
     a property the test suite checks on the litmus corpus. *)

@@ -79,7 +79,9 @@ let equivalent_disciplines ?(config = Config.default) p =
   let a, b =
     both_behaviors ~config (Enum.Interleaving, Enum.Non_preemptive) p p
   in
-  Traceset.equal_behaviour a.Enum.traces b.Enum.traces
+  match of_outcomes ~target:a ~source:b with
+  | Refines -> of_outcomes ~target:b ~source:a
+  | v -> v
 
 let safe ?config p =
   let o = Enum.behaviors_exn ?config Enum.Interleaving p in

@@ -57,9 +57,12 @@ val equivalent :
   bool
 (** Refinement in both directions ([P ≈ P'] on the bounded sets). *)
 
-val equivalent_disciplines : ?config:Config.t -> Lang.Ast.program -> bool
-(** Theorem 4.1, checked: the interleaving and non-preemptive
-    behaviour sets of one program coincide (as prefix-closed sets). *)
+val equivalent_disciplines : ?config:Config.t -> Lang.Ast.program -> verdict
+(** Theorem 4.1, checked: [Refines] when the interleaving and
+    non-preemptive behaviour sets of one program coincide (as
+    prefix-closed sets, each refining the other), [Violates] with the
+    traces of one side the other lacks (interleaving's first), and
+    [Inconclusive] when either exploration was truncated. *)
 
 val safe : ?config:Config.t -> Lang.Ast.program -> bool
 (** [Safe(P)] (Sec. 6.3): no execution aborts.  CSimpRTL as modelled

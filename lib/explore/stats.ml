@@ -84,6 +84,7 @@ let sleep_prunes = def "sleep_prunes" ~group:Reduction
 let persistent_prunes = def "persistent_prunes" ~group:Reduction
 let symmetry_folds = def "symmetry_folds" ~group:Reduction
 let promise_bound_hits = def "promise_bound_hits" ~group:Reduction
+let output_cycles = def "output_cycles" ~group:Budget ~reason:Errors.Output_cycle
 let entries = Array.of_list (List.rev !table)
 let all = List.init (Array.length entries) Fun.id
 let name k = entries.(k).name

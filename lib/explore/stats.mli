@@ -121,6 +121,10 @@ val promise_bound_hits : counter
     [promise_budget_hits], which drives the [Promise_budget]
     truncation reason *)
 
+val output_cycles : counter
+(** back-edges that close a cycle with an output, plus the subtrees
+    abandoned after the first one stopped the search *)
+
 val all : counter list
 (** Every counter, in declaration order. *)
 

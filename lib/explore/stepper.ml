@@ -65,10 +65,3 @@ let drive t schedule =
        with Done trail -> Some (st0, trail))
 
 let trail_states st0 trail = st0 :: List.map (fun s -> s.next) trail
-
-let pp_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with
-    | Thread_step -> "step"
-    | Promise_step -> "promise"
-    | Switch_step -> "switch")

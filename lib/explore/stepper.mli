@@ -84,5 +84,3 @@ val drive : t -> (int * Ps.Event.te) list -> (state * succ list) option
 
 val trail_states : state -> succ list -> state list
 (** The [n+1] states along a trail, initial state first. *)
-
-val pp_kind : Format.formatter -> kind -> unit

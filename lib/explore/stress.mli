@@ -95,5 +95,4 @@ val run :
     after, so a hard crash of the whole process still leaves the
     offending case(s) on disk. *)
 
-val pp_case_verdict : Format.formatter -> case_verdict -> unit
 val pp_summary : Format.formatter -> summary -> unit

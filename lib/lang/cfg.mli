@@ -20,8 +20,6 @@ val reverse_postorder : Ast.codeheap -> Ast.label list
 (** Reverse postorder of the reachable blocks: a good iteration order
     for forward dataflow analyses. *)
 
-val postorder : Ast.codeheap -> Ast.label list
-
 val vars_of_codeheap : Ast.codeheap -> Ast.VarSet.t
 (** All shared variables accessed anywhere in the code heap. *)
 

@@ -78,11 +78,11 @@ let of_records ?(keyframe_every = 16) (h : Trace.header) records =
                 replayed = 0;
               })
 
-let load ?keyframe_every reader =
-  match Store.read_all reader with
+let load ?keyframe_every path =
+  match Store.read path with
   | Error e -> Error e
-  | Ok records -> (
-      match of_records ?keyframe_every (Store.header reader) records with
+  | Ok (h, records) -> (
+      match of_records ?keyframe_every h records with
       | Ok t -> Ok t
       | Error m -> Error (Store.Corrupt_record (0, m)))
 

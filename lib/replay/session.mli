@@ -13,11 +13,12 @@
 
 type t
 
-val load : ?keyframe_every:int -> Store.reader -> (t, Store.error) result
-(** Validate and index a trace ([keyframe_every] defaults to 16; it
-    must be positive).  Fails with [Corrupt_record] if some record
-    does not decode, does not apply from its pre-state, or applies to
-    a different event than recorded. *)
+val load : ?keyframe_every:int -> string -> (t, Store.error) result
+(** Read ({!Store.read}), validate and index the trace at a path
+    ([keyframe_every] defaults to 16; it must be positive).  Fails
+    with the store's error, or with [Corrupt_record] if some record
+    does not apply from its pre-state or applies to a different event
+    than recorded. *)
 
 val header : t -> Trace.header
 val length : t -> int

@@ -86,5 +86,5 @@ val publish : string -> string -> unit
     directory is atomic, so a reader sees the old file or the new one,
     never a prefix, and a crashed writer leaves at worst an orphan
     [.*.tmp] file.  Callers build the whole file first: each store
-    record, each replay trace and its sidecar is one call.  Every
+    record and each replay trace is one call.  Every
     failure is a [Sys_error] and leaves no temporary file behind. *)

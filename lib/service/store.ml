@@ -59,8 +59,10 @@ type t = {
    4: the simulation game no longer reuses a proof whose cycle
    assumption was refuted, and unchanged functions take the identity
    without a game; a cached verify verdict can read differently now.
-   5: a record file is a digest-checked frame. *)
-let record_version = 5
+   5: a record file is a digest-checked frame.
+   6: a search that meets a cycle with an output is truncated; a
+   cached refines or exhaustive answer for a print loop is wrong. *)
+let record_version = 6
 
 (* ------------------------------------------------------------------ *)
 

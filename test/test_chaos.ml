@@ -76,17 +76,7 @@ let test_breaker () =
 (* --------------------------------------------------------------- *)
 (* Daemon + proxy plumbing *)
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "psopt-chaos-%d-%d" (Unix.getpid ()) !counter)
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
+let fresh_dir () = Scratch.dir "psopt-chaos"
 
 let fresh_socket =
   let counter = ref 0 in

@@ -65,10 +65,11 @@ let test_np_equivalence_corpus () =
   (* Theorem 4.1, exhaustively on the corpus. *)
   List.iter
     (fun (t : Litmus.t) ->
-      Alcotest.(check bool)
+      Alcotest.(check string)
         (t.Litmus.name ^ " interleaving = non-preemptive")
-        true
-        (Explore.Refine.equivalent_disciplines t.Litmus.prog))
+        "refines"
+        (Format.asprintf "%a" Explore.Refine.pp_verdict
+           (Explore.Refine.equivalent_disciplines t.Litmus.prog)))
     Litmus.all
 
 let test_np_never_larger () =
@@ -676,6 +677,28 @@ let test_loop_through_head () =
         Explore.Enum.Interleaving loop_through_head)
     [ 10; 11; 12; 13 ]
 
+(* The same shape with a silent t1 loop: no cycle prints, so the
+   walk is exhaustive and the switch-run memo is exercised on a loop
+   through the head. *)
+let silent_loop_through_head =
+  Lang.Build.(
+    program ~atomics:[ "x" ]
+      [
+        proc "t0" [ blk "A0" [ store "x" ~mode:Lang.Modes.WRlx (i 1) ] ret ];
+        proc "t1" [ blk "L0" [ skip ] (jmp "L0") ];
+        proc "t2" [ blk "M0" [ skip ] (jmp "M0") ];
+      ]
+      ~threads:[ "t0"; "t1"; "t2" ])
+
+let test_silent_loop_through_head () =
+  List.iter
+    (fun steps ->
+      same_as_memo_free
+        ~what:(Printf.sprintf "at %d steps" steps)
+        { j1 with Explore.Config.max_steps = steps }
+        Explore.Enum.Interleaving silent_loop_through_head)
+    [ 10; 11; 12; 13 ]
+
 (* Under every budget up to 30 some run's head sits near [max_steps]:
    members and their reuse answer only when a fresh expansion would
    not be cut either, so the tracesets are the memo-free ones. *)
@@ -694,6 +717,90 @@ let test_near_budget () =
           done)
         [ Explore.Enum.Interleaving; Explore.Enum.Non_preemptive ])
     [ Litmus.cas_exclusive; Litmus.mp_rel_acq; Litmus.sb ]
+
+(* ---- cycles that print (docs/ROBUSTNESS.md, [Output_cycle]) ---- *)
+
+let one_thread outs term =
+  Lang.Build.(
+    program ~atomics:[ "f" ]
+      [ proc "t" [ blk "L0" (List.map (fun v -> print (i v)) outs) term ] ]
+      ~threads:[ "t" ])
+
+let print_loop = one_thread [ 1 ] (Lang.Build.jmp "L0")
+let print_once = one_thread [ 1 ] Lang.Build.ret
+let print_loop2 = one_thread [ 1; 2 ] (Lang.Build.jmp "L0")
+let print_thrice = one_thread [ 1; 2; 3 ] Lang.Build.ret
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let disciplines = [ Explore.Enum.Interleaving; Explore.Enum.Non_preemptive ]
+
+let output_cycle_only what (o : Explore.Enum.outcome) =
+  Alcotest.(check bool) (what ^ ": truncated by the output cycle") true
+    (o.Explore.Enum.completeness = Explore.Enum.Truncated [ Explore.Errors.Output_cycle ])
+
+let inconclusive_on_output_cycle what = function
+  | Explore.Refine.Inconclusive why ->
+      Alcotest.(check bool) (what ^ ": names the output cycle") true
+        (contains why "output-cycle")
+  | v ->
+      Alcotest.failf "%s: %a, not inconclusive" what Explore.Refine.pp_verdict v
+
+let test_print_loop_refinement () =
+  List.iter
+    (fun (name, target, source) ->
+      List.iter
+        (fun discipline ->
+          let what =
+            Format.asprintf "%s (%a)" name Explore.Enum.pp_discipline discipline
+          in
+          let r = Explore.Refine.check ~discipline ~target ~source () in
+          output_cycle_only what r.Explore.Refine.target;
+          inconclusive_on_output_cycle what r.Explore.Refine.verdict)
+        disciplines)
+    [
+      ("print(1) forever vs once", print_loop, print_once);
+      ("print(1); print(2) forever vs 1, 2, 3", print_loop2, print_thrice);
+    ]
+
+let test_print_loop_disciplines () =
+  List.iter
+    (fun (name, p) ->
+      inconclusive_on_output_cycle name
+        (Explore.Refine.equivalent_disciplines p))
+    [ ("print(1) forever", print_loop); ("print(1); print(2) forever", print_loop2) ]
+
+(* Without the stop, this 88-state program took 202,976 expansions at
+   20 steps and did not finish at 400. *)
+let test_loop_through_head_default () =
+  output_cycle_only "loop through the head"
+    (Explore.Enum.behaviors_exn ~config:j1 Explore.Enum.Interleaving
+       loop_through_head)
+
+(* Two print loops beside a print-once thread: before the stop, the
+   memoized walk found open traces here that the memo-free walk did
+   not. *)
+let test_print_loops_memo_free () =
+  let p =
+    Lang.Build.(
+      program ~atomics:[ "f" ]
+        [
+          proc "t0" [ blk "A0" [ print (i 9) ] ret ];
+          proc "t1" [ blk "L0" [ print (i 1) ] (jmp "L0") ];
+          proc "t2" [ blk "M0" [ print (i 2) ] (jmp "M0") ];
+        ]
+        ~threads:[ "t0"; "t1"; "t2" ])
+  in
+  List.iter
+    (fun steps ->
+      same_as_memo_free
+        ~what:(Printf.sprintf "at %d steps" steps)
+        { j1 with Explore.Config.max_steps = steps }
+        Explore.Enum.Interleaving p)
+    [ 18; 20 ]
 
 let () =
   Alcotest.run "explore"
@@ -771,6 +878,19 @@ let () =
           Alcotest.test_case "each state once" `Quick test_each_state_once;
           Alcotest.test_case "loop through the head" `Quick
             test_loop_through_head;
+          Alcotest.test_case "silent loop through the head" `Quick
+            test_silent_loop_through_head;
           Alcotest.test_case "near the budget" `Quick test_near_budget;
+        ] );
+      ( "output cycles",
+        [
+          Alcotest.test_case "print loops refine nothing" `Quick
+            test_print_loop_refinement;
+          Alcotest.test_case "print loops: Thm 4.1 inconclusive" `Quick
+            test_print_loop_disciplines;
+          Alcotest.test_case "loop through the head at 400 steps" `Quick
+            test_loop_through_head_default;
+          Alcotest.test_case "print loops: memo-free agrees" `Quick
+            test_print_loops_memo_free;
         ] );
     ]

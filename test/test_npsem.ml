@@ -65,7 +65,7 @@ let test_init_and_switch () =
 let test_na_block_uninterrupted_yet_equivalent () =
   let p = Litmus.fig16_src.Litmus.prog in
   Alcotest.(check bool) "equivalent" true
-    (Explore.Refine.equivalent_disciplines p)
+    (Explore.Refine.equivalent_disciplines p = Explore.Refine.Refines)
 
 let () =
   Alcotest.run "npsem"

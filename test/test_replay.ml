@@ -16,14 +16,7 @@ let config = Explore.Config.default
 let il = Explore.Enum.Interleaving
 let lb = Litmus.lb.Litmus.prog
 
-let tmp_dir =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "psopt-test-replay-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
+let tmp_dir = Scratch.dir "psopt-test-replay"
 
 let fresh =
   let n = ref 0 in
@@ -44,21 +37,13 @@ let record_lb ?(eager = false) path =
   | Ok n -> n
   | Error m -> Alcotest.fail ("record lb: " ^ m)
 
-let open_exn path =
-  match Store.open_ path with
-  | Ok r -> r
+let read_exn path =
+  match Store.read path with
+  | Ok hr -> hr
   | Error e -> Alcotest.fail (Store.error_to_string e)
 
-let read_all_exn r =
-  match Store.read_all r with
-  | Ok rs -> rs
-  | Error e -> Alcotest.fail (Store.error_to_string e)
-
-let load_exn path =
-  let r = open_exn path in
-  let s = Session.load r in
-  Store.close_reader r;
-  match s with
+let load_exn ?keyframe_every path =
+  match Session.load ?keyframe_every path with
   | Ok s -> s
   | Error e -> Alcotest.fail (Store.error_to_string e)
 
@@ -74,16 +59,12 @@ let test_store_roundtrip () =
   let p1 = fresh "lb.trace" in
   let n = record_lb p1 in
   Alcotest.(check bool) "some steps recorded" true (n > 0);
-  let r1 = open_exn p1 in
-  Alcotest.(check bool) "index used, not rebuilt" false
-    (Store.index_rebuilt r1);
-  let h = Store.header r1 in
+  Alcotest.(check bool) "no sidecar file" false (Sys.file_exists (p1 ^ ".idx"));
+  let h, records = read_exn p1 in
   Alcotest.(check bool) "program round-trips" true
     (Lang.Ast.equal_program lb h.Trace.program);
   Alcotest.(check (list int)) "outs round-trip" [ 1; 1 ] h.Trace.outs;
   Alcotest.(check bool) "discipline round-trips" true (h.Trace.discipline = il);
-  let records = read_all_exn r1 in
-  Store.close_reader r1;
   Alcotest.(check int) "length agrees" n (List.length records);
   (* reopen → rewrite → byte-identical store *)
   let p2 = fresh "lb-rewrite.trace" in
@@ -91,18 +72,13 @@ let test_store_roundtrip () =
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
   Alcotest.(check string) "rewrite is byte-identical" (slurp p1) (slurp p2);
-  Alcotest.(check string) "index rewrite is byte-identical"
-    (slurp (p1 ^ ".idx"))
-    (slurp (p2 ^ ".idx"));
-  let r2 = open_exn p2 in
-  let records2 = read_all_exn r2 in
-  Store.close_reader r2;
+  let _, records2 = read_exn p2 in
   Alcotest.(check bool) "records round-trip" true
     (List.for_all2 Trace.equal_record records records2)
 
 (* The [psopt-replay/2] bytes of one fixed witness — sb's weak
-   outcome on one domain, under any PSOPT_J — pinned by digest, data
-   file and sidecar both; rewriting its records reproduces both. *)
+   outcome on one domain, under any PSOPT_J — pinned by digest;
+   rewriting its records reproduces them. *)
 let test_format_pinned () =
   let config =
     { config with Explore.Config.domains = 1; oversubscribe = false }
@@ -115,18 +91,14 @@ let test_format_pinned () =
   | Ok _ -> ()
   | Error m -> Alcotest.fail ("record sb: " ^ m));
   let md5 path = Digest.to_hex (Digest.file path) in
-  let data = "c202af3e3b28ef5a4dc1e5eae7a17f19" and idx = "490b4ccb2fac11f4b0f079b3e3c84b78" in
+  let data = "c202af3e3b28ef5a4dc1e5eae7a17f19" in
   Alcotest.(check string) "data file" data (md5 p);
-  Alcotest.(check string) "sidecar" idx (md5 (p ^ ".idx"));
-  let r = open_exn p in
-  let h = Store.header r and records = read_all_exn r in
-  Store.close_reader r;
+  let h, records = read_exn p in
   let p2 = fresh "sb-rewrite.trace" in
   (match Store.write_all p2 h records with
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
   Alcotest.(check string) "rewritten data file" data (md5 p2);
-  Alcotest.(check string) "rewritten sidecar" idx (md5 (p2 ^ ".idx"));
   (* a destination that cannot be created: an error, and no temporary
      file anywhere *)
   let dir = fresh "missing" in
@@ -140,49 +112,8 @@ let test_format_pinned () =
   Alcotest.(check bool) "directory still missing" false (Sys.file_exists dir);
   Alcotest.(check (list string)) "no temporary file" [] (tmps ())
 
-let test_index_vs_scan () =
-  let p = fresh "lb-eager.trace" in
-  let n = record_lb ~eager:true p in
-  let r = open_exn p in
-  let preds =
-    [
-      ( "promise",
-        (fun (ix : Store.ix) -> ix.Store.ix_kind = Trace.Promise_step),
-        fun (rec_ : Trace.record) -> rec_.Trace.kind = Trace.Promise_step );
-      ( "tid 1",
-        (fun ix -> ix.Store.ix_tid = 1),
-        fun rec_ -> rec_.Trace.tid = 1 );
-      ( "loc y",
-        (fun ix -> ix.Store.ix_loc = Some "y"),
-        fun rec_ -> rec_.Trace.loc = Some "y" );
-    ]
-  in
-  List.iter
-    (fun (what, f_ix, f_rec) ->
-      for from = 0 to n do
-        let via_scan =
-          match Store.find_scan r ~from ~f:f_rec with
-          | Ok x -> x
-          | Error e -> Alcotest.fail (Store.error_to_string e)
-        in
-        Alcotest.(check (option int))
-          (Printf.sprintf "%s from %d: index agrees with scan" what from)
-          via_scan
-          (Store.find_ix r ~from ~f:f_ix)
-      done)
-    preds;
-  let records = read_all_exn r in
-  Store.close_reader r;
-  (* a missing sidecar is rebuilt by scanning, same answers *)
-  Sys.remove (p ^ ".idx");
-  let r2 = open_exn p in
-  Alcotest.(check bool) "missing index rebuilt" true (Store.index_rebuilt r2);
-  Alcotest.(check bool) "rebuilt index reads the same records" true
-    (List.for_all2 Trace.equal_record records (read_all_exn r2));
-  Store.close_reader r2
-
-(* Five-plus damage modes, each a typed error (or a silent rebuild for
-   the advisory sidecar), mirroring the service store's discipline. *)
+(* Five damage modes, each a typed error, mirroring the service
+   store's discipline. *)
 let test_corruption_modes () =
   let p = fresh "victim.trace" in
   let steps = record_lb p in
@@ -197,13 +128,13 @@ let test_corruption_modes () =
   (* 1: missing file *)
   expect "missing"
     (function Store.Missing _ -> true | _ -> false)
-    (Store.open_ (fresh "nonexistent.trace"));
+    (Store.read (fresh "nonexistent.trace"));
   (* 2: not a replay trace *)
   let bad_magic = fresh "bad-magic.trace" in
   spit bad_magic "not a trace\nat all\n";
   expect "bad magic"
     (function Store.Bad_magic _ -> true | _ -> false)
-    (Store.open_ bad_magic);
+    (Store.read bad_magic);
   (* 3: flipped byte inside the header frame *)
   let flip_at s i =
     let b = Bytes.of_string s in
@@ -233,71 +164,22 @@ let test_corruption_modes () =
   | Some i -> spit bad_header (flip_at data (i + 1)));
   expect "damaged header"
     (function Store.Bad_header _ -> true | _ -> false)
-    (Store.open_ bad_header);
-  (* 4: truncated mid-record (no sidecar: detected while scanning) *)
+    (Store.read bad_header);
+  (* 4: truncated mid-record *)
   let truncated = fresh "truncated.trace" in
   spit truncated (String.sub data 0 (String.length data - 10));
   expect "truncated"
     (function Store.Truncated _ -> true | _ -> false)
-    (Store.open_ truncated);
-  (* 5: flipped byte inside a record payload.  With the (still valid)
-     sidecar the damage is caught at read time by the digest; without
-     it, at open time by the rebuild scan. *)
+    (Store.read truncated);
+  (* 5: flipped byte inside the last record's payload: caught by its
+     digest, and reported against that record *)
   let corrupt = fresh "corrupt.trace" in
   (match rfind_sub data "(step " with
   | None -> Alcotest.fail "no record payload?"
   | Some i -> spit corrupt (flip_at data (i + 1)));
-  expect "corrupt record, scan path"
-    (function Store.Corrupt_record _ -> true | _ -> false)
-    (Store.open_ corrupt);
-  let ( let* ) = Result.bind in
-  spit (corrupt ^ ".idx") (slurp (p ^ ".idx"));
-  expect "corrupt record, index path"
-    (function Store.Corrupt_record _ -> true | _ -> false)
-    (let* r = Store.open_ corrupt in
-     let all = Store.read_all r in
-     Store.close_reader r;
-     all);
-  (* 6: a damaged sidecar is advisory — silently rebuilt *)
-  let stale = fresh "stale-idx.trace" in
-  spit stale data;
-  spit (stale ^ ".idx") "psopt-replay-idx/1\ndata 1 0\n";
-  (match Store.open_ stale with
-  | Error e -> Alcotest.fail (Store.error_to_string e)
-  | Ok r ->
-      Alcotest.(check bool) "stale index rebuilt" true (Store.index_rebuilt r);
-      Store.close_reader r);
-  (* 7: an unreadable sidecar (a directory in its place) is rebuilt
-     too, never an exception *)
-  let unreadable = fresh "dir-idx.trace" in
-  spit unreadable data;
-  Unix.mkdir (unreadable ^ ".idx") 0o755;
-  match Store.open_ unreadable with
-  | Error e -> Alcotest.fail (Store.error_to_string e)
-  | Ok r ->
-      Alcotest.(check bool) "unreadable index rebuilt" true
-        (Store.index_rebuilt r);
-      Alcotest.(check int) "every record found by the scan" steps
-        (Store.length r);
-      Store.close_reader r
-
-(* The trace is published before its sidecar, and the sidecar is
-   advisory: when it cannot be written, recording still succeeds,
-   leaves no temp file, and the next open rebuilds the index. *)
-let test_sidecar_failure () =
-  let p = fresh "no-sidecar.trace" in
-  Unix.mkdir (p ^ ".idx") 0o755;
-  let n = record_lb p in
-  Alcotest.(check bool) "the trace is in place" true (Sys.file_exists p);
-  Alcotest.(check (list string)) "no temp file left behind" []
-    (List.filter
-       (fun f -> Filename.check_suffix f ".tmp")
-       (Array.to_list (Sys.readdir tmp_dir)));
-  let r = open_exn p in
-  Alcotest.(check bool) "the index is rebuilt" true (Store.index_rebuilt r);
-  Alcotest.(check int) "every record read back" n
-    (List.length (read_all_exn r));
-  Store.close_reader r
+  expect "corrupt record"
+    (function Store.Corrupt_record (n, _) -> n = steps - 1 | _ -> false)
+    (Store.read corrupt)
 
 (* --------------------------------------------------------------- *)
 (* Session: state reconstruction *)
@@ -374,13 +256,7 @@ let test_reservation_roundtrip () =
 let test_keyframe_jump_cost () =
   let path = fresh "lb-kf.trace" in
   ignore (record_lb ~eager:true path);
-  let r = open_exn path in
-  let t =
-    match Session.load ~keyframe_every:4 r with
-    | Ok t -> t
-    | Error e -> Alcotest.fail (Store.error_to_string e)
-  in
-  Store.close_reader r;
+  let t = load_exn ~keyframe_every:4 path in
   let len = Session.length t in
   Alcotest.(check int) "validation pass is not billed" 0
     (Session.replayed_steps t);
@@ -788,12 +664,8 @@ let () =
             test_store_roundtrip;
           Alcotest.test_case "psopt-replay/2 bytes pinned" `Quick
             test_format_pinned;
-          Alcotest.test_case "index agrees with scan (incl. rebuild)" `Quick
-            test_index_vs_scan;
           Alcotest.test_case "damage modes are typed errors" `Quick
             test_corruption_modes;
-          Alcotest.test_case "a sidecar that cannot be written" `Quick
-            test_sidecar_failure;
         ] );
       ( "session",
         [

@@ -108,12 +108,13 @@ let counter_for stats r =
     | Explore.Errors.Deadline -> Explore.Stats.deadline_hits
     | Explore.Errors.Node_budget -> Explore.Stats.node_budget_hits
     | Explore.Errors.Oom -> Explore.Stats.oom_hits
-    | Explore.Errors.Fault -> Explore.Stats.faults_injected)
+    | Explore.Errors.Fault -> Explore.Stats.faults_injected
+    | Explore.Errors.Output_cycle -> Explore.Stats.output_cycles)
 
 let all_reasons =
   [ Explore.Errors.Step_budget; Explore.Errors.Promise_budget;
     Explore.Errors.Deadline; Explore.Errors.Node_budget;
-    Explore.Errors.Oom; Explore.Errors.Fault ]
+    Explore.Errors.Oom; Explore.Errors.Fault; Explore.Errors.Output_cycle ]
 
 let test_reasons_match_counters () =
   let variants =
@@ -138,6 +139,12 @@ let test_reasons_match_counters () =
         { config with Explore.Config.max_promises = 0;
           strict_promises = true },
         Litmus.lb.Litmus.prog );
+      ( "print loop",
+        config,
+        Lang.Build.(
+          program ~atomics:[ "f" ]
+            [ proc "t" [ blk "L0" [ print (i 1) ] (jmp "L0") ] ]
+            ~threads:[ "t" ]) );
     ]
   in
   List.iter

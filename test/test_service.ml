@@ -326,17 +326,7 @@ let test_framing_faults () =
 (* --------------------------------------------------------------- *)
 (* Store *)
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "psopt-test-store-%d-%d" (Unix.getpid ()) !counter)
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
+let fresh_dir () = Scratch.dir "psopt-test-store"
 
 let budget ?deadline_ms ?max_nodes ?max_live_words steps =
   { Store.steps; deadline_ms; max_nodes; max_live_words }

@@ -66,10 +66,15 @@ let arbitrary_program =
    lives. *)
 let config = { Explore.Config.default with max_steps = 300 }
 
+(* A truncated side is no counterexample: only [Violates] refutes. *)
+let not_refuted = function
+  | Explore.Refine.Violates _ -> false
+  | Explore.Refine.Refines | Explore.Refine.Inconclusive _ -> true
+
 let test_thm41 =
   QCheck.Test.make ~count:40 ~name:"Theorem 4.1 on random programs"
     arbitrary_program (fun p ->
-      Explore.Refine.equivalent_disciplines ~config p)
+      not_refuted (Explore.Refine.equivalent_disciplines ~config p))
 
 let test_lemma51 =
   QCheck.Test.make ~count:40 ~name:"Lemma 5.1 on random programs"
@@ -199,7 +204,7 @@ let test_loop_passes_refine =
 let test_loop_thm41 =
   QCheck.Test.make ~count:15 ~name:"Theorem 4.1 on random loop programs"
     arbitrary_loop_program (fun p ->
-      Explore.Refine.equivalent_disciplines ~config p)
+      not_refuted (Explore.Refine.equivalent_disciplines ~config p))
 
 (* ------------------------------------------------------------------ *)
 (* Witness search and explorer walk one relation.

@@ -175,7 +175,7 @@ let filled f =
 let show s = Format.asprintf "%a" S.pp s
 
 let test_pp () =
-  Alcotest.(check int) "every counter" 25 (List.length S.all);
+  Alcotest.(check int) "every counter" 26 (List.length S.all);
   Alcotest.(check string) "fresh"
     "nodes=0 transitions=0 memo_hits=0 memo_size=0 cert_checks=0 \
      cert_cache_hits=0 cert_runs=0 cert_trivial=0 cand_cache_hits=0 \
@@ -193,13 +193,13 @@ let test_pp () =
      promises=112 peak_depth=113 domains=114 elapsed_ms=0 \
      deadline_hits=115 node_budget_hits=116 oom_hits=117 \
      promise_budget_hits=118 faults_injected=119 cert_faults=120 \
-     sleep_prunes=121 persistent_prunes=122 symmetry_folds=123 \
+     output_cycles=125 sleep_prunes=121 persistent_prunes=122 symmetry_folds=123 \
      promise_bound_hits=124"
     (show s);
   Alcotest.(check (list string)) "every reason, in order"
     [
       "step-budget"; "promise-budget"; "deadline"; "node-budget"; "oom";
-      "fault-injection";
+      "fault-injection"; "output-cycle";
     ]
     (List.map Explore.Errors.reason_to_string (S.truncation_reasons s));
   (* each group prints when one of its counters is nonzero
@@ -224,7 +224,7 @@ let test_add () =
      promises=150 peak_depth=113 domains=114 elapsed_ms=0 \
      deadline_hits=150 node_budget_hits=150 oom_hits=150 \
      promise_budget_hits=150 faults_injected=150 cert_faults=150 \
-     sleep_prunes=150 persistent_prunes=150 symmetry_folds=150 \
+     output_cycles=150 sleep_prunes=150 persistent_prunes=150 symmetry_folds=150 \
      promise_bound_hits=150"
     (show into);
   let into = filled (fun _ -> 1) in
@@ -235,7 +235,7 @@ let test_add () =
      cert_cache_size=1 cycles=21 cuts=22 promises=23 peak_depth=23 \
      domains=1 elapsed_ms=0 deadline_hits=26 node_budget_hits=27 \
      oom_hits=28 promise_budget_hits=29 faults_injected=30 \
-     cert_faults=31 sleep_prunes=32 persistent_prunes=33 \
+     cert_faults=31 output_cycles=36 sleep_prunes=32 persistent_prunes=33 \
      symmetry_folds=34 promise_bound_hits=35"
     (show into)
 
